@@ -220,15 +220,12 @@ func BenchmarkExecuteSteadyStateAllocs(b *testing.B) {
 	cfg.Stationary = universal.StationaryC
 	cfg.Pool = gpusim.NewPool()
 	prob := universal.NewProblem(c, a, bm)
-	plans := make([]universal.Plan, p)
-	steps := 0
-	for rank := 0; rank < p; rank++ {
-		plans[rank] = universal.BuildPlan(rank, prob, cfg.Stationary, cfg.CacheTiles)
-		steps += len(plans[rank].Steps)
-	}
+	probs := []universal.Problem{prob}
+	cps := []*universal.CompiledPlan{universal.CompilePlans(prob, cfg)}
+	steps := cps[0].Steps()
 	exec := func() {
 		w.Run(func(pe rt.PE) {
-			universal.ExecutePlan(pe, prob, plans[pe.Rank()], cfg)
+			universal.Execute(pe, probs, cps, cfg)
 			pe.Barrier()
 		})
 	}

@@ -77,10 +77,6 @@ func memElems(m, n, k, p, cAB, cC int) float64 {
 // diagnostic, since no valid configuration exists.
 func Search(sys universal.SimSystem, m, n, k int, opt Options) []Candidate {
 	p := sys.Topo.NumPE()
-	// The search is single-goroutine, so memoizing GEMM pricing is safe —
-	// and essential at cluster scale, where candidates × ranks × steps
-	// share a handful of tile shapes.
-	md := costmodel.New(sys.Topo, sys.Dev).Memoize()
 	budget := opt.MemBudgetElems
 	if budget <= 0 {
 		budget = math.Inf(1)
@@ -131,6 +127,10 @@ func Search(sys universal.SimSystem, m, n, k int, opt Options) []Candidate {
 	rt.ForEachIndex(len(specs), func(i int) {
 		sp := &specs[i]
 		prob := buildProblem(sys, m, n, k, sp.part, sp.cAB, sp.cC)
+		// Specs are priced concurrently and the memo is unsynchronized, so
+		// each spec memoizes on its own: it prices 2 stationaries × ranks ×
+		// steps over a handful of tile shapes, which is where the hits are.
+		md := costmodel.New(sys.Topo, sys.Dev).Memoize()
 		for si, stat := range stats {
 			if !opt.AllowZeroComm && zeroComm(prob, stat) {
 				continue

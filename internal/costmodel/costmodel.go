@@ -32,9 +32,10 @@ func New(topo simnet.Topology, dev gpusim.Device) *Model {
 // Memoize caches GemmCost results by shape and returns the model. A plan's
 // steps reuse a handful of tile shapes, so pricing thousands of ranks ×
 // steps during an autotune search collapses to a few Roofline evaluations.
-// The cache is not synchronized: memoized models must stay on a single
-// goroutine (the timed backends share one Model across concurrent PEs and
-// therefore must not call this).
+// The cache is not synchronized: a memoized model must stay on a single
+// goroutine. autotune.Search prices candidates concurrently and so builds
+// one memoized model per candidate spec; the timed backends share one Model
+// across concurrent PEs and therefore must not call this.
 func (md *Model) Memoize() *Model {
 	md.gemmMemo = make(map[gemmShape]float64)
 	return md

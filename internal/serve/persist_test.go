@@ -66,17 +66,3 @@ func TestServePlanCacheFileWarmStart(t *testing.T) {
 	s2.Close()
 	checkResults(t, w2, []*tenantFixture{f2})
 }
-
-// NoCache neuters PlanCacheFile: nothing to warm, nothing to save.
-func TestServePlanCacheFileNoCache(t *testing.T) {
-	path := t.TempDir() + "/plans.json"
-	w := shmem.NewWorld(2)
-	s := NewServer(w, Config{NoCache: true, PlanCacheFile: path})
-	if loaded, err := s.PlanCachePersistence(); loaded != 0 || err != nil {
-		t.Fatalf("NoCache persistence = (%d, %v)", loaded, err)
-	}
-	s.Close()
-	if c := universal.NewPlanCache(4); func() int { n, _ := c.LoadFile(path); return n }() != 0 {
-		t.Fatal("NoCache server wrote a plan cache file")
-	}
-}

@@ -105,15 +105,3 @@ func TestServeFailoverKillHealCycle(t *testing.T) {
 		t.Fatalf("%d pooled elements leaked across the cycle", live)
 	}
 }
-
-// TestServeRecoverRequiresCache pins that failover is a compiled-plan
-// feature: under NoCache the Recover flag is inert and no membership
-// view is created.
-func TestServeRecoverRequiresCache(t *testing.T) {
-	w, _ := chaosWorld(&chaos.Plan{Seed: 1})
-	s := NewServer(w, Config{NoCache: true, Recover: true})
-	defer s.Close()
-	if s.cfg.Recover || s.member != nil {
-		t.Fatal("Recover survived NoCache")
-	}
-}

@@ -72,15 +72,10 @@ type Config struct {
 	// activation's two barriers instead of paying their own.
 	Batch int
 	// Exec is the execution config template for every request. Its Plans
-	// and Pool fields are managed by the server: Plans is wired to the
-	// world's shared plan cache (universal.PlansOf) unless NoCache is set
-	// or Exec.Plans is already non-nil; a nil Pool gets one shared pool
-	// for the server's lifetime.
+	// and Pool fields are managed by the server: a nil Plans is wired to
+	// the world's shared plan cache (universal.PlansOf); a nil Pool gets
+	// one shared pool for the server's lifetime.
 	Exec universal.Config
-	// NoCache disables the compiled-plan cache, forcing every request to
-	// rebuild its plans per rank — the naive pre-serving behaviour, kept
-	// as the benchmark baseline.
-	NoCache bool
 	// Breaker tunes the per-tenant circuit breakers (docs/RESILIENCE.md):
 	// a tenant whose requests keep failing fatally or missing their
 	// deadlines is fenced off with ErrCircuitOpen until a half-open probe
@@ -95,7 +90,7 @@ type Config struct {
 	// PlanCacheFile, when non-empty, persists the compiled-plan cache
 	// across processes: the server warm-starts by loading the file at
 	// construction (a missing file is fine — first run), and saves the
-	// cache back on Close. Ignored under NoCache. Load/save outcomes are
+	// cache back on Close. Load/save outcomes are
 	// reported by PlanCachePersistence, not surfaced as serving errors: a
 	// cold start is a performance event, never a correctness one.
 	PlanCacheFile string
@@ -109,7 +104,6 @@ type Config struct {
 	// first attempt. Recovered batches count as Served (plus Recovered);
 	// only failures the recovery path could not absorb feed the circuit
 	// breakers. Healed ranks are re-included before the next batch.
-	// Requires the compiled-plan cache: ignored under NoCache.
 	Recover bool
 }
 
@@ -121,19 +115,12 @@ func (cfg Config) withDefaults(w rt.World) Config {
 		cfg.Batch = 8
 	}
 	cfg.Breaker = cfg.Breaker.withDefaults()
-	if cfg.NoCache {
-		// Failover recompiles against the surviving world through the
-		// compiled-plan cache; the naive path has no plans to repair.
-		cfg.Recover = false
-	}
 	if cfg.Exec.Retry.Retries == nil {
 		// The server owns a retry counter so Stats can report the world's
 		// transparently-recovered faults (every Config copy shares it).
 		cfg.Exec.Retry.Retries = new(atomic.Int64)
 	}
-	if cfg.NoCache {
-		cfg.Exec.Plans = nil
-	} else if cfg.Exec.Plans == nil {
+	if cfg.Exec.Plans == nil {
 		cfg.Exec.Plans = universal.PlansOf(w)
 	}
 	if cfg.Exec.Pool == nil {
@@ -217,7 +204,7 @@ type Stats struct {
 	// Batches counts collective activations; BatchedRequests their total
 	// request count (BatchedRequests/Batches is the realized batch size).
 	Batches, BatchedRequests int64
-	// PlanCache snapshots the compiled-plan cache (zero when NoCache).
+	// PlanCache snapshots the compiled-plan cache.
 	PlanCache universal.PlanCacheStats
 	// Tenants holds per-tenant snapshots keyed by tenant name.
 	Tenants map[string]TenantStats
@@ -279,7 +266,7 @@ func newServer(w rt.World, cfg Config) *Server {
 		wake:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 	}
-	if s.cfg.PlanCacheFile != "" && s.cfg.Exec.Plans != nil {
+	if s.cfg.PlanCacheFile != "" {
 		s.warmLoaded, s.persistErr = s.cfg.Exec.Plans.LoadFile(s.cfg.PlanCacheFile)
 	}
 	if s.cfg.Recover {
@@ -309,7 +296,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	close(s.quit)
 	s.wg.Wait()
-	if s.cfg.PlanCacheFile != "" && s.cfg.Exec.Plans != nil {
+	if s.cfg.PlanCacheFile != "" {
 		if err := s.cfg.Exec.Plans.SaveFile(s.cfg.PlanCacheFile); err != nil {
 			s.mu.Lock()
 			if s.persistErr == nil {
@@ -616,11 +603,8 @@ func (s *Server) drainClosed() {
 // hit the PEs receive ready-to-run compiled plans and touch no shared
 // cache state at all. cfg.Exclude keys the lookup — a failover replay
 // against a shrunken world resolves different (repair) plans from the
-// same cache. Returns nils under NoCache.
+// same cache.
 func (s *Server) lookupPlans(batch []*request, cfg universal.Config) ([]universal.Problem, []*universal.CompiledPlan) {
-	if cfg.Plans == nil {
-		return nil, nil
-	}
 	probs := make([]universal.Problem, len(batch))
 	cps := make([]*universal.CompiledPlan, len(batch))
 	for i, r := range batch {
@@ -667,29 +651,8 @@ func (s *Server) executeBatch(batch []*request, probs []universal.Problem, cps [
 			}
 		}
 		pe.Barrier() // all results zeroed before any accumulate can land
-		if cps != nil {
-			setErr(universal.ExecuteCompiledBatch(pe, probs, cps, cfg))
-		} else {
-			// The naive per-request path: rebuild the rank's plan, replay
-			// its fetch schedule from scratch, and pay a full executor
-			// setup per request — serving's pre-cache baseline.
-			for _, r := range batch {
-				plan := universal.BuildPlanMode(pe.Rank(), r.prob, cfg.Stationary, cfg.CacheTiles, cfg.SubTileFetch)
-				setErr(universal.ExecutePlan(pe, r.prob, plan, cfg))
-				if rank0 {
-					r.stat = plan.Stationary
-				}
-			}
-		}
-		pe.Barrier() // every request's one-sided updates have landed
-		for _, r := range batch {
-			if r.prob.C.Replication() > 1 {
-				r.prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
-				if cfg.SyncReplicas {
-					r.prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
-				}
-			}
-		}
+		setErr(universal.Execute(pe, probs, cps, cfg))
+		universal.Finish(pe, probs, cfg) // one barrier for the whole batch
 		if rank0 {
 			per := divStats(statsDelta(s.world.Stats(), snap), len(batch))
 			for _, r := range batch {
@@ -865,9 +828,7 @@ func (s *Server) Stats() Stats {
 		out.Tenants[name] = t.stats
 	}
 	s.mu.Unlock()
-	if s.cfg.Exec.Plans != nil {
-		out.PlanCache = s.cfg.Exec.Plans.Stats()
-	}
+	out.PlanCache = s.cfg.Exec.Plans.Stats()
 	return out
 }
 

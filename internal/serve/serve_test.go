@@ -324,29 +324,3 @@ func TestServeValidatesOperands(t *testing.T) {
 		t.Fatal("invalid request was served")
 	}
 }
-
-// NoCache preserves the per-request rebuild behaviour — the benchmark
-// baseline — and must still compute the right product.
-func TestServeNoCache(t *testing.T) {
-	const p = 2
-	w := shmem.NewWorld(p)
-	f := makeTenant(w, "n", 16, 12, 8, 2, 8)
-	before := universal.PlanBuildCount()
-	s := NewServer(w, Config{NoCache: true})
-	ctx := context.Background()
-	for _, c := range f.cs {
-		if _, err := s.Multiply(ctx, "n", c, f.a, f.b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	s.Close()
-	checkResults(t, w, []*tenantFixture{f})
-	if st.PlanCache.Builds != 0 || st.PlanCache.Hits != 0 {
-		t.Fatalf("NoCache server touched the plan cache: %+v", st.PlanCache)
-	}
-	// Two requests × p ranks, rebuilt every time.
-	if got := universal.PlanBuildCount() - before; got != int64(2*p) {
-		t.Fatalf("NoCache ran %d slicing passes, want %d", got, 2*p)
-	}
-}

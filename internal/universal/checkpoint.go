@@ -1,14 +1,10 @@
 package universal
 
-import (
-	"sync/atomic"
-
-	rt "slicing/internal/runtime"
-)
+import "sync/atomic"
 
 // Checkpoint is the step-granular progress record of one plan execution:
 // one flag per plan step, set by the worker crew at the instant the
-// step's single one-sided accumulate lands (gemmAccumulateChain issues
+// step's single one-sided accumulate lands (gemmAccumulate issues
 // exactly one accumulate per step, and a failed op moves no data, so
 // "marked" is precisely "this step's C contribution is durable"). Marks
 // happen at the same point the step's tileSlot references retire, so a
@@ -54,16 +50,4 @@ func (c *Checkpoint) LandedCount() int {
 		}
 	}
 	return n
-}
-
-// ExecutePlanCheckpointed is ExecutePlan with progress checkpointing:
-// ckpt is Reset to the plan's length and records every step whose
-// accumulate lands, so on a fatal error the caller can replay exactly the
-// unfinished steps. Same synchronization and error contract as
-// ExecutePlan.
-func ExecutePlanCheckpointed(pe rt.PE, prob Problem, plan Plan, cfg Config, ckpt *Checkpoint) error {
-	cfg = cfg.withDefaults()
-	ckpt.Reset(len(plan.Steps))
-	sched := planFetchSchedule(plan, cfg.CacheTiles)
-	return executePlanCkpt(pe, prob, plan, &sched, cfg, ckpt)
 }

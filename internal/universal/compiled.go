@@ -187,7 +187,7 @@ func (cp *CompiledPlan) Steps() int {
 
 // CompilePlans runs the slicing pass for every rank and freezes the result
 // into a CompiledPlan. Rank plans are independent, so they fan out across a
-// worker pool exactly like the estimator's plan replay.
+// worker pool. The plan cache is memoization of exactly this call.
 //
 // When cfg.Exclude names ranks, the compiled plan covers the shrunken
 // world: excluded ranks get empty plans (they still barrier, so the
@@ -202,104 +202,54 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 		Plans:  make([]Plan, key.NumPE),
 		scheds: make([]fetchSchedule, key.NumPE),
 	}
-	if key.Excluded == 0 {
-		rt.ForEachIndex(key.NumPE, func(rank int) {
-			cp.Plans[rank] = BuildPlanMode(rank, prob, key.Stationary, key.CacheTiles, key.SubTile)
-			cp.scheds[rank] = planFetchSchedule(cp.Plans[rank], key.CacheTiles)
-		})
-		return cp
-	}
-	excl := normalizeExclude(cfg.Exclude)
-	dead := make([]bool, key.NumPE)
-	for _, r := range excl {
-		dead[r] = true
-	}
-	survivors := make([]int, 0, key.NumPE-len(excl))
-	for r := 0; r < key.NumPE; r++ {
-		if !dead[r] {
-			survivors = append(survivors, r)
-		}
-	}
-	if len(survivors) == 0 {
+	excluded := normalizeExclude(cfg.Exclude)
+	if len(excluded) == key.NumPE {
 		panic(fmt.Sprintf("universal: all %d ranks excluded", key.NumPE))
 	}
 	rt.ForEachIndex(key.NumPE, func(rank int) {
-		if dead[rank] {
-			cp.Plans[rank] = Plan{Rank: rank, Stationary: key.Stationary}
-		} else {
-			ops := GenerateOps(rank, prob, key.Stationary)
-			ops = append(ops, adoptedOps(rank, prob, key.Stationary, excl, survivors)...)
-			cp.Plans[rank] = buildStepsFromOps(rank, prob, key.Stationary, ops, key.CacheTiles, key.SubTile)
-		}
-		cp.scheds[rank] = planFetchSchedule(cp.Plans[rank], key.CacheTiles)
+		cp.Plans[rank] = compileRank(rank, prob, key, excluded, &cp.scheds[rank])
 	})
 	return cp
 }
 
-// adoptedOps returns the slice of the excluded ranks' ops that rank adopts
-// under the deterministic round-robin redistribution: the excluded ranks'
-// generated ops, concatenated in (excluded rank, op index) order, dealt
-// one at a time across the sorted survivors. Every rank — with no
-// communication — computes the same global deal, which is what lets both
-// the whole-world compile above and the per-rank repair path hand out
-// consistent assignments. Ops adopted by a survivor in another replica
-// group still land each elementary product exactly once: A/B replica
-// reads are identical copies, and ReduceReplicas sums whichever replica
-// slot an accumulate reached into the origin.
-func adoptedOps(rank int, prob Problem, stat Stationary, excl, survivors []int) []LocalOp {
-	pos := -1
-	for i, s := range survivors {
-		if s == rank {
-			pos = i
-			break
-		}
+// compileRank is the slicing pass for one rank: the only code that knows
+// how a rank's ops are generated, how excluded ranks' ops are dealt to the
+// survivors, and how the steps and their fetch schedule (into sched, when
+// non-nil) are derived — both from key.CacheTiles in one walk, so a
+// schedule cannot disagree with its plan. It
+// reads only the key's plan-shaping scalars (Stationary, CacheTiles,
+// SubTile, and NumPE when ranks are excluded); excluded must be sorted and
+// duplicate-free.
+func compileRank(rank int, prob Problem, key PlanKey, excluded []int, sched *fetchSchedule) Plan {
+	var ops []LocalOp // an excluded rank keeps none
+	if i := sort.SearchInts(excluded, rank); i == len(excluded) || excluded[i] != rank {
+		ops = append(GenerateOps(rank, prob, key.Stationary),
+			adoptedOps(prob, key.Stationary, excluded, rank-i, key.NumPE-len(excluded))...)
 	}
-	if pos < 0 {
-		return nil
-	}
+	return buildStepsFromOps(rank, prob, key.Stationary, ops, key.CacheTiles, key.SubTile, sched)
+}
+
+// adoptedOps returns the slice of the excluded ranks' ops adopted by the
+// survivor at position pos (of nsurv, in rank order) under the
+// deterministic round-robin redistribution: the excluded ranks' generated
+// ops, concatenated in (excluded rank, op index) order, dealt one at a
+// time across the sorted survivors. Every rank — with no communication —
+// computes the same global deal. Ops adopted by a survivor in another
+// replica group still land each elementary product exactly once: A/B
+// replica reads are identical copies, and ReduceReplicas sums whichever
+// replica slot an accumulate reached into the origin.
+func adoptedOps(prob Problem, stat Stationary, excluded []int, pos, nsurv int) []LocalOp {
 	var out []LocalOp
 	next := 0
-	for _, f := range excl {
+	for _, f := range excluded {
 		for _, op := range GenerateOps(f, prob, stat) {
-			if next%len(survivors) == pos {
+			if next%nsurv == pos {
 				out = append(out, op)
 			}
 			next++
 		}
 	}
 	return out
-}
-
-// buildRankPlan builds one rank's plan honoring cfg.Exclude — the
-// per-rank (cacheless) counterpart of CompilePlans' exclusion path, used
-// by MultiplyAccumulate when no plan cache is configured. cfg must
-// already have defaults applied.
-func buildRankPlan(rank int, prob Problem, cfg Config) Plan {
-	if len(cfg.Exclude) == 0 {
-		return BuildPlanMode(rank, prob, cfg.Stationary, cfg.CacheTiles, cfg.SubTileFetch)
-	}
-	p := prob.C.World().NumPE()
-	excl := normalizeExclude(cfg.Exclude)
-	stat := prob.ResolveStationary(cfg.Stationary)
-	dead := make([]bool, p)
-	for _, r := range excl {
-		if r < 0 || r >= p {
-			panic(fmt.Sprintf("universal: excluded rank %d outside world of %d PEs", r, p))
-		}
-		dead[r] = true
-	}
-	if dead[rank] {
-		return Plan{Rank: rank, Stationary: stat}
-	}
-	survivors := make([]int, 0, p-len(excl))
-	for r := 0; r < p; r++ {
-		if !dead[r] {
-			survivors = append(survivors, r)
-		}
-	}
-	ops := GenerateOps(rank, prob, stat)
-	ops = append(ops, adoptedOps(rank, prob, stat, excl, survivors)...)
-	return buildStepsFromOps(rank, prob, stat, ops, cfg.CacheTiles, cfg.SubTileFetch)
 }
 
 // compiledPlanJSON is the serialized form: the key and the step schedules.
@@ -315,11 +265,14 @@ func (cp *CompiledPlan) MarshalJSON() ([]byte, error) {
 	return json.Marshal(compiledPlanJSON{Key: cp.Key, Plans: cp.Plans})
 }
 
-// UnmarshalJSON deserializes and validates a compiled plan, then recompiles
-// the per-rank fetch schedules. Malformed input — wrong rank count,
-// out-of-range tile indices or owner ranks, negative extents — returns an
-// error rather than panicking later in execution; the package fuzz target
-// hammers this path.
+// UnmarshalJSON deserializes and validates a compiled plan, then rederives
+// the per-rank fetch schedules. The bytes come from outside the program (a
+// plancache/v1 file), and the executor trusts a plan completely, so
+// everything it relies on is checked here: malformed input — wrong rank
+// count, out-of-range tile indices or owner ranks, ops outside the tiles
+// they name, locality or fetch flags the slicing pass would not have
+// produced — returns an error rather than panicking later inside a PE; the
+// package fuzz target hammers this path.
 func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	var raw compiledPlanJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -331,27 +284,29 @@ func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	}
 	out.scheds = make([]fetchSchedule, len(out.Plans))
 	for r := range out.Plans {
-		out.scheds[r] = planFetchSchedule(out.Plans[r], out.Key.CacheTiles)
+		if resolveFetches(out.Plans[r].Steps, out.Key.CacheTiles, &out.scheds[r]) {
+			return fmt.Errorf("universal: rank %d fetch flags disagree with the %d-tile LRU replay", r, out.Key.CacheTiles)
+		}
 	}
 	*cp = out
 	return nil
 }
 
-// gridShapeOf derives a matrix key's tile-grid shape from its global and
-// first-tile shapes (uniform clipped-edge grids).
-func gridShapeOf(mk MatrixKey) (tr, tc int, err error) {
+// gridOf rebuilds a matrix key's tile grid from its global and first-tile
+// shapes (uniform clipped-edge grids).
+func gridOf(mk MatrixKey) (index.Grid, error) {
 	if mk.Rows <= 0 || mk.Cols <= 0 || mk.TileRows <= 0 || mk.TileCols <= 0 {
-		return 0, 0, fmt.Errorf("universal: invalid matrix key shape %dx%d tiles %dx%d",
+		return index.Grid{}, fmt.Errorf("universal: invalid matrix key shape %dx%d tiles %dx%d",
 			mk.Rows, mk.Cols, mk.TileRows, mk.TileCols)
 	}
-	return (mk.Rows + mk.TileRows - 1) / mk.TileRows, (mk.Cols + mk.TileCols - 1) / mk.TileCols, nil
+	return index.Grid{Rows: mk.Rows, Cols: mk.Cols, TileRows: mk.TileRows, TileCols: mk.TileCols}, nil
 }
 
-func checkInterval(iv index.Interval, what string) error {
-	if iv.End < iv.Begin || iv.Begin < 0 {
-		return fmt.Errorf("universal: invalid %s interval [%d,%d)", what, iv.Begin, iv.End)
-	}
-	return nil
+// within reports whether iv is a well-formed interval inside both outers.
+func within(iv, outer1, outer2 index.Interval) bool {
+	return iv.Begin <= iv.End &&
+		iv.Begin >= outer1.Begin && iv.End <= outer1.End &&
+		iv.Begin >= outer2.Begin && iv.End <= outer2.End
 }
 
 // validate checks the structural invariants execution relies on.
@@ -369,17 +324,17 @@ func (cp *CompiledPlan) validate() error {
 	if k.Stationary != StationaryA && k.Stationary != StationaryB && k.Stationary != StationaryC {
 		return fmt.Errorf("universal: compiled plan has unresolved stationary %v", k.Stationary)
 	}
-	for _, mk := range [...]MatrixKey{k.A, k.B, k.C} {
+	var grids [3]index.Grid
+	for i, mk := range [...]MatrixKey{k.A, k.B, k.C} {
 		if mk.Replication <= 0 || k.NumPE%mk.Replication != 0 {
 			return fmt.Errorf("universal: replication %d does not divide %d PEs", mk.Replication, k.NumPE)
 		}
-		if _, _, err := gridShapeOf(mk); err != nil {
+		var err error
+		if grids[i], err = gridOf(mk); err != nil {
 			return err
 		}
 	}
-	atr, atc, _ := gridShapeOf(k.A)
-	btr, btc, _ := gridShapeOf(k.B)
-	ctr, ctc, _ := gridShapeOf(k.C)
+	ga, gb, gc := grids[0], grids[1], grids[2]
 	for r := range cp.Plans {
 		pl := &cp.Plans[r]
 		if pl.Rank != r {
@@ -390,27 +345,22 @@ func (cp *CompiledPlan) validate() error {
 		}
 		for i, s := range pl.Steps {
 			op := s.Op
-			if op.AIdx.Row < 0 || op.AIdx.Row >= atr || op.AIdx.Col < 0 || op.AIdx.Col >= atc {
-				return fmt.Errorf("universal: rank %d step %d A tile %v outside %dx%d grid", r, i, op.AIdx, atr, atc)
+			if !ga.Valid(op.AIdx) || !gb.Valid(op.BIdx) || !gc.Valid(op.CIdx) {
+				return fmt.Errorf("universal: rank %d step %d names tiles A%v B%v C%v outside their grids", r, i, op.AIdx, op.BIdx, op.CIdx)
 			}
-			if op.BIdx.Row < 0 || op.BIdx.Row >= btr || op.BIdx.Col < 0 || op.BIdx.Col >= btc {
-				return fmt.Errorf("universal: rank %d step %d B tile %v outside %dx%d grid", r, i, op.BIdx, btr, btc)
-			}
-			if op.CIdx.Row < 0 || op.CIdx.Row >= ctr || op.CIdx.Col < 0 || op.CIdx.Col >= ctc {
-				return fmt.Errorf("universal: rank %d step %d C tile %v outside %dx%d grid", r, i, op.CIdx, ctr, ctc)
-			}
-			for _, iv := range [...]struct {
-				iv   index.Interval
-				name string
-			}{{op.M, "M"}, {op.K, "K"}, {op.N, "N"}} {
-				if err := checkInterval(iv.iv, iv.name); err != nil {
-					return fmt.Errorf("universal: rank %d step %d: %w", r, i, err)
-				}
+			// The executor slices fetched tiles and the C tile to the op's
+			// bounds without further checks.
+			ab, bb, cb := ga.TileBounds(op.AIdx), gb.TileBounds(op.BIdx), gc.TileBounds(op.CIdx)
+			if !within(op.M, ab.Rows, cb.Rows) || !within(op.K, ab.Cols, bb.Rows) || !within(op.N, bb.Cols, cb.Cols) {
+				return fmt.Errorf("universal: rank %d step %d op M%v K%v N%v outside tiles A%v B%v C%v", r, i, op.M, op.K, op.N, ab, bb, cb)
 			}
 			for _, src := range [...]int{s.ASrc, s.BSrc, s.CDst} {
 				if src < 0 || src >= k.NumPE {
 					return fmt.Errorf("universal: rank %d step %d names rank %d of %d", r, i, src, k.NumPE)
 				}
+			}
+			if s.ALocal != (s.ASrc == r) || s.BLocal != (s.BSrc == r) || s.CLocal != (s.CDst == r) {
+				return fmt.Errorf("universal: rank %d step %d locality flags contradict owner ranks", r, i)
 			}
 			if s.ABytes < 0 || s.BBytes < 0 || s.AccumBytes < 0 {
 				return fmt.Errorf("universal: rank %d step %d has negative byte counts", r, i)
@@ -429,52 +379,30 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 	return PlanKeyOf(prob, cfg) == cp.Key
 }
 
-// ExecuteCompiled runs the calling rank's slice of a compiled plan with the
-// precompiled fetch schedule — the plan-cache hit path of Multiply, which
-// re-runs zero slicing work. The problem must match the plan's key (checked
-// in MultiplyAccumulate's cache path by construction; direct callers can
-// assert with Matches). It performs no collective synchronization; callers
-// barrier afterwards, exactly like ExecutePlan — and shares ExecutePlan's
-// error contract: the returned error is the rank's first fatal one-sided
-// fault after retries, with pooled buffers balanced either way.
-func ExecuteCompiled(pe rt.PE, prob Problem, cp *CompiledPlan, cfg Config) error {
-	rank := pe.Rank()
-	return executePlanSched(pe, prob, cp.Plans[rank], &cp.scheds[rank], cfg.withDefaults())
-}
-
-// ExecuteCompiledBatch executes several compiled plans as one fused group:
-// a single worker crew per PE drains every plan's GEMM→accumulate chains
-// back-to-back, so a batch of small multiplies pays one crew spawn and one
-// drain instead of one per request — the serving layer's grouped-plan
-// batching. probs[i] must match cps[i], and the problems' result matrices
-// must be pairwise distinct from each other and from every operand (their
-// interleaved one-sided accumulates are unsynchronized and must commute).
-// Performs no collective synchronization; callers barrier afterwards.
+// Execute runs the calling rank's slice of one or more compiled plans as
+// one fused group: a single worker crew per PE drains every plan's
+// GEMM→accumulate chains back-to-back, so a batch of small multiplies pays
+// one crew spawn and one drain instead of one per request — the serving
+// layer's grouped-plan batching; Multiply is the same loop on a batch of
+// one. probs[i] must match cps[i]'s key (Matches), and the problems' result
+// matrices must be pairwise distinct from each other and from every operand
+// (their interleaved one-sided accumulates are unsynchronized and must
+// commute). Performs no collective synchronization; callers Finish
+// afterwards.
 //
 // Fault semantics: the fused plans share one crew and one abort flag, so
-// this rank's first fatal fault stops dispatch across the WHOLE batch and
-// is returned once — the serving layer fails every fused request on it,
-// since there is no telling which plans' accumulates had already landed.
-func ExecuteCompiledBatch(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
+// this rank's first fatal fault (after per-op retries) stops dispatch
+// across the WHOLE batch and is returned once — the serving layer fails
+// every fused request on it, since there is no telling which plans'
+// accumulates had already landed. Pooled buffers balance either way.
+func Execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
 	if len(probs) != len(cps) {
-		panic("universal: ExecuteCompiledBatch problem/plan count mismatch")
+		panic("universal: Execute problem/plan count mismatch")
 	}
-	cfg = cfg.withDefaults()
 	rank := pe.Rank()
-	rt.PushFaultScope(pe)
-	defer rt.PopFaultScope(pe)
-	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
-	defer rt.SetOpDeadline(pe, 0)
-	var box errBox
-	tasks, wg := startChainCrew(pe, cfg, &box)
-	finishers := make([]func(), len(cps))
+	work := make([]feeder, len(cps))
 	for i, cp := range cps {
-		finishers[i] = feedPlanSched(pe, probs[i], cp.Plans[rank], &cp.scheds[rank], cfg, tasks, &box, nil)
+		work[i] = feeder{prob: probs[i], plan: cp.Plans[rank], sched: &cp.scheds[rank]}
 	}
-	close(tasks)
-	wg.Wait()
-	for _, finish := range finishers {
-		finish()
-	}
-	return box.err()
+	return execute(pe, work, cfg.withDefaults())
 }

@@ -2,7 +2,6 @@ package universal
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -297,6 +296,23 @@ type corruptCase struct {
 	mut  func(cp *CompiledPlan)
 }
 
+// executorTrustCases are well-formed by every structural check yet break
+// what the executor assumes of a plan without re-checking: ops inside the
+// tiles they name (or tile.ViewInto panics inside a PE), locality flags
+// that agree with the owner ranks, and fetch flags that agree with the
+// schedule rederived from Key.CacheTiles.
+var executorTrustCases = []corruptCase{
+	{"op outside its tiles", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].Op.M.End += 100 }},
+	{"locality contradicts owner", func(cp *CompiledPlan) {
+		s := &cp.Plans[0].Steps[0]
+		s.ALocal = !s.ALocal
+	}},
+	{"fetch flag contradicts LRU replay", func(cp *CompiledPlan) {
+		s := &cp.Plans[0].Steps[0]
+		s.FetchB = !s.FetchB
+	}},
+}
+
 func TestCompiledPlanValidateRejects(t *testing.T) {
 	prob := buildDraw(planDraw{
 		p: 2, m: 12, n: 10, k: 8,
@@ -329,6 +345,7 @@ func TestCompiledPlanValidateRejects(t *testing.T) {
 		{"negative bytes", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].BBytes = -4 }},
 		{"fetch mode disagrees", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].SubTile = !cp.Key.SubTile }},
 	}
+	cases = append(cases, executorTrustCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var cp CompiledPlan
@@ -369,6 +386,15 @@ func FuzzCompiledPlanJSON(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	for _, tc := range executorTrustCases {
+		cp := CompilePlans(prob, Config{})
+		tc.mut(cp)
+		blob, err := json.Marshal(cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"key":{"NumPE":-1}}`))
 	f.Add([]byte(`{"key":{"NumPE":2,"Stationary":3,"CacheTiles":8},"plans":[]}`))
@@ -389,38 +415,4 @@ func FuzzCompiledPlanJSON(f *testing.F) {
 			t.Fatalf("accepted plan fails round trip: %v", err)
 		}
 	})
-}
-
-// ExecuteCompiled must agree with the per-rank rebuild path on the same
-// problem (within accumulate-order tolerance).
-func TestExecuteCompiledMatchesDirect(t *testing.T) {
-	const p, m, n, k = 4, 25, 17, 21
-	for _, sub := range []bool{false, true} {
-		t.Run(fmt.Sprintf("subtile=%v", sub), func(t *testing.T) {
-			w := shmem.NewWorld(p)
-			a := distmat.New(w, m, k, distmat.RowBlock{}, 1)
-			b := distmat.New(w, k, n, distmat.ColBlock{}, 1)
-			c := distmat.New(w, m, n, distmat.Block2D{}, 1)
-			w.Run(func(pe rt.PE) {
-				a.FillRandom(pe, 11)
-				b.FillRandom(pe, 22)
-			})
-			ref := referenceProduct(m, n, k, 11, 22, a, b, w)
-			prob := NewProblem(c, a, b)
-			cfg := DefaultConfig()
-			cfg.SubTileFetch = sub
-			cp := CompilePlans(prob, cfg)
-			w.Run(func(pe rt.PE) {
-				c.Zero(pe)
-				ExecuteCompiled(pe, prob, cp, cfg)
-				pe.Barrier()
-				if pe.Rank() == 0 {
-					got := c.Gather(pe, 0)
-					if !got.AllClose(ref, 1e-3) {
-						t.Errorf("compiled execution wrong: maxdiff %g", got.MaxAbsDiff(ref))
-					}
-				}
-			})
-		})
-	}
 }

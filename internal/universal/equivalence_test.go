@@ -1,0 +1,137 @@
+package universal
+
+import (
+	"fmt"
+	"testing"
+
+	"slicing/internal/distmat"
+	"slicing/internal/gpusim"
+	rt "slicing/internal/runtime"
+	"slicing/internal/shmem"
+	"slicing/internal/tile"
+)
+
+// Every way into the executor is the same pipeline — compile, execute,
+// finish — so for one PlanKey they must all compute the same C, move the
+// same bytes, and leave the pool balanced; and the estimator, which
+// compiles through the same CompilePlans, must predict the same run whether
+// it is handed the problem or the compiled plan, exclusions included.
+func TestEntryPointsEquivalent(t *testing.T) {
+	const p, m, n, k = 8, 50, 46, 44
+	sys := H100System() // 8 PEs
+	w := shmem.NewWorld(p)
+	// Misaligned tilings, A and C replicated: ops are odd-shaped, C needs
+	// the replica reduction, and exclusions deal ops across replica groups.
+	a := distmat.New(w, m, k, distmat.Custom{TileRows: 7, TileCols: 11, ProcRows: 2, ProcCols: 2}, 2)
+	b := distmat.New(w, k, n, distmat.ColBlock{}, 1)
+	cs := make([]*distmat.Matrix, 3) // cs[0] serves the single-multiply entries
+	probs := make([]Problem, len(cs))
+	for i := range cs {
+		cs[i] = distmat.New(w, m, n, distmat.Custom{TileRows: 13, TileCols: 9, ProcRows: 2, ProcCols: 2}, 2)
+		probs[i] = NewProblem(cs[i], a, b)
+	}
+	w.Run(func(pe rt.PE) {
+		a.FillRandom(pe, 31)
+		b.FillRandom(pe, 32)
+	})
+	want := referenceProduct(m, n, k, 31, 32, a, b, w)
+
+	type entry struct {
+		name  string
+		fused int // result matrices written per run
+		run   func(pe rt.PE, cfg Config) error
+		// protocolGets is the entry's own remote-get traffic on top of the
+		// plan's, for a plan of the given total step count.
+		protocolGets func(steps int) int64
+	}
+	none := func(int) int64 { return 0 }
+	entries := []entry{
+		{"Multiply/cached", 1, func(pe rt.PE, cfg Config) error {
+			cfg.Plans = NewPlanCache(4)
+			_, err := Multiply(pe, cs[0], a, b, cfg)
+			return err
+		}, none},
+		{"Multiply/uncached", 1, func(pe rt.PE, cfg Config) error {
+			_, err := Multiply(pe, cs[0], a, b, cfg)
+			return err
+		}, none},
+		{"Execute/fused3", 3, func(pe rt.PE, cfg Config) error {
+			cps := make([]*CompiledPlan, len(probs))
+			for i, c := range cs {
+				cps[i] = CompilePlans(probs[i], cfg)
+				c.Zero(pe)
+			}
+			err := Execute(pe, probs, cps, cfg)
+			Finish(pe, probs, cfg)
+			return err
+		}, none},
+		{"MultiplyResilient/clean", 1, func(pe rt.PE, cfg Config) error {
+			_, report, err := MultiplyResilient(pe, cs[0], a, b, cfg)
+			if report.Rounds != 0 {
+				t.Errorf("clean resilient run took %d repair rounds", report.Rounds)
+			}
+			return err
+		}, func(steps int) int64 {
+			// One status exchange: every rank reads every peer's failed
+			// flag plus 16 landed bits per float32 word.
+			return int64(p * (p - 1) * (1 + (steps+15)/16) * 4)
+		}},
+	}
+
+	for _, mode := range []struct {
+		name       string
+		subTile    bool
+		cacheTiles int
+	}{{"whole-tile", false, 0}, {"sub-tile", true, 0}, {"cache=1", false, 1}} {
+		for _, exclude := range [][]int{nil, {3}} {
+			t.Run(fmt.Sprintf("%s/exclude=%v", mode.name, exclude), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.SubTileFetch, cfg.CacheTiles, cfg.Exclude = mode.subTile, mode.cacheTiles, exclude
+				cfg.Pool = gpusim.NewPool()
+
+				steps := CompilePlans(probs[0], cfg).Steps()
+				var getBytes, accumBytes int64
+				for ei, e := range entries {
+					before := w.Stats()
+					w.Run(func(pe rt.PE) {
+						if err := e.run(pe, cfg); err != nil {
+							t.Errorf("%s rank %d: %v", e.name, pe.Rank(), err)
+						}
+					})
+					after := w.Stats()
+					get := (after.RemoteGetBytes - before.RemoteGetBytes - e.protocolGets(steps)) / int64(e.fused)
+					accum := (after.RemoteAccumBytes - before.RemoteAccumBytes) / int64(e.fused)
+					if ei == 0 {
+						getBytes, accumBytes = get, accum
+					} else if get != getBytes || accum != accumBytes {
+						t.Errorf("%s moved (%d get, %d accum) bytes per multiply, %s moved (%d, %d)",
+							e.name, get, accum, entries[0].name, getBytes, accumBytes)
+					}
+					if live := cfg.Pool.Stats().Live; live != 0 {
+						t.Errorf("%s left %d pool elements live", e.name, live)
+					}
+					got := make([]*tile.Matrix, e.fused)
+					w.Run(func(pe rt.PE) {
+						if pe.Rank() == 0 {
+							for i := range got {
+								got[i] = cs[i].Gather(pe, cfg.ReduceOrigin)
+							}
+						}
+					})
+					for i, g := range got {
+						if !g.AllClose(want, 1e-4) {
+							t.Errorf("%s result %d: maxdiff %g vs GemmNaive", e.name, i, g.MaxAbsDiff(want))
+						}
+					}
+				}
+				if getBytes == 0 || accumBytes == 0 {
+					t.Errorf("problem moved (%d get, %d accum) remote bytes; the traffic comparison is vacuous", getBytes, accumBytes)
+				}
+
+				requireSimResultsEqual(t,
+					NewModelExecutor().Simulate(probs[0], CompilePlans(probs[0], cfg), cfg, sys),
+					SimulateMultiply(probs[0], cfg, sys))
+			})
+		}
+	}
+}

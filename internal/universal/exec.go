@@ -119,45 +119,53 @@ func Multiply(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationary, error)
 }
 
 // MultiplyAccumulate computes C += A·B assuming C already holds the values
-// to accumulate onto (zeroed for a plain product). Collective. With
-// cfg.Plans set, the plan comes from the compiled-plan cache (built once
-// per world on a miss, re-executed with zero slicing work on a hit);
-// otherwise each rank rebuilds its plan per call as before. Error
-// semantics are Multiply's.
+// to accumulate onto (zeroed for a plain product). Collective. It is the
+// whole pipeline on a batch of one: compile (memoized in cfg.Plans when
+// set — built once per world on a miss, zero slicing work on a hit —
+// otherwise only the calling rank's slice, rebuilt per call), execute,
+// finish. Error semantics are Multiply's.
 func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) {
 	cfg = cfg.withDefaults()
-	var stat Stationary
-	var err error
+	rank := pe.Rank()
+	var work [1]feeder
 	if cfg.Plans != nil {
 		cp := cfg.Plans.GetOrCompile(prob, cfg)
-		rank := pe.Rank()
-		err = executePlanSched(pe, prob, cp.Plans[rank], &cp.scheds[rank], cfg)
-		stat = cp.Key.Stationary
+		work[0] = feeder{prob: prob, plan: cp.Plans[rank], sched: &cp.scheds[rank]}
 	} else {
-		plan := buildRankPlan(pe.Rank(), prob, cfg)
-		sched := planFetchSchedule(plan, cfg.CacheTiles)
-		err = executePlanSched(pe, prob, plan, &sched, cfg)
-		stat = plan.Stationary
+		sched := new(fetchSchedule)
+		plan := compileRank(rank, prob, PlanKeyOf(prob, cfg), normalizeExclude(cfg.Exclude), sched)
+		work[0] = feeder{prob: prob, plan: plan, sched: sched}
 	}
-	pe.Barrier() // all one-sided updates must land before replica reduction
-	if prob.C.Replication() > 1 {
-		// The collectives run outside the executor's fault scope, so they
-		// proceed (and stay barrier-matched across ranks) even after an
-		// error; the reduced values are only meaningful if no rank failed.
-		prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
-		if cfg.SyncReplicas {
-			prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
-		}
-	}
-	return stat, err
+	err := execute(pe, work[:], cfg)
+	Finish(pe, []Problem{prob}, cfg)
+	return work[0].plan.Stationary, err
 }
 
-// tileSlot is one fetched tile buffer with its in-flight future and a
-// reference count. A slot is born with one reference held by the tile
-// cache (its plan-time LRU residency); every step using the tile takes a
-// reference for the duration of its GEMM→accumulate chain. When the count
-// reaches zero — the LRU residency has ended and no in-flight chain still
-// reads the buffer — the buffer returns to the pool for the next fetch.
+// Finish is the collective epilogue of the multiplies a rank just executed:
+// one barrier — every one-sided update must land before any C is read —
+// then, for each replicated C, the replica reduction and optional
+// re-broadcast. It runs outside the executor's fault scope, so it proceeds
+// (and stays barrier-matched across ranks) even after an execution error;
+// the reduced values are only meaningful if no rank failed.
+func Finish(pe rt.PE, probs []Problem, cfg Config) {
+	pe.Barrier()
+	for _, prob := range probs {
+		if prob.C.Replication() > 1 {
+			prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
+			if cfg.SyncReplicas {
+				prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
+			}
+		}
+	}
+}
+
+// tileSlot is one fetched buffer with its in-flight future and a reference
+// count. A slot is born with one reference for its scheduled residency
+// (fetchSchedule.evictions says when that ends); every step using the
+// buffer takes a reference for the duration of its GEMM→accumulate chain.
+// When the count reaches zero — the residency has ended and no in-flight
+// chain still reads the buffer — the buffer returns to the pool for the
+// next fetch.
 type tileSlot struct {
 	fut  distmat.TileFuture
 	mat  tile.Matrix
@@ -173,6 +181,7 @@ func (s *tileSlot) acquire() *tile.Matrix {
 }
 
 // release drops one reference, recycling the buffer on the last one.
+// Releasing a slot whose fetch was never issued is a no-op.
 func (s *tileSlot) release() {
 	if s.refs.Add(-1) == 0 && s.buf != nil {
 		s.pool.Put(s.buf)
@@ -180,27 +189,26 @@ func (s *tileSlot) release() {
 	}
 }
 
-// stepOperands holds one step's sliced operand views. They live in a
-// per-plan array so slicing allocates nothing per step.
-type stepOperands struct {
-	a, b tile.Matrix
+// stepState is the executor's per-step storage: the slots of the step's own
+// A and B fetches and its sliced operand views. One array per plan, so
+// fetching and slicing allocate nothing per step.
+type stepState struct {
+	a, b         tileSlot
+	aView, bView tile.Matrix
 }
 
-// ExecutePlan runs a per-rank plan with the §4.2 optimizations: iteration
-// offset (already baked into the op order), prefetching via
-// get_tile_async, asynchronous GEMM→accumulate chains with bounded
-// concurrency, and pooled scratch memory. The loop is allocation-free in
-// the steady state: fetched tiles land in pooled buffers held in
-// refcounted slots whose eviction mirrors the plan-time tile LRU
-// (planFetchSchedule), operand views live in per-plan arrays, and GEMM
-// partials come from the same pool. It performs no collective
-// synchronization; callers barrier afterwards. The returned error is the
-// rank's first fatal one-sided fault (after per-op retries), with every
-// pooled buffer back in the pool either way.
-func ExecutePlan(pe rt.PE, prob Problem, plan Plan, cfg Config) error {
-	cfg = cfg.withDefaults()
-	sched := planFetchSchedule(plan, cfg.CacheTiles)
-	return executePlanSched(pe, prob, plan, &sched, cfg)
+// chainTask is one ready GEMM→accumulate chain handed to the worker crew.
+// It carries its own Problem so one crew can serve a fused batch of
+// multiplies.
+type chainTask struct {
+	prob         Problem
+	op           LocalOp
+	st           *stepState
+	aSlot, bSlot *tileSlot
+	// ckpt/step checkpoint the chain's accumulate when it lands (nil = no
+	// checkpointing; the common fault-free entry points pay nothing).
+	ckpt *Checkpoint
+	step int
 }
 
 // startChainCrew spawns the bounded GEMM→accumulate worker crew (§4.2's
@@ -208,8 +216,8 @@ func ExecutePlan(pe rt.PE, prob Problem, plan Plan, cfg Config) error {
 // of ready chains. Tasks are plain values, so dispatching a step allocates
 // nothing; the unbuffered send blocks exactly when all workers are busy,
 // which is the same admission control as a counting semaphore. The crew is
-// problem-agnostic (each task carries its own Problem), so one crew can
-// drain the chains of many fused multiplies.
+// problem-agnostic (each task carries its own Problem), so one crew drains
+// the chains of many fused multiplies.
 //
 // box is the crew's abort flag: a worker whose accumulate fails fatally
 // (after its retry budget) publishes the error, and every worker keeps
@@ -227,7 +235,7 @@ func startChainCrew(pe rt.PE, cfg Config, box *errBox) (chan<- chainTask, *sync.
 			ret := newRetrier(cfg.Retry, seed)
 			for t := range tasks {
 				if box.err() == nil {
-					err := gemmAccumulateChain(pe, t.prob, t.op, &t.ops.a, &t.ops.b, cfg.Pool, cfg.KernelWorkers, &ret)
+					err := gemmAccumulate(pe, t.prob, t.op, &t.st.aView, &t.st.bView, cfg.Pool, cfg.KernelWorkers, &ret)
 					if err == nil && t.ckpt != nil {
 						// The chain's single accumulate landed (a failed op
 						// moves no data, so this is exactly the step's C
@@ -249,309 +257,193 @@ func startChainCrew(pe rt.PE, cfg Config, box *errBox) (chan<- chainTask, *sync.
 	return tasks, wg
 }
 
-// executePlanSched is ExecutePlan with the plan-time LRU replay already
-// computed — the shared body of the direct path (which derives sched per
-// call) and the compiled-plan path (which reuses the schedule frozen at
-// compile time, so a plan-cache hit re-runs zero slicing work). cfg must
-// already have defaults applied. sched is read-only: concurrent executions
-// of one CompiledPlan share it.
+// execute is the one executor: it runs this rank's slice of every plan in
+// work through a single worker crew with the §4.2 optimizations — iteration
+// offset (already baked into the op order), prefetching via get_tile_async,
+// asynchronous GEMM→accumulate chains with bounded concurrency, and pooled
+// scratch memory. Multiply passes one plan, the serving layer a fused
+// batch, the resilient multiply one plan with a checkpoint. The loop is
+// allocation-free in the steady state. cfg must already have defaults
+// applied; the plans' schedules are read-only, so concurrent executions of
+// one CompiledPlan share them. No collective synchronization happens here;
+// callers Finish afterwards.
 //
-// It brackets the run in a fault scope with the configured per-op
+// The run is bracketed in a fault scope with the configured per-op
 // deadline: on fault-capable backends this is the recoverable region
 // (injected faults fire only here, retried per Config.Retry), and the
-// collectives around it stay fault-free so ranks never diverge on
-// barrier counts.
-func executePlanSched(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg Config) error {
-	return executePlanCkpt(pe, prob, plan, sched, cfg, nil)
-}
-
-// executePlanCkpt is executePlanSched with an optional step checkpoint:
-// with ckpt non-nil (already Reset to the plan's length) every step whose
-// accumulate lands is marked, so after a fatal fault the caller knows
-// exactly which C contributions are durable and which steps a repair plan
-// must replay.
-func executePlanCkpt(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg Config, ckpt *Checkpoint) error {
+// collectives around it stay fault-free so ranks never diverge on barrier
+// counts. The returned error is the rank's first fatal one-sided fault
+// (after per-op retries), which stops dispatch across all of work; every
+// pooled buffer is back in the pool either way.
+func execute(pe rt.PE, work []feeder, cfg Config) error {
 	rt.PushFaultScope(pe)
 	defer rt.PopFaultScope(pe)
 	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
 	defer rt.SetOpDeadline(pe, 0)
 	var box errBox
 	tasks, wg := startChainCrew(pe, cfg, &box)
-	finish := feedPlanSched(pe, prob, plan, sched, cfg, tasks, &box, ckpt)
+	fed := 0
+	for ; fed < len(work) && box.err() == nil; fed++ {
+		work[fed].feed(pe, cfg, tasks, &box)
+	}
 	close(tasks)
 	wg.Wait()
-	finish()
+	// Residual residencies are dropped only now, on this goroutine, so the
+	// final pool returns never race worker releases mid-execution.
+	for i := range work[:fed] {
+		work[i].finish()
+	}
 	return box.err()
 }
 
-// feedPlanSched walks one per-rank plan, issuing prefetches and handing each
-// ready GEMM→accumulate chain to an already-running crew. It owns the
-// plan's slot arrays; the refcounts keep pooled buffers alive until the last
-// in-flight chain using them retires, so the caller may feed further plans
-// to the same crew before this one's chains drain. The returned finish func
-// drops the residual plan-time LRU residencies; callers run it after the
-// crew drains so the final pool returns happen deterministically on the
-// feeder, not racing worker releases mid-execution.
-//
-// Fault handling: fetch issues and synchronous fallback gets run under the
-// retry budget; a fatal failure (or one published by a worker, or by a
-// fused sibling plan sharing the crew) stops dispatch at that step.
-// Already-issued fetches are safe to abandon — every backend completes
-// the data movement of an async get at issue time — so finish can return
-// their buffers to the pool unconditionally.
-func feedPlanSched(pe rt.PE, prob Problem, plan Plan, sched *fetchSchedule, cfg Config, tasks chan<- chainTask, box *errBox, ckpt *Checkpoint) (finish func()) {
-	if box.err() != nil {
-		// A fused sibling plan already failed; skip this one entirely.
-		return func() {}
-	}
-	pool := cfg.Pool
-	ret := newRetrier(cfg.Retry, uint64(pe.Rank())<<16|0xfeed)
-	nsteps := len(plan.Steps)
-	aSlots := make([]tileSlot, nsteps)
-	bSlots := make([]tileSlot, nsteps)
-	operands := make([]stepOperands, nsteps)
-	slotFor := func(ref fetchRef) *tileSlot {
-		if ref.mat == 'A' {
-			return &aSlots[ref.step]
-		}
-		return &bSlots[ref.step]
-	}
+// feeder walks one per-rank plan, issuing prefetches and handing each ready
+// GEMM→accumulate chain to the crew. Callers of execute fill the first
+// four fields; the rest is the walk's state. It owns the plan's slot array,
+// whose refcounts keep pooled buffers alive until the last in-flight chain
+// using them retires — which is why a feeder outlives its feed call and
+// execute can feed further plans to the same crew before this one's chains
+// drain.
+type feeder struct {
+	prob  Problem
+	plan  Plan
+	sched *fetchSchedule
+	ckpt  *Checkpoint // non-nil (and Reset to the plan's length): mark every step whose accumulate lands
 
-	// issueTileFetch starts the async whole-tile copy for step i's operand
-	// into a recycled pooled buffer, retrying transient issue failures.
-	issueTileFetch := func(s *tileSlot, m *distmat.Matrix, idx index.TileIdx) error {
-		b := m.TileBounds(idx)
-		rows, cols := b.Shape()
-		s.pool = pool
-		s.buf = pool.GetUninit(rows * cols)
-		s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
-		s.refs.Store(1) // the cache's residency reference
-		return ret.do(func() { m.GetTileIntoAsync(pe, &s.fut, &s.mat, idx, distmat.LocalReplica) })
-	}
-	// issueSubFetch starts the async exact-slice copy for a sub-tile step.
-	// Sub-tile fetches are single-use, so their residency reference is
-	// dropped as soon as the step's chain holds its own.
-	issueSubFetch := func(s *tileSlot, m *distmat.Matrix, idx index.TileIdx, sub index.Rect) error {
-		rows, cols := sub.Shape()
-		s.pool = pool
-		s.buf = pool.GetUninit(rows * cols)
-		s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
-		s.refs.Store(1)
-		return ret.do(func() { m.GetSubTileIntoAsync(pe, &s.fut, &s.mat, idx, distmat.LocalReplica, sub) })
-	}
+	pe    rt.PE
+	pool  *gpusim.Pool
+	ret   retrier
+	steps []stepState
+	// Local-tile view headers, one per operand (reused across steps) so a
+	// step with two local tiles never aliases them.
+	aLocal, bLocal tile.Matrix
+	evicted        int // cursor into sched.evictions
+}
 
-	// issueFetches starts the async copies needed by steps [from, to).
-	issueFetches := func(from, to int) error {
-		for i := from; i < to && i < nsteps; i++ {
-			s := plan.Steps[i]
-			if s.SubTile {
-				if s.FetchA {
-					if err := issueSubFetch(&aSlots[i], prob.A, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}); err != nil {
-						return err
-					}
-				}
-				if s.FetchB {
-					if err := issueSubFetch(&bSlots[i], prob.B, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			if s.FetchA {
-				if err := issueTileFetch(&aSlots[i], prob.A, s.Op.AIdx); err != nil {
-					return err
-				}
-			}
-			if s.FetchB {
-				if err := issueTileFetch(&bSlots[i], prob.B, s.Op.BIdx); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	// acquireTile resolves a full-tile operand: a zero-copy local view, the
-	// refcounted slot of the fetch serving this step (waiting for it to
-	// land), or — if the plan's fetch decisions don't match the replayed
-	// schedule (plan built with a different cache capacity) — a synchronous
-	// fallback get. Each operand gets its own local-view header (reused
-	// across steps, so slicing allocates nothing) so a step with two local
-	// tiles never aliases them.
-	var aLocalView, bLocalView tile.Matrix
-	acquireTile := func(m *distmat.Matrix, local bool, src int, idx index.TileIdx, slots []tileSlot, localView *tile.Matrix) (*tile.Matrix, *tileSlot, error) {
-		if local {
-			m.TileInto(pe, localView, idx, distmat.LocalReplica)
-			return localView, nil, nil
-		}
-		if src >= 0 {
-			slot := &slots[src]
-			return slot.acquire(), slot, nil
-		}
-		var t *tile.Matrix
-		err := ret.do(func() { t = m.GetTile(pe, idx, distmat.LocalReplica) })
-		return t, nil, err
-	}
-
-	evictCursor := 0
-	abortAt := -1 // first step never dispatched; -1 = ran to completion
-	if err := issueFetches(0, 1+cfg.PrefetchDepth); err != nil {
-		box.set(err)
-	}
-	for i, s := range plan.Steps {
+// feed dispatches the plan's steps in order. Fetch issues run under the
+// retry budget; a fatal failure (or one published by a crew worker) stops
+// dispatch at that step. Already-issued fetches are safe to abandon — every
+// backend completes the data movement of an async get at issue time — so
+// finish returns their buffers to the pool unconditionally.
+func (f *feeder) feed(pe rt.PE, cfg Config, tasks chan<- chainTask, box *errBox) {
+	f.pe, f.pool = pe, cfg.Pool
+	f.ret = newRetrier(cfg.Retry, uint64(pe.Rank())<<16|0xfeed)
+	f.steps = make([]stepState, len(f.plan.Steps))
+	box.set(f.issueFetches(0, 1+cfg.PrefetchDepth))
+	for i := range f.plan.Steps {
 		if box.err() != nil {
-			abortAt = i
-			break
-		}
-		if err := issueFetches(i+1+cfg.PrefetchDepth, i+2+cfg.PrefetchDepth); err != nil {
-			box.set(err)
-			abortAt = i
-			break
-		}
-
-		ops := &operands[i]
-		var aSlot, bSlot *tileSlot
-		var err error
-		if s.SubTile {
-			aSlot, err = acquireSub(pe, prob.A, s.ALocal, s.Op.AIdx, index.Rect{Rows: s.Op.M, Cols: s.Op.K}, &aSlots[i], &ops.a, &ret)
-			if err == nil {
-				bSlot, err = acquireSub(pe, prob.B, s.BLocal, s.Op.BIdx, index.Rect{Rows: s.Op.K, Cols: s.Op.N}, &bSlots[i], &ops.b, &ret)
-			}
-		} else {
-			var aTile, bTile *tile.Matrix
-			aTile, aSlot, err = acquireTile(prob.A, s.ALocal, sched.srcA[i], s.Op.AIdx, aSlots, &aLocalView)
-			if err == nil {
-				bTile, bSlot, err = acquireTile(prob.B, s.BLocal, sched.srcB[i], s.Op.BIdx, bSlots, &bLocalView)
-			}
-			if err == nil {
-				// Slice the tiles down to the op's global (M, K, N) bounds.
-				ab := prob.A.TileBounds(s.Op.AIdx)
-				aTile.ViewInto(&ops.a, s.Op.M.Begin-ab.Rows.Begin, s.Op.K.Begin-ab.Cols.Begin, s.Op.M.Len(), s.Op.K.Len())
-				bb := prob.B.TileBounds(s.Op.BIdx)
-				bTile.ViewInto(&ops.b, s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
-			}
-		}
-		if err != nil {
-			// Drop the chain references taken before the failure; the
-			// residency references fall to finish.
-			box.set(err)
-			if aSlot != nil {
-				aSlot.release()
-			}
-			if bSlot != nil {
-				bSlot.release()
-			}
-			abortAt = i
-			break
-		}
-
-		tasks <- chainTask{prob: prob, op: s.Op, ops: ops, aSlot: aSlot, bSlot: bSlot, ckpt: ckpt, step: i}
-
-		// Sub-tile fetches are single-use: drop their residency reference
-		// now that the chain holds its own.
-		if s.SubTile {
-			if aSlot != nil {
-				aSlot.release()
-			}
-			if bSlot != nil {
-				bSlot.release()
-			}
-		}
-		// Retire buffers whose plan-time LRU residency ended at this step.
-		for evictCursor < len(sched.evictions) && sched.evictions[evictCursor].atStep == i {
-			slotFor(sched.evictions[evictCursor].ref).release()
-			evictCursor++
-		}
-	}
-	return func() {
-		// Full-tile fetches (issued or not) all appear in the eviction
-		// list; releasing an unissued slot is a no-op, so the walk is
-		// correct on the abort path as well.
-		for ; evictCursor < len(sched.evictions); evictCursor++ {
-			slotFor(sched.evictions[evictCursor].ref).release()
-		}
-		if abortAt < 0 {
 			return
 		}
-		// Sub-tile fetches are not in the eviction list (their residency
-		// ends at dispatch), so on abort the issued-but-never-dispatched
-		// ones still hold their single-use reference.
-		for j := abortAt; j < nsteps; j++ {
-			if !plan.Steps[j].SubTile {
-				continue
-			}
-			if aSlots[j].buf != nil {
-				aSlots[j].release()
-			}
-			if bSlots[j].buf != nil {
-				bSlots[j].release()
-			}
+		if err := f.issueFetches(i+1+cfg.PrefetchDepth, i+2+cfg.PrefetchDepth); err != nil {
+			box.set(err)
+			return
+		}
+		s, st := &f.plan.Steps[i], &f.steps[i]
+		aSlot := f.slot(fetchRef{f.sched.srcA[i], 'A'})
+		bSlot := f.slot(fetchRef{f.sched.srcB[i], 'B'})
+		f.acquire(f.prob.A, aSlot, s.Op.AIdx, s.aRect(), s.SubTile, &f.aLocal, &st.aView)
+		f.acquire(f.prob.B, bSlot, s.Op.BIdx, s.bRect(), s.SubTile, &f.bLocal, &st.bView)
+		tasks <- chainTask{prob: f.prob, op: s.Op, st: st, aSlot: aSlot, bSlot: bSlot, ckpt: f.ckpt, step: i}
+		// Retire buffers whose scheduled residency ended at this step; the
+		// chains still using them hold their own references.
+		for ; f.evicted < len(f.sched.evictions) && f.sched.evictions[f.evicted].atStep == i; f.evicted++ {
+			f.slot(f.sched.evictions[f.evicted].ref).release()
 		}
 	}
 }
 
-// chainTask is one ready GEMM→accumulate chain handed to the worker crew.
-// It carries its own Problem so one crew can serve a fused batch of
-// multiplies.
-type chainTask struct {
-	prob         Problem
-	op           LocalOp
-	ops          *stepOperands
-	aSlot, bSlot *tileSlot
-	// ckpt/step checkpoint the chain's accumulate when it lands (nil = no
-	// checkpointing; the common fault-free entry points pay nothing).
-	ckpt *Checkpoint
-	step int
+// finish drops every residency feed did not get to. All fetches, issued or
+// not, appear in the eviction list, and releasing an unissued slot is a
+// no-op, so the walk is correct on the abort path as well.
+func (f *feeder) finish() {
+	for ; f.evicted < len(f.sched.evictions); f.evicted++ {
+		f.slot(f.sched.evictions[f.evicted].ref).release()
+	}
 }
 
-// acquireSub resolves one operand in sub-tile mode, filling view: a strided
-// view of the local tile, or the step's prefetched slice (falling back to a
-// synchronous sub-tile get, under the retry budget, if the prefetch was
-// never issued). It returns the slot whose chain reference the caller must
-// release, nil for local operands.
-func acquireSub(pe rt.PE, m *distmat.Matrix, local bool, idx index.TileIdx,
-	sub index.Rect, slot *tileSlot, view *tile.Matrix, ret *retrier) (*tileSlot, error) {
-	if local {
-		b := m.TileBounds(idx)
-		var t tile.Matrix
-		m.TileInto(pe, &t, idx, distmat.LocalReplica)
-		loc := sub.Localize(b.Rows.Begin, b.Cols.Begin)
-		t.ViewInto(view, loc.Rows.Begin, loc.Cols.Begin, sub.Rows.Len(), sub.Cols.Len())
-		return nil, nil
+// slot returns the slot of the named fetch, nil for the schedule's "local
+// operand, no fetch" marker (step < 0).
+func (f *feeder) slot(ref fetchRef) *tileSlot {
+	switch {
+	case ref.step < 0:
+		return nil
+	case ref.mat == 'A':
+		return &f.steps[ref.step].a
 	}
-	if slot.buf != nil || slot.fut.Tile != nil {
-		*view = *slot.acquire()
-		return slot, nil
+	return &f.steps[ref.step].b
+}
+
+// aRect / bRect are the op's operand rectangles in global coordinates.
+func (s *Step) aRect() index.Rect { return index.Rect{Rows: s.Op.M, Cols: s.Op.K} }
+func (s *Step) bRect() index.Rect { return index.Rect{Rows: s.Op.K, Cols: s.Op.N} }
+
+// issueFetches starts the async copies needed by steps [from, to), each
+// into a recycled pooled buffer, retrying transient issue failures.
+func (f *feeder) issueFetches(from, to int) error {
+	for i := from; i < to && i < len(f.plan.Steps); i++ {
+		s, st := &f.plan.Steps[i], &f.steps[i]
+		if s.FetchA {
+			if err := f.issueFetch(&st.a, f.prob.A, s.Op.AIdx, s.aRect(), s.SubTile); err != nil {
+				return err
+			}
+		}
+		if s.FetchB {
+			if err := f.issueFetch(&st.b, f.prob.B, s.Op.BIdx, s.bRect(), s.SubTile); err != nil {
+				return err
+			}
+		}
 	}
-	var t *tile.Matrix
-	if err := ret.do(func() { t = m.GetSubTile(pe, idx, distmat.LocalReplica, sub) }); err != nil {
-		return nil, err
+	return nil
+}
+
+// issueFetch starts one async copy into s: the whole tile, or in sub-tile
+// mode exactly the operand rectangle want — the only thing the two fetch
+// modes disagree on.
+func (f *feeder) issueFetch(s *tileSlot, m *distmat.Matrix, idx index.TileIdx, want index.Rect, subTile bool) error {
+	rect := want
+	if !subTile {
+		rect = m.TileBounds(idx)
 	}
-	*view = *t
-	return nil, nil
+	rows, cols := rect.Shape()
+	s.pool = f.pool
+	s.buf = f.pool.GetUninit(rows * cols)
+	s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
+	s.refs.Store(1) // the scheduled residency
+	return f.ret.do(func() {
+		if subTile {
+			m.GetSubTileIntoAsync(f.pe, &s.fut, &s.mat, idx, distmat.LocalReplica, want)
+		} else {
+			m.GetTileIntoAsync(f.pe, &s.fut, &s.mat, idx, distmat.LocalReplica)
+		}
+	})
+}
+
+// acquire resolves one operand of a step into view, sliced to want: from a
+// zero-copy view of the local tile (slot nil), or from the fetch in slot,
+// taking the chain's reference and waiting for the copy to land.
+func (f *feeder) acquire(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, want index.Rect, subTile bool, localView, view *tile.Matrix) {
+	base, held := localView, m.TileBounds(idx)
+	if slot == nil {
+		m.TileInto(f.pe, localView, idx, distmat.LocalReplica)
+	} else {
+		base = slot.acquire()
+		if subTile {
+			held = want // a sub-tile fetch holds exactly the operand
+		}
+	}
+	base.ViewInto(view, want.Rows.Begin-held.Rows.Begin, want.Cols.Begin-held.Cols.Begin, want.Rows.Len(), want.Cols.Len())
 }
 
 // gemmAccumulate multiplies the sliced tiles into a pooled scratch buffer
 // and atomically accumulates the result into C — the GEMM→accumulate chain
 // of §4.2. aSlice and bSlice must already be sliced to the op's (M,K) and
-// (K,N) bounds. It performs no heap allocation in the steady state: the
-// partial lives in a pooled buffer and its header on the stack.
-func gemmAccumulate(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool) {
-	gemmAccumulateWorkers(pe, prob, op, aSlice, bSlice, pool, 1)
-}
-
-// gemmAccumulateWorkers is gemmAccumulate with the local GEMM spread across
-// workers goroutines (Config.KernelWorkers); workers <= 1 stays on the
-// single-goroutine packed kernel.
-func gemmAccumulateWorkers(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int) {
-	gemmAccumulateChain(pe, prob, op, aSlice, bSlice, pool, workers, nil)
-}
-
-// gemmAccumulateChain is the crew's chain body. With ret non-nil the
-// accumulate runs under the retry budget and a fatal fault comes back as
-// an error with the scratch buffer already back in the pool; with ret nil
-// faults panic through unchanged (the IR path's contract).
-func gemmAccumulateChain(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int, ret *retrier) error {
+// (K,N) bounds; workers > 1 spreads the local GEMM across that many
+// goroutines (Config.KernelWorkers). It performs no heap allocation in the
+// steady state: the partial lives in a pooled buffer and its header on the
+// stack. With ret non-nil the accumulate runs under the retry budget and a
+// fatal fault comes back as an error with the scratch buffer already back
+// in the pool; with ret nil faults panic through unchanged (the IR path's
+// contract).
+func gemmAccumulate(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int, ret *retrier) error {
 	rows, cols := op.M.Len(), op.N.Len()
 	buf := pool.Get(rows * cols)
 	partial := tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: buf}
@@ -572,14 +464,14 @@ func gemmAccumulateChain(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *til
 }
 
 // RunStep executes one plan step given its (full) A and B tiles: it slices
-// the tiles to the op's bounds, multiplies, and accumulates into C. It is
-// shared by the direct executor and the IR executor.
+// the tiles to the op's bounds, multiplies, and accumulates into C. The IR
+// executor's step body; faults panic through.
 func RunStep(pe rt.PE, prob Problem, s Step, aTile, bTile *tile.Matrix, pool *gpusim.Pool) {
 	ab := prob.A.TileBounds(s.Op.AIdx)
 	bb := prob.B.TileBounds(s.Op.BIdx)
 	aSlice := aTile.View(s.Op.M.Begin-ab.Rows.Begin, s.Op.K.Begin-ab.Cols.Begin, s.Op.M.Len(), s.Op.K.Len())
 	bSlice := bTile.View(s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
-	gemmAccumulate(pe, prob, s.Op, aSlice, bSlice, pool)
+	gemmAccumulate(pe, prob, s.Op, aSlice, bSlice, pool, 1, nil)
 }
 
 func subRect(op LocalOp) (r index.Rect) {

@@ -1,14 +1,13 @@
 package universal
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"slicing/internal/distmat"
 	"slicing/internal/index"
 )
 
-// planBuilds counts executed slicing passes (BuildPlanMode calls), the
+// planBuilds counts executed slicing passes (buildStepsFromOps calls), the
 // observable for pass-count tests proving a plan-cache hit re-runs zero
 // slicing work.
 var planBuilds atomic.Int64
@@ -94,12 +93,25 @@ type cacheKey struct {
 	idx index.TileIdx
 }
 
-// tileLRU tracks which fetched tiles are still resident. Both the plan
-// builder (for fetch decisions) and the real executor (for the actual tile
-// buffers) use it, so their behaviour matches by construction.
+// fetchRef names one fetch in a plan: the step that issued it and the
+// operand matrix it was issued for.
+type fetchRef struct {
+	step int
+	mat  byte // 'A' or 'B'
+}
+
+// tileLRU tracks which fetched tiles are resident, each with the step whose
+// fetch brought it in. It exists only inside resolveFetches, the one walk
+// that decides both the plan's fetch flags and the executor's buffer
+// lifetimes, so the two match by construction.
 type tileLRU struct {
 	cap  int
-	keys []cacheKey
+	ents []lruEntry // least recently used first
+}
+
+type lruEntry struct {
+	key  cacheKey
+	step int // the step whose fetch brought key in
 }
 
 func newTileLRU(capacity int) *tileLRU {
@@ -109,34 +121,27 @@ func newTileLRU(capacity int) *tileLRU {
 	return &tileLRU{cap: capacity}
 }
 
-// touch marks key as most recently used. It returns whether the key was
-// already resident and, when an insertion overflows capacity, the evicted
-// key.
-func (l *tileLRU) touch(k cacheKey) (hit bool, evicted cacheKey, didEvict bool) {
-	for i, existing := range l.keys {
-		if existing == k {
-			copy(l.keys[i:], l.keys[i+1:])
-			l.keys[len(l.keys)-1] = k
-			return true, cacheKey{}, false
+// touch marks key as most recently used on behalf of step. It returns the
+// step whose fetch holds key resident — step itself on a miss — and, when
+// the insertion overflows capacity, the fetch it evicts.
+func (l *tileLRU) touch(k cacheKey, step int) (src int, evicted fetchRef, didEvict bool) {
+	for i, e := range l.ents {
+		if e.key == k {
+			copy(l.ents[i:], l.ents[i+1:])
+			l.ents[len(l.ents)-1] = e
+			return e.step, fetchRef{}, false
 		}
 	}
-	l.keys = append(l.keys, k)
-	if len(l.keys) > l.cap {
-		evicted = l.keys[0]
-		l.keys = append(l.keys[:0], l.keys[1:]...)
-		return false, evicted, true
+	l.ents = append(l.ents, lruEntry{k, step})
+	if len(l.ents) > l.cap {
+		old := l.ents[0]
+		l.ents = append(l.ents[:0], l.ents[1:]...)
+		return step, fetchRef{old.step, old.key.mat}, true
 	}
-	return false, cacheKey{}, false
+	return step, fetchRef{}, false
 }
 
-// fetchRef names one fetch in a plan: the step that issued it and the
-// operand matrix it was issued for.
-type fetchRef struct {
-	step int
-	mat  byte // 'A' or 'B'
-}
-
-// fetchEvict records that a fetch's cache residency ends once step atStep
+// fetchEvict records that a fetch's buffer residency ends once step atStep
 // has been dispatched; atStep == len(steps) marks fetches still resident at
 // the end of the plan.
 type fetchEvict struct {
@@ -144,86 +149,78 @@ type fetchEvict struct {
 	ref    fetchRef
 }
 
-// fetchSchedule is the executor's precomputed view of the plan-time tile
-// LRU: where each step's non-local full-tile operand comes from, and when
-// each fetched buffer's cache residency ends. Replaying the same LRU the
-// plan builder used makes the executor's buffer lifetimes mirror the plan's
-// fetch decisions by construction — a tile buffer is recycled exactly when
-// the plan would have re-fetched it — so steady-state execution holds at
-// most CacheTiles tile buffers per operand instead of retaining every fetch
-// for the whole plan.
+// fetchSchedule is the executor's view of a plan's fetches: which fetch
+// serves each step's non-local operand, and when each fetched buffer's
+// residency ends. It is derived in the same LRU walk that sets the steps'
+// fetch flags (resolveFetches), so a tile buffer is recycled exactly when
+// the plan re-fetches the tile, and steady-state execution holds at most
+// CacheTiles tile buffers per operand instead of every fetch of the plan.
 type fetchSchedule struct {
 	// srcA[i] / srcB[i] give the step whose fetch serves step i's operand
-	// (srcX[i] == i when the step fetches it itself); -1 marks operands
-	// with no backing fetch: local tiles, sub-tile steps, and — if the
-	// plan was built with a different cache capacity than the executor's —
-	// hits the replay cannot resolve, which fall back to a synchronous get.
+	// (srcX[i] == i when the step fetches it itself); -1 marks local tiles.
 	srcA, srcB []int
 	// evictions lists every fetch's residency end in non-decreasing atStep
 	// order (each fetch appears exactly once), so the executor retires
-	// buffers by walking a cursor instead of per-step slices.
+	// buffers by walking a cursor. A sub-tile fetch is single-use: its
+	// residency ends at its own step.
 	evictions []fetchEvict
 }
 
-// planFetchSchedule replays the tile LRU over a plan's steps. cacheTiles
-// must match the capacity the plan was built with for the replay to mirror
-// its fetch decisions exactly.
-func planFetchSchedule(pl Plan, cacheTiles int) fetchSchedule {
-	n := len(pl.Steps)
-	sched := fetchSchedule{
-		srcA: make([]int, n),
-		srcB: make([]int, n),
+// serve and evict record the walk's decisions. A nil schedule discards
+// them: the cost models build plans by the thousand and never execute one.
+func (fs *fetchSchedule) serve(i, srcA, srcB int) {
+	if fs != nil {
+		fs.srcA[i], fs.srcB[i] = srcA, srcB
+	}
+}
+
+func (fs *fetchSchedule) evict(atStep int, ref fetchRef) {
+	if fs != nil {
+		fs.evictions = append(fs.evictions, fetchEvict{atStep, ref})
+	}
+}
+
+// resolveFetches is the one place fetch decisions are made: it walks steps
+// (locality already resolved) through the tile LRU at capacity cacheTiles,
+// writes each step's FetchA/FetchB, and fills sched (when non-nil) with the
+// matching executor schedule. changed reports whether any flag it wrote
+// differed from the one already there — false for steps whose flags came
+// from this same walk, which is how the plan loader checks a deserialized
+// plan.
+func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed bool) {
+	n := len(steps)
+	if sched != nil {
+		src := make([]int, 2*n)
+		*sched = fetchSchedule{srcA: src[:n:n], srcB: src[n:]}
 	}
 	cache := newTileLRU(cacheTiles)
-	lastFetch := map[cacheKey]fetchRef{}
-	resolve := func(i int, src *int, fetched, local bool, key cacheKey) {
-		*src = -1
-		if local {
-			return
+	resolve := func(i int, local, subTile bool, key cacheKey) (src int, fetch bool) {
+		switch {
+		case local:
+			return -1, false
+		case subTile:
+			sched.evict(i, fetchRef{i, key.mat})
+			return i, true
 		}
-		if fetched {
-			// A re-fetch while the replay still holds the key only happens
-			// when the executor's cache capacity exceeds the plan's; end
-			// the shadowed fetch's residency here so its buffer is not
-			// leaked (every fetch must appear in evictions exactly once).
-			if old, ok := lastFetch[key]; ok {
-				sched.evictions = append(sched.evictions, fetchEvict{atStep: i, ref: old})
-			}
-			lastFetch[key] = fetchRef{step: i, mat: key.mat}
+		src, evicted, did := cache.touch(key, i)
+		if did {
+			sched.evict(i, evicted)
 		}
-		if ref, ok := lastFetch[key]; ok {
-			*src = ref.step
-		}
-		if _, evicted, did := cache.touch(key); did {
-			if ref, ok := lastFetch[evicted]; ok {
-				sched.evictions = append(sched.evictions, fetchEvict{atStep: i, ref: ref})
-				delete(lastFetch, evicted)
-			}
-		}
+		return src, src == i
 	}
-	for i, s := range pl.Steps {
-		sched.srcA[i], sched.srcB[i] = -1, -1
-		if s.SubTile {
-			continue
-		}
-		resolve(i, &sched.srcA[i], s.FetchA, s.ALocal, cacheKey{'A', s.Op.AIdx})
-		resolve(i, &sched.srcB[i], s.FetchB, s.BLocal, cacheKey{'B', s.Op.BIdx})
+	for i := range steps {
+		s := &steps[i]
+		srcA, fetchA := resolve(i, s.ALocal, s.SubTile, cacheKey{'A', s.Op.AIdx})
+		srcB, fetchB := resolve(i, s.BLocal, s.SubTile, cacheKey{'B', s.Op.BIdx})
+		sched.serve(i, srcA, srcB)
+		changed = changed || fetchA != s.FetchA || fetchB != s.FetchB
+		s.FetchA, s.FetchB = fetchA, fetchB
 	}
-	// Fetches still resident at plan end are retired together; emit them in
-	// step order (not map order) so identical plans always produce
-	// bit-identical schedules.
-	tail := len(sched.evictions)
-	for _, ref := range lastFetch {
-		sched.evictions = append(sched.evictions, fetchEvict{atStep: n, ref: ref})
+	// Fetches still resident at plan end are retired together.
+	for _, e := range cache.ents {
+		sched.evict(n, fetchRef{e.step, e.key.mat})
 	}
-	sort.Slice(sched.evictions[tail:], func(i, j int) bool {
-		a, b := sched.evictions[tail+i].ref, sched.evictions[tail+j].ref
-		if a.step != b.step {
-			return a.step < b.step
-		}
-		return a.mat < b.mat
-	})
-	return sched
+	return changed
 }
 
 // BuildPlan resolves the ops rank must execute into a Step sequence:
@@ -239,22 +236,25 @@ func BuildPlan(rank int, p Problem, stat Stationary, cacheTiles int) Plan {
 // whole tiles through the LRU cache — more bytes, amortized across the ops
 // sharing a tile. The tradeoff is benchmarked in BenchmarkFetchModeAblation.
 func BuildPlanMode(rank int, p Problem, stat Stationary, cacheTiles int, subTile bool) Plan {
-	resolved := p.ResolveStationary(stat)
-	return buildStepsFromOps(rank, p, resolved, GenerateOps(rank, p, resolved), cacheTiles, subTile)
+	return compileRank(rank, p, PlanKey{
+		Stationary: p.ResolveStationary(stat), CacheTiles: cacheTiles, SubTile: subTile,
+	}, nil, nil)
 }
 
 // buildStepsFromOps lowers an explicit op list into a Step sequence with
 // locality, fetch decisions, and byte counts resolved for the executing
-// rank. BuildPlanMode feeds it the rank's own generated ops; the recovery
-// path feeds it ops adopted from a failed rank (plan repair), where the
-// adopting rank's own replica placement — not the dead rank's — must
-// drive the source/destination resolution. stat must already be resolved.
-func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, cacheTiles int, subTile bool) Plan {
+// rank, filling sched (when non-nil) with the executor schedule of those
+// fetches. compileRank feeds it the rank's own and adopted ops; the
+// resilient multiply's repair rounds feed it the unfinished ops of ranks
+// that failed mid-run, where the adopting rank's own replica placement —
+// not the dead rank's — must drive the source/destination resolution. stat
+// must already be resolved.
+func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, cacheTiles int, subTile bool, sched *fetchSchedule) Plan {
 	planBuilds.Add(1)
-	cache := newTileLRU(cacheTiles)
-	steps := make([]Step, 0, len(ops))
-	for _, op := range ops {
-		s := Step{Op: op, SubTile: subTile}
+	steps := make([]Step, len(ops))
+	for i, op := range ops {
+		s := &steps[i]
+		s.Op, s.SubTile = op, subTile
 		s.ASrc = p.A.OwnerRank(op.AIdx, distmat.LocalReplica, rank)
 		s.BSrc = p.B.OwnerRank(op.BIdx, distmat.LocalReplica, rank)
 		s.CDst = p.C.OwnerRank(op.CIdx, distmat.LocalReplica, rank)
@@ -265,21 +265,11 @@ func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, 
 		if subTile {
 			s.ABytes = op.M.Len() * op.K.Len() * 4
 			s.BBytes = op.K.Len() * op.N.Len() * 4
-			s.FetchA = !s.ALocal
-			s.FetchB = !s.BLocal
 		} else {
 			s.ABytes = p.A.TileBounds(op.AIdx).Area() * 4
 			s.BBytes = p.B.TileBounds(op.BIdx).Area() * 4
-			if !s.ALocal {
-				hit, _, _ := cache.touch(cacheKey{'A', op.AIdx})
-				s.FetchA = !hit
-			}
-			if !s.BLocal {
-				hit, _, _ := cache.touch(cacheKey{'B', op.BIdx})
-				s.FetchB = !hit
-			}
 		}
-		steps = append(steps, s)
 	}
+	resolveFetches(steps, cacheTiles, sched)
 	return Plan{Rank: rank, Stationary: resolved, Steps: steps}
 }

@@ -98,16 +98,14 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 		// reuses the compiled plan and its frozen fetch schedule (zero
 		// slicing work on a cache hit); repair rounds lower the adopted op
 		// lists with locality re-resolved for this rank.
-		var execErr error
-		if round == 0 {
-			ckpt.Reset(len(cp.Plans[rank].Steps))
-			execErr = executePlanCkpt(pe, prob, cp.Plans[rank], &cp.scheds[rank], cfg, &ckpt)
-		} else {
-			pl := buildStepsFromOps(rank, prob, stat, curOps[rank], cfg.CacheTiles, cfg.SubTileFetch)
-			sched := planFetchSchedule(pl, cfg.CacheTiles)
-			ckpt.Reset(len(pl.Steps))
-			execErr = executePlanCkpt(pe, prob, pl, &sched, cfg, &ckpt)
+		plan, sched := cp.Plans[rank], &cp.scheds[rank]
+		if round > 0 {
+			sched = new(fetchSchedule)
+			plan = buildStepsFromOps(rank, prob, stat, curOps[rank], cp.Key.CacheTiles, cp.Key.SubTile, sched)
 		}
+		ckpt.Reset(len(plan.Steps))
+		work := [1]feeder{{prob: prob, plan: plan, sched: sched, ckpt: &ckpt}}
+		execErr := execute(pe, work[:], cfg)
 
 		// Status exchange, outside any fault scope: local writes, a
 		// barrier, one-sided reads of every peer, and a second barrier so
@@ -176,15 +174,9 @@ func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary
 	report.Recovered = finalErr == nil && len(report.FailedRanks) > 0
 	sort.Ints(report.FailedRanks)
 
-	pe.Barrier() // all one-sided updates must land before replica reduction
-	if prob.C.Replication() > 1 {
-		// Outside any fault scope, so crashed ranks participate and the
-		// collective stays barrier-matched (MultiplyAccumulate's contract).
-		prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
-		if cfg.SyncReplicas {
-			prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
-		}
-	}
+	// Outside any fault scope, so crashed ranks participate and the
+	// collective stays barrier-matched.
+	Finish(pe, []Problem{prob}, cfg)
 	return stat, report, finalErr
 }
 

@@ -51,12 +51,12 @@ func TestExcludePlansConserveWork(t *testing.T) {
 				t.Errorf("excluded rank %d still has %d steps", r, len(cpx.Plans[r].Steps))
 			}
 		}
-		// buildRankPlan (the cacheless per-rank path) must agree with the
-		// collective compilation step-for-step in count.
+		// compileRank alone (the cacheless per-rank path) must agree with
+		// the collective compilation step-for-step in count.
 		for r := 0; r < p; r++ {
-			pl := buildRankPlan(r, prob, cfgx)
+			pl := compileRank(r, prob, cpx.Key, exclude, nil)
 			if len(pl.Steps) != len(cpx.Plans[r].Steps) {
-				t.Errorf("exclude %v rank %d: buildRankPlan %d steps, CompilePlans %d",
+				t.Errorf("exclude %v rank %d: compileRank %d steps, CompilePlans %d",
 					exclude, r, len(pl.Steps), len(cpx.Plans[r].Steps))
 			}
 		}
@@ -140,9 +140,12 @@ func TestCheckpointCleanRunLandsEverything(t *testing.T) {
 		a.FillRandom(pe, 11)
 		b.FillRandom(pe, 12)
 		c.Zero(pe)
-		plan := BuildPlan(pe.Rank(), prob, cfg.Stationary, cfg.CacheTiles)
+		var sched fetchSchedule
+		plan := compileRank(pe.Rank(), prob, PlanKeyOf(prob, cfg), nil, &sched)
 		var ckpt Checkpoint
-		if err := ExecutePlanCheckpointed(pe, prob, plan, cfg, &ckpt); err != nil {
+		ckpt.Reset(len(plan.Steps))
+		work := [1]feeder{{prob: prob, plan: plan, sched: &sched, ckpt: &ckpt}}
+		if err := execute(pe, work[:], cfg); err != nil {
 			t.Errorf("rank %d: %v", pe.Rank(), err)
 		}
 		if got, want := ckpt.LandedCount(), len(plan.Steps); got != want {

@@ -3,7 +3,6 @@ package universal
 import (
 	"slicing/internal/fabric"
 	"slicing/internal/gpusim"
-	rt "slicing/internal/runtime"
 	"slicing/internal/simnet"
 )
 
@@ -82,20 +81,6 @@ type SimResult struct {
 func SimulateMultiply(prob Problem, cfg Config, sys SimSystem) SimResult {
 	res, _, _ := SimulateMultiplyTrace(prob, cfg, sys)
 	return res
-}
-
-// buildPlans constructs every rank's plan. The calls are independent and
-// touch only immutable problem metadata, so they fan out across a worker
-// pool (cluster-scale sweeps build hundreds of plans per estimate); each
-// worker writes its rank's slot, keeping the result deterministic, and the
-// single-threaded engine assembly that follows consumes them in rank
-// order.
-func buildPlans(prob Problem, cfg Config, p int) []Plan {
-	plans := make([]Plan, p)
-	rt.ForEachIndex(p, func(rank int) {
-		plans[rank] = BuildPlanMode(rank, prob, cfg.Stationary, cfg.CacheTiles, cfg.SubTileFetch)
-	})
-	return plans
 }
 
 // simBuilder maps the estimator's transfers onto engine resources the same
@@ -219,10 +204,9 @@ func SimulateMultiplyTrace(prob Problem, cfg Config, sys SimSystem) (SimResult, 
 	if p != sys.Topo.NumPE() {
 		panic("universal: world size does not match topology")
 	}
-	plans := buildPlans(prob, cfg, p)
 	eng := gpusim.NewEngine()
 	var r planReplayer
-	res, run := r.replay(prob, cfg, sys, plans, eng)
+	res, run := r.replay(prob, cfg, sys, CompilePlans(prob, cfg).Plans, eng)
 	return res, eng, run
 }
 

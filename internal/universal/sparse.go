@@ -63,12 +63,6 @@ func MultiplySparse(pe rt.PE, c *distmat.Matrix, a *distmat.Sparse, b *distmat.M
 		c.AccumulateSubTile(pe, s.Op.CIdx, distmat.LocalReplica, subRect(s.Op), partial)
 		cfg.Pool.Put(buf)
 	}
-	pe.Barrier()
-	if c.Replication() > 1 {
-		c.ReduceReplicas(pe, cfg.ReduceOrigin)
-		if cfg.SyncReplicas {
-			c.BroadcastReplica(pe, cfg.ReduceOrigin)
-		}
-	}
+	Finish(pe, []Problem{prob}, cfg)
 	return plan.Stationary
 }

@@ -346,19 +346,19 @@ func TestTileLRU(t *testing.T) {
 	k1 := cacheKey{'A', index.TileIdx{Row: 0, Col: 0}}
 	k2 := cacheKey{'A', index.TileIdx{Row: 0, Col: 1}}
 	k3 := cacheKey{'A', index.TileIdx{Row: 0, Col: 2}}
-	if hit, _, _ := l.touch(k1); hit {
+	if src, _, _ := l.touch(k1, 0); src != 0 {
 		t.Fatal("first touch should miss")
 	}
-	if hit, _, _ := l.touch(k1); !hit {
-		t.Fatal("second touch should hit")
+	if src, _, _ := l.touch(k1, 1); src != 0 {
+		t.Fatal("second touch should hit step 0's fetch")
 	}
-	l.touch(k2)
-	_, evicted, did := l.touch(k3) // k1 is LRU? k1 was touched twice, then k2; LRU is k1
-	if !did || evicted != k1 {
-		t.Fatalf("expected k1 evicted, got %v (evicted=%v)", evicted, did)
+	l.touch(k2, 2)
+	_, evicted, did := l.touch(k3, 3) // k1 was touched twice, then k2; LRU is k1
+	if !did || evicted != (fetchRef{step: 0, mat: 'A'}) {
+		t.Fatalf("expected k1's fetch (step 0) evicted, got %v (evicted=%v)", evicted, did)
 	}
-	if hit, _, _ := l.touch(k2); !hit {
-		t.Fatal("k2 should still be resident")
+	if src, _, _ := l.touch(k2, 4); src != 2 {
+		t.Fatal("k2 should still be resident from step 2")
 	}
 }
 
