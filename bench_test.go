@@ -50,8 +50,7 @@ func benchFigure(b *testing.B, sys universal.SimSystem, layer bench.Layer, withC
 		b.ReportMetric(s.Points[last].PercentOfPeak, pctMetric(s.Name))
 	}
 	// Absolute units for the figure's headline configuration: modeled
-	// aggregate GFLOP/s and one-sided traffic MB/s (trajectory metrics for
-	// BENCH_PR*.json regression tracking).
+	// aggregate GFLOP/s and one-sided traffic MB/s.
 	thr := bench.PointThroughput(layer, fig.BestUAPoint())
 	b.ReportMetric(thr.GFlops, "model_GFLOPs")
 	b.ReportMetric(thr.MBs, "model_MB/s")
@@ -97,6 +96,8 @@ func BenchmarkFigure3MLP2(b *testing.B) { benchFigure(b, universal.H100System(),
 
 // E8: schedule ablation — direct execution versus greedy / cost-greedy
 // lowered IR, on a misaligned problem where scheduling has the most room.
+// All three are CompiledPlans (the lowered ones in the IR's compute order)
+// priced by the one model replayer.
 func BenchmarkScheduleAblation(b *testing.B) {
 	b.ReportAllocs()
 	sys := universal.H100System()
@@ -108,19 +109,15 @@ func BenchmarkScheduleAblation(b *testing.B) {
 		c := distmat.New(w, 2048, 2048, distmat.Block2D{}, 1)
 		return universal.NewProblem(c, a, bm)
 	}
-	build := func(prob universal.Problem, gen func(universal.Plan) ir.Program) []ir.Program {
-		progs := make([]ir.Program, 8)
-		for rank := 0; rank < 8; rank++ {
-			progs[rank] = gen(universal.BuildPlan(rank, prob, universal.StationaryC, universal.DefaultCacheTiles))
-		}
-		return progs
-	}
+	cfg := universal.DefaultConfig()
+	cfg.Stationary = universal.StationaryC
+	x := universal.NewModelExecutor()
 	var direct, greedy, costG universal.SimResult
 	for i := 0; i < b.N; i++ {
 		prob := mk()
-		direct = ir.Simulate(prob, build(prob, func(pl universal.Plan) ir.Program { return ir.Direct(pl, 2) }), sys)
-		greedy = ir.Simulate(prob, build(prob, func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) }), sys)
-		costG = ir.Simulate(prob, build(prob, func(pl universal.Plan) ir.Program { return ir.CostGreedy(md, pl, ir.DefaultLimits()) }), sys)
+		direct = x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)
+		greedy = x.Simulate(prob, ir.Compile(prob, cfg, func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) }), cfg, sys)
+		costG = x.Simulate(prob, ir.Compile(prob, cfg, func(pl universal.Plan) ir.Program { return ir.CostGreedy(md, pl, ir.DefaultLimits()) }), cfg, sys)
 	}
 	b.ReportMetric(direct.Makespan*1e3, "direct_ms")
 	b.ReportMetric(greedy.Makespan*1e3, "greedy_ms")
@@ -246,9 +243,8 @@ func BenchmarkExecuteSteadyStateAllocs(b *testing.B) {
 
 // BenchmarkSimulateFatTree64 measures scheduler throughput (scheduled
 // ops/sec) of the indexed-heap engine on the 64-PE fat-tree DAG
-// (bench.FatTree64SchedulerDAG — the same DAG cmd/bench_baseline anchors
-// in BENCH_PR*.json) — the PR 5 acceptance metric. The DAG is built once;
-// the benchmark times Run alone.
+// (bench.FatTree64SchedulerDAG) — the PR 5 acceptance metric. The DAG is
+// built once; the benchmark times Run alone.
 func BenchmarkSimulateFatTree64(b *testing.B) {
 	eng, _ := bench.FatTree64SchedulerDAG()
 	ops := eng.NumOps()

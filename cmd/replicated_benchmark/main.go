@@ -163,24 +163,21 @@ func runIRCompare(prob universal.Problem, cfg universal.Config, sys universal.Si
 		fatalf("ir-compare needs -p to match the system preset (%d PEs)", sys.Topo.NumPE())
 	}
 	md := costmodel.New(sys.Topo, sys.Dev)
-	build := func(gen func(universal.Plan) ir.Program) []ir.Program {
-		progs := make([]ir.Program, pes)
-		for rank := 0; rank < pes; rank++ {
-			plan := universal.BuildPlan(rank, prob, cfg.Stationary, cfg.CacheTiles)
-			progs[rank] = gen(plan)
-		}
-		return progs
+	x := universal.NewModelExecutor()
+	lowered := func(gen func(universal.Plan) ir.Program) universal.SimResult {
+		return x.Simulate(prob, ir.Compile(prob, cfg, gen), cfg, sys)
 	}
-	direct := ir.Simulate(prob, build(func(pl universal.Plan) ir.Program { return ir.Direct(pl, cfg.PrefetchDepth) }), sys)
-	greedy := ir.Simulate(prob, build(func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) }), sys)
-	costG := ir.Simulate(prob, build(func(pl universal.Plan) ir.Program { return ir.CostGreedy(md, pl, ir.DefaultLimits()) }), sys)
-	exh := ir.Simulate(prob, build(func(pl universal.Plan) ir.Program { return ir.Exhaustive(md, pl, ir.DefaultLimits()) }), sys)
-	fmt.Printf("%-12s %12s %14s\n", "schedule", "makespan", "pct_of_peak")
+	fmt.Printf("%-12s %12s %14s %10s\n", "schedule", "makespan", "pct_of_peak", "get_MB")
 	for _, row := range []struct {
 		name string
 		res  universal.SimResult
-	}{{"direct", direct}, {"greedy", greedy}, {"cost-greedy", costG}, {"exhaustive*", exh}} {
-		fmt.Printf("%-12s %10.6fs %13.1f%%\n", row.name, row.res.Makespan, row.res.PercentOfPeak)
+	}{
+		{"direct", x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)},
+		{"greedy", lowered(func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) })},
+		{"cost-greedy", lowered(func(pl universal.Plan) ir.Program { return ir.CostGreedy(md, pl, ir.DefaultLimits()) })},
+		{"exhaustive*", lowered(func(pl universal.Plan) ir.Program { return ir.Exhaustive(md, pl, ir.DefaultLimits()) })},
+	} {
+		fmt.Printf("%-12s %10.6fs %13.1f%% %10.1f\n", row.name, row.res.Makespan, row.res.PercentOfPeak, float64(row.res.RemoteGetBytes)/1e6)
 	}
 	fmt.Println("* exhaustive falls back to cost-greedy beyond", ir.ExhaustiveLimit, "ops/rank")
 }

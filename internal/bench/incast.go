@@ -16,12 +16,11 @@ import (
 // segment, so the symmetric heap stays one transfer wide per PE.
 //
 // This single driver backs the acceptance test
-// (internal/fabric/backend_test.go), the committed baseline anchor
-// (cmd/bench_baseline), and the examples/fabric_incast walkthrough, so
-// the three always measure the same storm. On a scalar cluster topology
-// every flow has distinct endpoints and runs in parallel; on a routed
-// fabric the flows contend on whatever links their routes share (a
-// single-NIC node's downlink, an oversubscribed spine uplink).
+// (internal/fabric/backend_test.go) and the examples/fabric_incast
+// walkthrough, so the two always measure the same storm. On a scalar
+// cluster topology every flow has distinct endpoints and runs in parallel;
+// on a routed fabric the flows contend on whatever links their routes
+// share (a single-NIC node's downlink, an oversubscribed spine uplink).
 //
 // The world is returned alongside the predicted seconds so callers can
 // read runtime.FabricStatsOf for per-link accounting. The number of

@@ -97,8 +97,7 @@ func ValidateFigure(sys universal.SimSystem, fig Figure, scale int) []Validation
 // pairs and the port model runs them (mostly) in parallel. C is
 // replicated once per node, so reduce_replicas concentrates every
 // non-origin rank's C share onto node 0's GPUs — the estimator-level
-// analogue of IncastStorm, and the anchor for
-// `sim.fabric_incast_estimator_x` in cmd/bench_baseline.
+// analogue of IncastStorm.
 //
 // The returned ratio (fabric/scalar) is the incast slowdown only the
 // fabric-aware estimator can see; the scalar estimator provably prices the
@@ -131,9 +130,7 @@ func EstimatorIncast(nodes int) (fabricSec, scalarSec float64) {
 // thousands of simultaneously-eligible cross-node round trips — the
 // cluster-sweep shape whose O(ready) rescans made the seed list scheduler
 // quadratic. The single definition is shared by BenchmarkSimulateFatTree64
-// (+ its list-oracle baseline) and cmd/bench_baseline's sim.ops_per_sec
-// anchor, so the CI benchmark and the committed baseline always measure
-// the same DAG.
+// and its list-oracle baseline, so the two always schedule the same DAG.
 func FatTree64SchedulerDAG() (*gpusim.Engine, universal.SimResult) {
 	sys := universal.H100FatTreeSystem(8, 8, 2)
 	w := shmem.NewWorld(64)

@@ -6,7 +6,7 @@
 //   - Engine is the offline discrete-event simulator: build a whole DAG
 //     of ops with AddOp (dependencies are event edges by OpID), then Run
 //     list-schedules it. The plan-replay estimators
-//     (universal.SimulateMultiply, ir.Simulate) use it.
+//     (universal.SimulateMultiply, universal.ModelExecutor) use it.
 //   - Timeline is the online stream/event layer: ops are scheduled the
 //     moment they are submitted, so real execution can interleave with
 //     the model. Stream gives in-order command queues bound to an engine

@@ -14,6 +14,12 @@
 // traversal, a cost-model-guided greedy traversal, and an exhaustive search
 // (over schedulable orderings, feasible for small op counts) that picks the
 // cheapest program under the cost model.
+//
+// A Program is not executed by this package. Compile lowers it to an
+// ordinary universal.CompiledPlan whose per-rank steps are the program's
+// compute order — the same list of local multiplies in another order — so
+// the one executor runs it and the one model replayer prices it, exactly as
+// they do a directly generated plan.
 package ir
 
 import (
@@ -220,6 +226,28 @@ func (p Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Compile lowers one program per rank to a CompiledPlan: gen is handed each
+// rank's generated-order plan, its program is validated, and the
+// concatenation of its IR ops' computes becomes the rank's step order
+// (universal.CompileOrdered). In the generators a compute becomes eligible
+// when its communications have landed, so the compute order already carries
+// the communication order: the executor issues each fetch PrefetchDepth
+// steps ahead of its first use in that order, with MaxInflight in the role
+// of Limits.MaxCompute. An invalid program panics.
+func Compile(prob universal.Problem, cfg universal.Config, gen func(universal.Plan) Program) *universal.CompiledPlan {
+	return universal.CompileOrdered(prob, cfg, func(_ int, pl universal.Plan) []int {
+		prog := gen(pl)
+		if err := prog.Validate(); err != nil {
+			panic(err)
+		}
+		order := make([]int, 0, len(pl.Steps))
+		for _, op := range prog.Ops {
+			order = append(order, op.Computes...)
+		}
+		return order
+	})
 }
 
 // NumComms returns the total communications in the program.

@@ -87,19 +87,6 @@ func TestCostGreedyValidates(t *testing.T) {
 	}
 }
 
-func TestDirectValidates(t *testing.T) {
-	prob := testProblem(4, 40, 40, 40, distmat.ColBlock{}, distmat.RowBlock{}, distmat.Block2D{}, 1, 1, 1)
-	for _, depth := range []int{0, 1, 2, 5} {
-		for rank := 0; rank < 4; rank++ {
-			plan := universal.BuildPlan(rank, prob, universal.StationaryC, 0)
-			prog := Direct(plan, depth)
-			if err := prog.Validate(); err != nil {
-				t.Fatalf("depth %d rank %d: %v", depth, rank, err)
-			}
-		}
-	}
-}
-
 func TestExhaustiveValidatesAndBeatsOrEqualsGreedy(t *testing.T) {
 	// Small problem so the plan has <= ExhaustiveLimit steps.
 	prob := testProblem(4, 16, 16, 16, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, 1, 1)
@@ -168,7 +155,6 @@ func TestGeneratorsValidOnRandomProblems(t *testing.T) {
 			for name, prog := range map[string]Program{
 				"greedy":      Greedy(plan, DefaultLimits()),
 				"cost-greedy": CostGreedy(md, plan, DefaultLimits()),
-				"direct":      Direct(plan, 2),
 			} {
 				if err := prog.Validate(); err != nil {
 					t.Fatalf("trial %d rank %d %s: %v", trial, rank, name, err)
@@ -182,15 +168,17 @@ func TestGeneratorsValidOnRandomProblems(t *testing.T) {
 	}
 }
 
-// Real execution through the IR must match the serial reference, for all
-// three generators.
-func TestMultiplyIRCorrect(t *testing.T) {
+// A lowered program is an ordinary CompiledPlan: compiled through
+// ir.Compile and run by the one executor it must match the serial
+// reference, for all three generators, on a misaligned problem with a
+// replicated C.
+func TestCompiledProgramsExecuteCorrect(t *testing.T) {
 	const p, m, n, k = 4, 22, 26, 18
 	md := testModel(p)
 	gens := map[string]func(universal.Plan) Program{
 		"greedy":      func(pl universal.Plan) Program { return Greedy(pl, DefaultLimits()) },
 		"cost-greedy": func(pl universal.Plan) Program { return CostGreedy(md, pl, DefaultLimits()) },
-		"direct":      func(pl universal.Plan) Program { return Direct(pl, 2) },
+		"exhaustive":  func(pl universal.Plan) Program { return Exhaustive(md, pl, DefaultLimits()) },
 	}
 	for name, gen := range gens {
 		t.Run(name, func(t *testing.T) {
@@ -198,24 +186,28 @@ func TestMultiplyIRCorrect(t *testing.T) {
 			a := distmat.New(w, m, k, distmat.Custom{TileRows: 5, TileCols: 7, ProcRows: 2, ProcCols: 2}, 1)
 			b := distmat.New(w, k, n, distmat.ColBlock{}, 1)
 			c := distmat.New(w, m, n, distmat.Block2D{}, 2)
+			prob := universal.NewProblem(c, a, b)
+			cfg := universal.DefaultConfig()
+			cfg.SyncReplicas = true
+			cp := Compile(prob, cfg, gen)
+			direct := universal.CompilePlans(prob, cfg)
+			if cp.Steps() != direct.Steps() || !cp.Matches(prob, cfg) {
+				t.Fatalf("lowered plan has %d steps (direct %d), matches=%v", cp.Steps(), direct.Steps(), cp.Matches(prob, cfg))
+			}
+			var ref, got *tile.Matrix
 			w.Run(func(pe rt.PE) {
 				a.FillRandom(pe, 7)
 				b.FillRandom(pe, 8)
-			})
-			var ref, got *tile.Matrix
-			w.Run(func(pe rt.PE) {
-				if pe.Rank() == 0 {
-					fullA := a.Gather(pe, 0)
-					fullB := b.Gather(pe, 0)
-					ref = tile.New(m, n)
-					tile.GemmNaive(ref, fullA, fullB)
+				c.Zero(pe)
+				err := universal.Execute(pe, []universal.Problem{prob}, []*universal.CompiledPlan{cp}, cfg)
+				universal.Finish(pe, []universal.Problem{prob}, cfg)
+				if err != nil {
+					t.Errorf("rank %d: %v", pe.Rank(), err)
 				}
-			})
-			w.Run(func(pe rt.PE) {
-				MultiplyIR(pe, c, a, b, universal.StationaryAuto, gen)
-			})
-			w.Run(func(pe rt.PE) {
+				pe.Barrier()
 				if pe.Rank() == 0 {
+					ref = tile.New(m, n)
+					tile.GemmNaive(ref, a.Gather(pe, 0), b.Gather(pe, 0))
 					got = c.Gather(pe, 0)
 				}
 			})
@@ -229,24 +221,20 @@ func TestMultiplyIRCorrect(t *testing.T) {
 // E8 (schedule ablation): after the §4.2 optimizations, direct execution
 // should be within a modest factor of the best lowered schedule — the
 // paper's conclusion that direct execution is "almost always as efficient
-// as the optimal schedule".
+// as the optimal schedule". Direct and lowered are two op orders of one
+// plan, priced by the one model replayer.
 func TestDirectCompetitiveWithLoweredSchedules(t *testing.T) {
 	prob := testProblem(8, 2048, 2048, 2048,
 		distmat.Custom{TileRows: 300, TileCols: 700, ProcRows: 2, ProcCols: 4}, // misaligned
 		distmat.ColBlock{}, distmat.Block2D{}, 1, 1, 1)
 	sys := universal.H100System()
 	md := costmodel.New(sys.Topo, sys.Dev)
-	build := func(gen func(universal.Plan) Program) []Program {
-		progs := make([]Program, 8)
-		for rank := 0; rank < 8; rank++ {
-			plan := universal.BuildPlan(rank, prob, universal.StationaryC, universal.DefaultCacheTiles)
-			progs[rank] = gen(plan)
-		}
-		return progs
-	}
-	direct := Simulate(prob, build(func(pl universal.Plan) Program { return Direct(pl, 2) }), sys)
-	greedy := Simulate(prob, build(func(pl universal.Plan) Program { return Greedy(pl, DefaultLimits()) }), sys)
-	costG := Simulate(prob, build(func(pl universal.Plan) Program { return CostGreedy(md, pl, DefaultLimits()) }), sys)
+	cfg := universal.DefaultConfig()
+	cfg.Stationary = universal.StationaryC
+	x := universal.NewModelExecutor()
+	direct := x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)
+	greedy := x.Simulate(prob, Compile(prob, cfg, func(pl universal.Plan) Program { return Greedy(pl, DefaultLimits()) }), cfg, sys)
+	costG := x.Simulate(prob, Compile(prob, cfg, func(pl universal.Plan) Program { return CostGreedy(md, pl, DefaultLimits()) }), cfg, sys)
 
 	best := greedy.Makespan
 	if costG.Makespan < best {
@@ -258,16 +246,6 @@ func TestDirectCompetitiveWithLoweredSchedules(t *testing.T) {
 	}
 	fmt.Printf("E8 ablation: direct=%.4gs greedy=%.4gs cost-greedy=%.4gs\n",
 		direct.Makespan, greedy.Makespan, costG.Makespan)
-}
-
-func TestSimulateNeedsAllRanks(t *testing.T) {
-	prob := testProblem(4, 32, 32, 32, distmat.RowBlock{}, distmat.RowBlock{}, distmat.RowBlock{}, 1, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Simulate with missing programs should panic")
-		}
-	}()
-	Simulate(prob, []Program{}, universal.SimSystem{Topo: simnet.NewUniform(4, 1e9, 1e9, 0, "t"), Dev: gpusim.PresetH100Device()})
 }
 
 func TestValidateCatchesBadPrograms(t *testing.T) {

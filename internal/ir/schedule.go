@@ -161,60 +161,3 @@ func packOrdering(plan universal.Plan, order []int, lim Limits) Program {
 	flush()
 	return Program{PE: plan.Rank, Plan: plan, Ops: ops}
 }
-
-// Direct lowers a plan into the IR the way direct execution behaves: one
-// compute per op with its fetches issued PrefetchDepth ops earlier. Used as
-// the baseline in the E8 schedule ablation.
-func Direct(plan universal.Plan, prefetchDepth int) Program {
-	if prefetchDepth < 0 {
-		prefetchDepth = 2
-	}
-	fetched := map[DataKey]bool{}
-	n := len(plan.Steps)
-	ops := make([]IROp, n)
-	place := func(stepIdx int, key DataKey, src, bytes int) {
-		if fetched[key] {
-			return
-		}
-		fetched[key] = true
-		at := stepIdx - prefetchDepth - 1
-		if at < 0 {
-			at = 0
-		}
-		// A fetch in op t is satisfied for op t+1; clamp so the data is
-		// ready before its compute.
-		if at >= stepIdx && stepIdx > 0 {
-			at = stepIdx - 1
-		}
-		ops[at].Comms = append(ops[at].Comms, Comm{Key: key, Src: src, Bytes: bytes})
-	}
-	for i, s := range plan.Steps {
-		if s.FetchA {
-			place(i, DataKey{'A', s.Op.AIdx}, s.ASrc, s.ABytes)
-		}
-		if s.FetchB {
-			place(i, DataKey{'B', s.Op.BIdx}, s.BSrc, s.BBytes)
-		}
-	}
-	for i := range plan.Steps {
-		ops[i].Computes = append(ops[i].Computes, i)
-	}
-	// Steps whose fetch lands in the same op as the compute (step 0 with
-	// prefetch 0) violate the end-of-op rule; prepend a fetch-only op.
-	if n > 0 && len(ops[0].Comms) > 0 && len(ops[0].Computes) > 0 {
-		needs := false
-		for _, c := range ops[0].Comms {
-			key := c.Key
-			s := plan.Steps[0]
-			if (key == DataKey{'A', s.Op.AIdx}) || (key == DataKey{'B', s.Op.BIdx}) {
-				needs = true
-			}
-		}
-		if needs {
-			head := IROp{Comms: ops[0].Comms}
-			ops[0].Comms = nil
-			ops = append([]IROp{head}, ops...)
-		}
-	}
-	return Program{Rank: "direct", PE: plan.Rank, Plan: plan, Ops: ops}
-}

@@ -57,6 +57,16 @@ func hammer(t *testing.T, w rt.World, tenants, perTenant int) {
 	if live := pool.Stats().Live; live != 0 {
 		t.Fatalf("%d pooled elements leaked across the hammer", live)
 	}
+	// One compile per distinct shape, every other lookup served from the
+	// cache: the dispatcher looks each request's plan up exactly once.
+	pc := st.PlanCache
+	if want := int64(min(tenants, len(shapes))); pc.Builds != want {
+		t.Fatalf("plan cache compiled %d times, want %d (one per distinct tenant shape)", pc.Builds, want)
+	}
+	if got, want := pc.Hits+pc.Misses+pc.Coalesced, int64(tenants*perTenant); got != want {
+		t.Fatalf("plan cache saw %d lookups (%d hits + %d misses + %d coalesced), want %d",
+			got, pc.Hits, pc.Misses, pc.Coalesced, want)
+	}
 }
 
 func hammerScale() (tenants, perTenant int) {

@@ -9,8 +9,9 @@
 // numeric result — bit-for-bit the computation the shmem backend performs —
 // and a modeled wall-clock for the chosen system, closing the gap between
 // real execution and the side-channel estimators (universal.SimulateMultiply,
-// ir.Simulate, costmodel): those replay plans; this backend times what the
-// executor actually did, including its dynamic scheduling decisions.
+// universal.ModelExecutor, costmodel): those replay plans; this backend
+// times what the executor actually did, including its dynamic scheduling
+// decisions.
 //
 // Timing model. Every PE carries a virtual clock. A remote transfer
 // src→dst may not start before the initiating PE's clock, the source's

@@ -51,7 +51,14 @@ type PlanKey struct {
 	// ordinary PlanCache entries: a second crash of the same rank hits the
 	// cache instead of re-running the slicing pass.
 	Excluded uint64
-	A, B, C  MatrixKey
+	// Order fingerprints the per-rank op order of a plan lowered from a
+	// reordered schedule (CompileOrdered) — the mirror of Excluded. 0 means
+	// the generated order, so PlanKeyOf never sets it and plans serialized
+	// before reordered plans existed deserialize to the key they were
+	// compiled under; any other order gets its own key, so a reordered plan
+	// Put into a PlanCache is never returned for the direct key.
+	Order   uint64
+	A, B, C MatrixKey
 }
 
 const (
@@ -209,6 +216,40 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 	rt.ForEachIndex(key.NumPE, func(rank int) {
 		cp.Plans[rank] = compileRank(rank, prob, key, excluded, &cp.scheds[rank])
 	})
+	return cp
+}
+
+// CompileOrdered is CompilePlans with each rank's ops in a caller-chosen
+// order — §4.3's "reordered and lowered" as the same list in another order.
+// order receives a rank's generated-order plan and returns the step indices
+// in the order to execute them; the permuted ops are lowered by the same
+// buildStepsFromOps walk as every other plan, so fetch flags, the fetch
+// schedule and evictions follow the new order at key.CacheTiles and the
+// result executes, replays, caches and serializes like any CompiledPlan.
+// order is called one rank at a time; anything but a permutation panics.
+func CompileOrdered(prob Problem, cfg Config, order func(rank int, pl Plan) []int) *CompiledPlan {
+	cp := CompilePlans(prob, cfg)
+	h, reordered := uint64(fnvOffset64), false
+	for rank := range cp.Plans {
+		steps := cp.Plans[rank].Steps
+		perm := order(rank, cp.Plans[rank])
+		if len(perm) != len(steps) {
+			panic(fmt.Sprintf("universal: rank %d order names %d of %d steps", rank, len(perm), len(steps)))
+		}
+		ops, seen := make([]LocalOp, len(steps)), make([]bool, len(steps))
+		for i, j := range perm {
+			if j < 0 || j >= len(steps) || seen[j] {
+				panic(fmt.Sprintf("universal: rank %d order is not a permutation (entry %d = %d)", rank, i, j))
+			}
+			seen[j], ops[i] = true, steps[j].Op
+			reordered = reordered || i != j
+			h = fnvMix(h, uint64(j))
+		}
+		cp.Plans[rank] = buildStepsFromOps(rank, prob, cp.Key.Stationary, ops, cp.Key.CacheTiles, cp.Key.SubTile, &cp.scheds[rank])
+	}
+	if reordered {
+		cp.Key.Order = h
+	}
 	return cp
 }
 
@@ -374,9 +415,12 @@ func (cp *CompiledPlan) validate() error {
 }
 
 // Matches reports whether the compiled plan is valid for (problem, config):
-// the problem/config pair canonicalizes to the plan's key.
+// the problem/config pair canonicalizes to the plan's key, in whatever order
+// the plan runs its ops.
 func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
-	return PlanKeyOf(prob, cfg) == cp.Key
+	key := cp.Key
+	key.Order = 0
+	return PlanKeyOf(prob, cfg) == key
 }
 
 // Execute runs the calling rank's slice of one or more compiled plans as

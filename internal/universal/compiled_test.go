@@ -1,6 +1,7 @@
 package universal
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -213,30 +214,95 @@ func TestPlanKeyNormalizesConfigSpellings(t *testing.T) {
 }
 
 // Serialize → deserialize must reproduce bit-identical step schedules and
-// fetch schedules, and the reloaded plan must execute.
+// fetch schedules, for the generated order and for a reordered plan alike,
+// and a file written before PlanKey had an Order field must decode to the
+// key it was compiled under.
 func TestCompiledPlanJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		d := randomPlanDraw(rng)
 		prob := buildDraw(d)
-		cp := CompilePlans(prob, d.cfg)
-		blob, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatalf("trial %d: marshal: %v", trial, err)
+		for name, cp := range map[string]*CompiledPlan{
+			"generated": CompilePlans(prob, d.cfg),
+			"reversed":  CompileOrdered(prob, d.cfg, reversedOrder),
+		} {
+			blob, err := json.Marshal(cp)
+			if err != nil {
+				t.Fatalf("trial %d %s: marshal: %v", trial, name, err)
+			}
+			if name == "generated" {
+				if cp.Key.Order != 0 {
+					t.Fatalf("trial %d: generated order has Order %#x, want 0", trial, cp.Key.Order)
+				}
+				old := bytes.Replace(blob, []byte(`"Order":0,`), nil, 1)
+				if len(old) == len(blob) {
+					t.Fatalf("trial %d: no Order field to strip from %.80s", trial, blob)
+				}
+				blob = old
+			}
+			var back CompiledPlan
+			if err := json.Unmarshal(blob, &back); err != nil {
+				t.Fatalf("trial %d %s: unmarshal: %v", trial, name, err)
+			}
+			if back.Key != cp.Key {
+				t.Fatalf("trial %d %s: key changed across round trip", trial, name)
+			}
+			if !reflect.DeepEqual(back.Plans, cp.Plans) {
+				t.Fatalf("trial %d %s: step schedules not bit-identical across round trip", trial, name)
+			}
+			if !reflect.DeepEqual(back.scheds, cp.scheds) {
+				t.Fatalf("trial %d %s: recompiled fetch schedules differ", trial, name)
+			}
 		}
-		var back CompiledPlan
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("trial %d: unmarshal: %v", trial, err)
+	}
+}
+
+// CompileOrdered's contract at its edges: the identity order is the
+// generated plan under the generated key, a reordered plan seeded into a
+// cache never answers a lookup for the direct key, and an order that is not
+// a permutation is a programming error.
+func TestCompileOrderedKeysAndPanics(t *testing.T) {
+	prob := buildDraw(planDraw{
+		p: 4, m: 23, n: 29, k: 31,
+		partA: distmat.RowBlock{}, partB: distmat.ColBlock{}, partC: distmat.Block2D{},
+		cA: 1, cB: 1, cC: 1,
+	})
+	cfg := DefaultConfig()
+	direct := CompilePlans(prob, cfg)
+	same := CompileOrdered(prob, cfg, func(_ int, pl Plan) []int {
+		perm := make([]int, len(pl.Steps))
+		for i := range perm {
+			perm[i] = i
 		}
-		if back.Key != cp.Key {
-			t.Fatalf("trial %d: key changed across round trip", trial)
-		}
-		if !reflect.DeepEqual(back.Plans, cp.Plans) {
-			t.Fatalf("trial %d: step schedules not bit-identical across round trip", trial)
-		}
-		if !reflect.DeepEqual(back.scheds, cp.scheds) {
-			t.Fatalf("trial %d: recompiled fetch schedules differ", trial)
-		}
+		return perm
+	})
+	if same.Key != direct.Key || !reflect.DeepEqual(same.Plans, direct.Plans) || !reflect.DeepEqual(same.scheds, direct.scheds) {
+		t.Fatal("identity order did not reproduce the generated plan and key")
+	}
+
+	cache := NewPlanCache(4)
+	cache.Put(CompileOrdered(prob, cfg, reversedOrder))
+	if got := cache.GetOrCompile(prob, cfg); got.Key != direct.Key || cache.Stats().Builds != 1 {
+		t.Fatalf("lookup for the direct key returned key %+v after %d builds, want a fresh compile", got.Key, cache.Stats().Builds)
+	}
+
+	for name, order := range map[string]func(int, Plan) []int{
+		"short":     func(_ int, pl Plan) []int { return make([]int, len(pl.Steps)-1) },
+		"duplicate": func(_ int, pl Plan) []int { return make([]int, len(pl.Steps)) },
+		"range": func(_ int, pl Plan) []int {
+			perm := reversedOrder(0, pl)
+			perm[0] = len(perm)
+			return perm
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s order did not panic", name)
+				}
+			}()
+			CompileOrdered(prob, cfg, order)
+		}()
 	}
 }
 
@@ -386,6 +452,11 @@ func FuzzCompiledPlanJSON(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	reordered, err := json.Marshal(CompileOrdered(prob, Config{}, reversedOrder))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(reordered)
 	for _, tc := range executorTrustCases {
 		cp := CompilePlans(prob, Config{})
 		tc.mut(cp)

@@ -11,11 +11,23 @@ import (
 	"slicing/internal/tile"
 )
 
+// reversedOrder is a CompileOrdered order: every rank runs its ops back to
+// front.
+func reversedOrder(_ int, pl Plan) []int {
+	perm := make([]int, len(pl.Steps))
+	for i := range perm {
+		perm[i] = len(perm) - 1 - i
+	}
+	return perm
+}
+
 // Every way into the executor is the same pipeline — compile, execute,
 // finish — so for one PlanKey they must all compute the same C, move the
 // same bytes, and leave the pool balanced; and the estimator, which
 // compiles through the same CompilePlans, must predict the same run whether
-// it is handed the problem or the compiled plan, exclusions included.
+// it is handed the problem or the compiled plan, exclusions included. A plan
+// lowered in another op order (CompileOrdered) is one more entry: the same
+// ops, so the same C and the same accumulate traffic, under its own key.
 func TestEntryPointsEquivalent(t *testing.T) {
 	const p, m, n, k = 8, 50, 46, 44
 	sys := H100System() // 8 PEs
@@ -43,6 +55,11 @@ func TestEntryPointsEquivalent(t *testing.T) {
 		// protocolGets is the entry's own remote-get traffic on top of the
 		// plan's, for a plan of the given total step count.
 		protocolGets func(steps int) int64
+		// reordered marks an entry that runs the ops in another order: its
+		// whole-tile gets follow its own tile-LRU walk, so they are compared
+		// with the model's replay of the same plan instead of with the other
+		// entries.
+		reordered bool
 	}
 	none := func(int) int64 { return 0 }
 	entries := []entry{
@@ -50,11 +67,11 @@ func TestEntryPointsEquivalent(t *testing.T) {
 			cfg.Plans = NewPlanCache(4)
 			_, err := Multiply(pe, cs[0], a, b, cfg)
 			return err
-		}, none},
+		}, none, false},
 		{"Multiply/uncached", 1, func(pe rt.PE, cfg Config) error {
 			_, err := Multiply(pe, cs[0], a, b, cfg)
 			return err
-		}, none},
+		}, none, false},
 		{"Execute/fused3", 3, func(pe rt.PE, cfg Config) error {
 			cps := make([]*CompiledPlan, len(probs))
 			for i, c := range cs {
@@ -64,7 +81,14 @@ func TestEntryPointsEquivalent(t *testing.T) {
 			err := Execute(pe, probs, cps, cfg)
 			Finish(pe, probs, cfg)
 			return err
-		}, none},
+		}, none, false},
+		{"Execute/ordered", 1, func(pe rt.PE, cfg Config) error {
+			cp := CompileOrdered(probs[0], cfg, reversedOrder)
+			cs[0].Zero(pe)
+			err := Execute(pe, probs[:1], []*CompiledPlan{cp}, cfg)
+			Finish(pe, probs[:1], cfg)
+			return err
+		}, none, true},
 		{"MultiplyResilient/clean", 1, func(pe rt.PE, cfg Config) error {
 			_, report, err := MultiplyResilient(pe, cs[0], a, b, cfg)
 			if report.Rounds != 0 {
@@ -75,7 +99,7 @@ func TestEntryPointsEquivalent(t *testing.T) {
 			// One status exchange: every rank reads every peer's failed
 			// flag plus 16 landed bits per float32 word.
 			return int64(p * (p - 1) * (1 + (steps+15)/16) * 4)
-		}},
+		}, false},
 	}
 
 	for _, mode := range []struct {
@@ -89,7 +113,8 @@ func TestEntryPointsEquivalent(t *testing.T) {
 				cfg.SubTileFetch, cfg.CacheTiles, cfg.Exclude = mode.subTile, mode.cacheTiles, exclude
 				cfg.Pool = gpusim.NewPool()
 
-				steps := CompilePlans(probs[0], cfg).Steps()
+				direct := CompilePlans(probs[0], cfg)
+				steps := direct.Steps()
 				var getBytes, accumBytes int64
 				for ei, e := range entries {
 					before := w.Stats()
@@ -101,11 +126,25 @@ func TestEntryPointsEquivalent(t *testing.T) {
 					after := w.Stats()
 					get := (after.RemoteGetBytes - before.RemoteGetBytes - e.protocolGets(steps)) / int64(e.fused)
 					accum := (after.RemoteAccumBytes - before.RemoteAccumBytes) / int64(e.fused)
+					// Order cannot change what an op's own slices or its
+					// accumulate cost; only whole-tile reuse depends on it.
+					sameGets := get == getBytes || (e.reordered && !mode.subTile)
 					if ei == 0 {
 						getBytes, accumBytes = get, accum
-					} else if get != getBytes || accum != accumBytes {
+					} else if accum != accumBytes || !sameGets {
 						t.Errorf("%s moved (%d get, %d accum) bytes per multiply, %s moved (%d, %d)",
 							e.name, get, accum, entries[0].name, getBytes, accumBytes)
+					}
+					if e.reordered {
+						cp := CompileOrdered(probs[0], cfg, reversedOrder)
+						if cp.Key.Order == 0 || cp.Key == direct.Key || !cp.Matches(probs[0], cfg) {
+							t.Errorf("%s key %+v: want a nonzero Order, distinct from the generated-order key, still matching the problem", e.name, cp.Key)
+						}
+						model := NewModelExecutor().Simulate(probs[0], cp, cfg, sys)
+						if int64(model.RemoteGetBytes) != get || int64(model.RemoteAccumBytes) != accum {
+							t.Errorf("%s moved (%d get, %d accum) bytes, the model replay of the same plan predicts (%d, %d)",
+								e.name, get, accum, model.RemoteGetBytes, model.RemoteAccumBytes)
+						}
 					}
 					if live := cfg.Pool.Stats().Live; live != 0 {
 						t.Errorf("%s left %d pool elements live", e.name, live)
@@ -129,7 +168,7 @@ func TestEntryPointsEquivalent(t *testing.T) {
 				}
 
 				requireSimResultsEqual(t,
-					NewModelExecutor().Simulate(probs[0], CompilePlans(probs[0], cfg), cfg, sys),
+					NewModelExecutor().Simulate(probs[0], direct, cfg, sys),
 					SimulateMultiply(probs[0], cfg, sys))
 			})
 		}

@@ -262,8 +262,10 @@ func startChainCrew(pe rt.PE, cfg Config, box *errBox) (chan<- chainTask, *sync.
 // offset (already baked into the op order), prefetching via get_tile_async,
 // asynchronous GEMM→accumulate chains with bounded concurrency, and pooled
 // scratch memory. Multiply passes one plan, the serving layer a fused
-// batch, the resilient multiply one plan with a checkpoint. The loop is
-// allocation-free in the steady state. cfg must already have defaults
+// batch, the resilient multiply one plan with a checkpoint; a plan lowered
+// from a §4.3 IR schedule (CompileOrdered) is the same steps in another
+// order and runs here unchanged. The loop is allocation-free in the steady
+// state. cfg must already have defaults
 // applied; the plans' schedules are read-only, so concurrent executions of
 // one CompiledPlan share them. No collective synchronization happens here;
 // callers Finish afterwards.
@@ -439,10 +441,8 @@ func (f *feeder) acquire(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, w
 // (K,N) bounds; workers > 1 spreads the local GEMM across that many
 // goroutines (Config.KernelWorkers). It performs no heap allocation in the
 // steady state: the partial lives in a pooled buffer and its header on the
-// stack. With ret non-nil the accumulate runs under the retry budget and a
-// fatal fault comes back as an error with the scratch buffer already back
-// in the pool; with ret nil faults panic through unchanged (the IR path's
-// contract).
+// stack. The accumulate runs under ret's retry budget; a fatal fault comes
+// back as an error with the scratch buffer already back in the pool.
 func gemmAccumulate(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int, ret *retrier) error {
 	rows, cols := op.M.Len(), op.N.Len()
 	buf := pool.Get(rows * cols)
@@ -453,25 +453,9 @@ func gemmAccumulate(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Mat
 		tile.Gemm(&partial, aSlice, bSlice)
 	}
 	rt.ChargeGemm(pe, rows, cols, op.K.Len())
-	var err error
-	if ret != nil {
-		err = ret.do(func() { prob.C.AccumulateSubTile(pe, op.CIdx, distmat.LocalReplica, subRect(op), &partial) })
-	} else {
-		prob.C.AccumulateSubTile(pe, op.CIdx, distmat.LocalReplica, subRect(op), &partial)
-	}
+	err := ret.do(func() { prob.C.AccumulateSubTile(pe, op.CIdx, distmat.LocalReplica, subRect(op), &partial) })
 	pool.Put(buf)
 	return err
-}
-
-// RunStep executes one plan step given its (full) A and B tiles: it slices
-// the tiles to the op's bounds, multiplies, and accumulates into C. The IR
-// executor's step body; faults panic through.
-func RunStep(pe rt.PE, prob Problem, s Step, aTile, bTile *tile.Matrix, pool *gpusim.Pool) {
-	ab := prob.A.TileBounds(s.Op.AIdx)
-	bb := prob.B.TileBounds(s.Op.BIdx)
-	aSlice := aTile.View(s.Op.M.Begin-ab.Rows.Begin, s.Op.K.Begin-ab.Cols.Begin, s.Op.M.Len(), s.Op.K.Len())
-	bSlice := bTile.View(s.Op.K.Begin-bb.Rows.Begin, s.Op.N.Begin-bb.Cols.Begin, s.Op.K.Len(), s.Op.N.Len())
-	gemmAccumulate(pe, prob, s.Op, aSlice, bSlice, pool, 1, nil)
 }
 
 func subRect(op LocalOp) (r index.Rect) {

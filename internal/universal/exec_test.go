@@ -198,9 +198,10 @@ func TestGemmAccumulateAllocFree(t *testing.T) {
 		bb := prob.B.TileBounds(op.BIdx)
 		aT.ViewInto(&aSlice, op.M.Begin-ab.Rows.Begin, op.K.Begin-ab.Cols.Begin, op.M.Len(), op.K.Len())
 		bT.ViewInto(&bSlice, op.K.Begin-bb.Rows.Begin, op.N.Begin-bb.Cols.Begin, op.K.Len(), op.N.Len())
-		gemmAccumulate(pe, prob, op, &aSlice, &bSlice, pool, 1, nil) // warm pools
+		ret := newRetrier(RetryConfig{}.withDefaults(), 1)
+		gemmAccumulate(pe, prob, op, &aSlice, &bSlice, pool, 1, &ret) // warm pools
 		allocs := testing.AllocsPerRun(10, func() {
-			gemmAccumulate(pe, prob, op, &aSlice, &bSlice, pool, 1, nil)
+			gemmAccumulate(pe, prob, op, &aSlice, &bSlice, pool, 1, &ret)
 		})
 		if allocs > 0 {
 			t.Errorf("gemmAccumulate allocates %v objects per call in steady state, want 0", allocs)
