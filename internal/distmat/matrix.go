@@ -292,7 +292,9 @@ func (m *Matrix) GetSubTileIntoAsync(pe rt.PE, f *TileFuture, dst *tile.Matrix, 
 }
 
 // AccumulateTile atomically adds view into tile idx of the given replica
-// (accumulate_tile). The view must match the tile's shape.
+// (accumulate_tile). The view must match the tile's shape. Whether the
+// block is one contiguous range is the backend's call (AccumulateAddStrided
+// decides it), not this layer's.
 func (m *Matrix) AccumulateTile(pe rt.PE, idx index.TileIdx, replica int, view *tile.Matrix) {
 	b := m.grid.TileBounds(idx)
 	rows, cols := b.Shape()
@@ -301,12 +303,7 @@ func (m *Matrix) AccumulateTile(pe rt.PE, idx index.TileIdx, replica int, view *
 			view.Rows, view.Cols, rows, cols, idx))
 	}
 	owner := m.OwnerRank(idx, replica, pe.Rank())
-	off := m.tileOffset[idx.Row][idx.Col]
-	if view.IsDense() && view.Rows > 0 {
-		pe.AccumulateAdd(view.Data[:rows*cols], m.seg, owner, off)
-		return
-	}
-	pe.AccumulateAddStrided(view.Data, view.Stride, m.seg, owner, off, cols, rows, cols)
+	pe.AccumulateAddStrided(view.Data, view.Stride, m.seg, owner, m.tileOffset[idx.Row][idx.Col], cols, rows, cols)
 }
 
 // AccumulateSubTile atomically adds view into the sub-rectangle sub (in

@@ -2,6 +2,8 @@ package gpusim
 
 import (
 	"math"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -328,5 +330,84 @@ func TestRoundSizeBuckets(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Many goroutines get and put mixed sizes at once (every PE's chain crew
+// does, every step): per-bucket locks and atomic counters must keep the
+// books exact — nothing live at the end, every get counted as an alloc or
+// a hit, a high-water mark no lower than a demand that provably coexisted,
+// buckets listed in ascending order — and -race must stay quiet.
+func TestPoolConcurrentHammer(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 300
+	)
+	sizes := []int{1, 64, 65, 1000, 1024, 4096, 4097, 7488, 32 * 32, 100000}
+	p := NewPool()
+	// Every worker holds one 100000-element buffer across a barrier, so
+	// workers × roundSize(100000) elements are live at the same moment.
+	var holding, done sync.WaitGroup
+	holding.Add(workers)
+	done.Add(workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			defer done.Done()
+			big := p.GetUninit(100000)
+			holding.Done()
+			holding.Wait()
+			p.Put(big)
+			held := make([][]float32, 0, 4)
+			for i := 0; i < rounds; i++ {
+				n := sizes[(i*7+g)%len(sizes)]
+				var buf []float32
+				if i%2 == 0 {
+					buf = p.Get(n)
+					for _, v := range buf {
+						if v != 0 {
+							t.Errorf("Get(%d) returned a dirty buffer", n)
+							break
+						}
+					}
+				} else {
+					buf = p.GetUninit(n)
+				}
+				if len(buf) != n {
+					t.Errorf("Get(%d) returned %d elements", n, len(buf))
+				}
+				for j := range buf {
+					buf[j] = float32(g + 1)
+				}
+				if held = append(held, buf); len(held) == cap(held) {
+					for _, b := range held {
+						p.Put(b)
+					}
+					held = held[:0]
+				}
+			}
+			for _, b := range held {
+				p.Put(b)
+			}
+		}(g)
+	}
+	done.Wait()
+	s := p.Stats()
+	if s.Live != 0 {
+		t.Errorf("live = %d after every buffer was returned", s.Live)
+	}
+	if gets := int64(workers * (rounds + 1)); s.Allocs+s.Hits != gets {
+		t.Errorf("allocs %d + hits %d = %d, want %d gets", s.Allocs, s.Hits, s.Allocs+s.Hits, gets)
+	}
+	if min := workers * roundSize(100000); s.HighWater < min {
+		t.Errorf("high water = %d, want >= %d (all workers held a 100000-element buffer at once)", s.HighWater, min)
+	}
+	got := p.BucketSizes()
+	if !sort.IntsAreSorted(got) || len(got) == 0 {
+		t.Errorf("BucketSizes() = %v, want a non-empty ascending list", got)
+	}
+	for _, size := range got {
+		if roundSize(size) != size {
+			t.Errorf("BucketSizes() lists %d, which is not a size class", size)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package gpusim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a size-bucketed float32 buffer pool modelling the GPU memory pool
@@ -12,35 +12,62 @@ import (
 // cudaMalloc/zeMemAlloc. Here the pool additionally removes Go allocator /
 // GC churn from the real-execution hot path and tracks a high-water mark so
 // tests can assert on memory behaviour.
+//
+// Every step of every PE's chain gets and puts here, so nothing in it is
+// pool-wide: buckets are an array indexed by size class, each with its own
+// lock, and the counters are atomics. The zero Pool is ready to use.
 type Pool struct {
-	mu        sync.Mutex
-	buckets   map[int][][]float32
-	live      int   // elements currently handed out
-	highWater int   // max live elements ever
-	allocs    int64 // fresh allocations (pool misses)
-	hits      int64 // reuses (pool hits)
+	buckets   [len(bucketSizes)]poolBucket
+	live      atomic.Int64 // elements currently handed out
+	highWater atomic.Int64 // max live elements ever
+	allocs    atomic.Int64 // fresh allocations (pool misses)
+	hits      atomic.Int64 // reuses (pool hits)
+}
+
+// poolBucket is the free stack of one size class, padded to a cache line
+// so neighbouring classes' locks do not share one.
+type poolBucket struct {
+	mu    sync.Mutex
+	stack [][]float32
+	_     [32]byte
 }
 
 // NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{buckets: map[int][][]float32{}}
-}
+func NewPool() *Pool { return new(Pool) }
 
-// roundSize buckets requests to limit fragmentation: sizes round up to the
-// next power-of-two-ish bucket (1.5x steps above 4096).
-func roundSize(n int) int {
-	if n <= 0 {
-		return 0
-	}
+// bucketSizes are the size classes, ascending: powers of two from 64 to
+// 4096, then 1.5x steps (to limit fragmentation on large tiles) up to
+// ~2^45 elements — past anything that can be allocated.
+var bucketSizes = func() (t [64]int) {
 	size := 64
-	for size < n {
+	for i := range t {
+		t[i] = size
 		if size < 4096 {
 			size *= 2
 		} else {
 			size += size / 2
 		}
 	}
-	return size
+	return t
+}()
+
+// bucketFor returns the index of the smallest size class holding n
+// elements, or len(bucketSizes) when there is none.
+func bucketFor(n int) int {
+	for i, size := range bucketSizes {
+		if size >= n {
+			return i
+		}
+	}
+	return len(bucketSizes)
+}
+
+// roundSize is the bucketed size of a request for n elements.
+func roundSize(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return bucketSizes[bucketFor(n)]
 }
 
 // Get returns a zeroed buffer of at least n elements (len == n).
@@ -67,26 +94,31 @@ func (p *Pool) GetUninit(n int) []float32 {
 // therefore hold stale contents); fresh make() allocations are already
 // zero.
 func (p *Pool) get(n int) (buf []float32, recycled bool) {
-	if n == 0 {
+	if n <= 0 {
 		return nil, false
 	}
-	bucket := roundSize(n)
-	p.mu.Lock()
-	if stack := p.buckets[bucket]; len(stack) > 0 {
-		buf = stack[len(stack)-1]
-		p.buckets[bucket] = stack[:len(stack)-1]
-		p.hits++
+	i := bucketFor(n)
+	size := bucketSizes[i]
+	b := &p.buckets[i]
+	b.mu.Lock()
+	if top := len(b.stack) - 1; top >= 0 {
+		buf, b.stack[top] = b.stack[top], nil
+		b.stack = b.stack[:top]
 		recycled = true
+	}
+	b.mu.Unlock()
+	if recycled {
+		p.hits.Add(1)
 	} else {
-		p.allocs++
+		p.allocs.Add(1)
+		buf = make([]float32, size)
 	}
-	p.live += bucket
-	if p.live > p.highWater {
-		p.highWater = p.live
-	}
-	p.mu.Unlock()
-	if buf == nil {
-		buf = make([]float32, bucket)
+	live := p.live.Add(int64(size))
+	for {
+		hw := p.highWater.Load()
+		if live <= hw || p.highWater.CompareAndSwap(hw, live) {
+			break
+		}
 	}
 	return buf[:n], recycled
 }
@@ -98,14 +130,16 @@ func (p *Pool) Put(buf []float32) {
 	if buf == nil {
 		return
 	}
-	bucket := cap(buf)
-	if roundSize(bucket) != bucket {
+	size := cap(buf)
+	i := bucketFor(size)
+	if i == len(bucketSizes) || bucketSizes[i] != size {
 		return // not one of ours; let the GC have it
 	}
-	p.mu.Lock()
-	p.buckets[bucket] = append(p.buckets[bucket], buf[:bucket])
-	p.live -= bucket
-	p.mu.Unlock()
+	b := &p.buckets[i]
+	b.mu.Lock()
+	b.stack = append(b.stack, buf[:size])
+	b.mu.Unlock()
+	p.live.Add(-int64(size))
 }
 
 // Stats reports pool behaviour.
@@ -118,9 +152,8 @@ type PoolStats struct {
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PoolStats{Live: p.live, HighWater: p.highWater, Allocs: p.allocs, Hits: p.hits}
+	return PoolStats{Live: int(p.live.Load()), HighWater: int(p.highWater.Load()),
+		Allocs: p.allocs.Load(), Hits: p.hits.Load()}
 }
 
 func (s PoolStats) String() string {
@@ -130,14 +163,14 @@ func (s PoolStats) String() string {
 // BucketSizes returns the distinct bucket sizes currently cached, sorted.
 // Exposed for tests.
 func (p *Pool) BucketSizes() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, 0, len(p.buckets))
-	for s, stack := range p.buckets {
-		if len(stack) > 0 {
-			out = append(out, s)
+	var out []int
+	for i := range p.buckets {
+		b := &p.buckets[i]
+		b.mu.Lock()
+		if len(b.stack) > 0 {
+			out = append(out, bucketSizes[i])
 		}
+		b.mu.Unlock()
 	}
-	sort.Ints(out)
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	rt "slicing/internal/runtime"
+	"slicing/internal/tile"
 )
 
 // getPutScratch pools the bounce buffer of AccumulateAddGetPut. Chunked
@@ -16,24 +17,6 @@ var getPutScratch = sync.Pool{
 		buf := make([]float32, stripeBlock)
 		return &buf
 	},
-}
-
-// addInto accumulates src into dst element-wise. The slices must have equal
-// length. The 4-way unrolled body keeps the loop bounds-check-free and
-// exposes four independent dependency chains, which is as
-// vectorization-friendly as scalar Go gets.
-func addInto(dst, src []float32) {
-	dst = dst[:len(src)]
-	i := 0
-	for ; i+3 < len(src); i += 4 {
-		dst[i] += src[i]
-		dst[i+1] += src[i+1]
-		dst[i+2] += src[i+2]
-		dst[i+3] += src[i+3]
-	}
-	for ; i < len(src); i++ {
-		dst[i] += src[i]
-	}
 }
 
 // PE is a processing element's handle to the world. A PE value is only valid
@@ -66,7 +49,7 @@ func (pe *PE) Get(dst []float32, seg SegmentID, remote, offset int) {
 	src := pe.world.storage(seg, remote)
 	checkRange("Get", seg, remote, offset, len(dst), len(src))
 	copy(dst, src[offset:offset+len(dst)])
-	pe.world.count(remote != pe.rank, opGet, len(dst))
+	pe.count(remote, opGet, len(dst))
 }
 
 // Put copies src into the segment on the remote rank starting at offset.
@@ -75,7 +58,12 @@ func (pe *PE) Put(src []float32, seg SegmentID, remote, offset int) {
 	dst := pe.world.storage(seg, remote)
 	checkRange("Put", seg, remote, offset, len(src), len(dst))
 	copy(dst[offset:offset+len(src)], src)
-	pe.world.count(remote != pe.rank, opPut, len(src))
+	pe.count(remote, opPut, len(src))
+}
+
+// count records an op this PE issued against rank remote.
+func (pe *PE) count(remote int, kind opKind, n int) {
+	pe.world.count(pe.rank, remote != pe.rank, kind, n)
 }
 
 // AccumulateAdd atomically adds src element-wise into the segment on the
@@ -84,12 +72,23 @@ func (pe *PE) Put(src []float32, seg SegmentID, remote, offset int) {
 // accumulates interleave block-by-block, mirroring the element-wise
 // atomicity of the paper's GPU atomic accumulate kernel.
 func (pe *PE) AccumulateAdd(src []float32, seg SegmentID, remote, offset int) {
-	dst := pe.world.storage(seg, remote)
+	mem := pe.world.mem(seg, remote)
+	dst := mem.storage(pe.world)
 	checkRange("AccumulateAdd", seg, remote, offset, len(src), len(dst))
-	pe.world.segLocks[seg].lockBlocks(offset, len(src), func(lo, hi int) {
-		addInto(dst[lo:hi], src[lo-offset:hi-offset])
+	pe.accumulate(mem, dst, src, len(src), remote, offset, len(src), 1, len(src))
+}
+
+// accumulate adds the rows×cols block src (row stride srcStride) into dst,
+// rank remote's array behind mem, at offset (row stride dstStride) — one
+// critical section per stripe block the block spans — and counts the op.
+// The caller has checked the ranges.
+func (pe *PE) accumulate(mem *rankMem, dst, src []float32, srcStride, remote, offset, dstStride, rows, cols int) {
+	locks := mem.lockBlocks(offset, dstStride, rows, cols, func(lo, hi, r int) {
+		at := r*srcStride + lo - (offset + r*dstStride)
+		tile.AddInto(dst[lo:hi], src[at:at+hi-lo])
 	})
-	pe.world.count(remote != pe.rank, opAccum, len(src))
+	pe.world.traffic[pe.rank].n[ctrStripeLocks].Add(locks)
+	pe.count(remote, opAccum, rows*cols)
 }
 
 // AccumulateAddGetPut accumulates src into a remote region using the
@@ -98,23 +97,25 @@ func (pe *PE) AccumulateAdd(src []float32, seg SegmentID, remote, offset int) {
 // the path used when the interconnect offers RDMA get/put but no remote
 // atomics. The round trip is performed per stripe block under that block's
 // lock, so it is element-wise equivalent to AccumulateAdd (both serialize
-// through the same striped locks and the two paths can be mixed safely);
-// the performance model charges it a full round trip. The bounce buffer is
-// pooled, never allocated per call.
+// through the target rank's stripe locks and the two paths can be mixed
+// safely); the performance model charges it a full round trip. The bounce
+// buffer is pooled, never allocated per call.
 func (pe *PE) AccumulateAddGetPut(src []float32, seg SegmentID, remote, offset int) {
-	dst := pe.world.storage(seg, remote)
+	mem := pe.world.mem(seg, remote)
+	dst := mem.storage(pe.world)
 	checkRange("AccumulateAddGetPut", seg, remote, offset, len(src), len(dst))
 	scratch := getPutScratch.Get().(*[]float32)
 	tmp := *scratch
-	pe.world.segLocks[seg].lockBlocks(offset, len(src), func(lo, hi int) {
+	locks := mem.lockBlocks(offset, len(src), 1, len(src), func(lo, hi, _ int) {
 		t := tmp[:hi-lo]
-		copy(t, dst[lo:hi])                  // remote get
-		addInto(t, src[lo-offset:hi-offset]) // local add
-		copy(dst[lo:hi], t)                  // remote put
+		copy(t, dst[lo:hi])                       // remote get
+		tile.AddInto(t, src[lo-offset:hi-offset]) // local add
+		copy(dst[lo:hi], t)                       // remote put
 	})
 	getPutScratch.Put(scratch)
-	pe.world.count(remote != pe.rank, opGet, len(src))
-	pe.world.count(remote != pe.rank, opAccum, len(src))
+	pe.world.traffic[pe.rank].n[ctrStripeLocks].Add(locks)
+	pe.count(remote, opGet, len(src))
+	pe.count(remote, opAccum, len(src))
 }
 
 // GetStrided copies a rows×cols block with the given row strides between a
@@ -126,7 +127,7 @@ func (pe *PE) GetStrided(dst []float32, dstStride int, seg SegmentID, remote, of
 	for r := 0; r < rows; r++ {
 		copy(dst[r*dstStride:r*dstStride+cols], src[offset+r*srcStride:offset+r*srcStride+cols])
 	}
-	pe.world.count(remote != pe.rank, opGet, rows*cols)
+	pe.count(remote, opGet, rows*cols)
 }
 
 // PutStrided writes a rows×cols block from src into a remote segment region.
@@ -136,25 +137,25 @@ func (pe *PE) PutStrided(src []float32, srcStride int, seg SegmentID, remote, of
 	for r := 0; r < rows; r++ {
 		copy(dst[offset+r*dstStride:offset+r*dstStride+cols], src[r*srcStride:r*srcStride+cols])
 	}
-	pe.world.count(remote != pe.rank, opPut, rows*cols)
+	pe.count(remote, opPut, rows*cols)
 }
 
 // AccumulateAddStrided atomically adds a rows×cols block from src into a
-// remote segment region. Each destination row is a contiguous range and is
-// accumulated stripe block by stripe block, like AccumulateAdd; the row
-// gaps are never locked.
+// remote segment region. When the rows are adjacent in both source and
+// destination the block is one contiguous range and is accumulated exactly
+// like AccumulateAdd — this is the one place that is decided, so callers
+// (distmat's whole-tile and sub-tile accumulates, the timed backends, the
+// chaos decorator) need not. Otherwise the rows are walked under one
+// critical section per stripe block the block spans; row gaps inside a
+// held block ride along, gaps are never written.
 func (pe *PE) AccumulateAddStrided(src []float32, srcStride int, seg SegmentID, remote, offset, dstStride, rows, cols int) {
-	dst := pe.world.storage(seg, remote)
+	mem := pe.world.mem(seg, remote)
+	dst := mem.storage(pe.world)
 	checkStrided("AccumulateAddStrided", seg, remote, offset, dstStride, rows, cols, len(dst))
-	locks := pe.world.segLocks[seg]
-	for r := 0; r < rows; r++ {
-		rowOff := offset + r*dstStride
-		s := src[r*srcStride : r*srcStride+cols]
-		locks.lockBlocks(rowOff, cols, func(lo, hi int) {
-			addInto(dst[lo:hi], s[lo-rowOff:hi-rowOff])
-		})
+	if srcStride == cols && dstStride == cols {
+		srcStride, dstStride, rows, cols = rows*cols, rows*cols, 1, rows*cols
 	}
-	pe.world.count(remote != pe.rank, opAccum, rows*cols)
+	pe.accumulate(mem, dst, src, srcStride, remote, offset, dstStride, rows, cols)
 }
 
 // GetAsync performs the one-sided read and returns an already-completed

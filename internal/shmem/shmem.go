@@ -11,10 +11,16 @@
 // universal algorithm requires: remote get and remote accumulate (§1, §3 of
 // the paper).
 //
-// AccumulateAdd is atomic with respect to other accumulates to the same
-// segment (striped locks play the role of the paper's atomic-add kernel /
-// coarse-grained inter-node locking), so concurrent partial-result updates
-// from many PEs are safe, as required by Stationary A/B data movement.
+// AccumulateAdd is element-wise atomic with respect to other accumulates
+// into the same rank's copy of a segment (per-(segment, rank) striped locks
+// play the role of the paper's atomic-add kernel / coarse-grained
+// inter-node locking), so concurrent partial-result updates from many PEs
+// are safe, as required by Stationary A/B data movement.
+//
+// Nothing on the one-sided op path is process-wide: segments are found
+// through an atomically published table, backing arrays are read with an
+// atomic load once installed, stripe locks belong to the target rank's
+// copy, and traffic counters are per-issuing-rank cells.
 //
 // The package is the reference implementation of the backend contract in
 // internal/runtime; *World and *PE satisfy runtime.World and runtime.PE.
@@ -60,10 +66,13 @@ var (
 type World struct {
 	numPE int
 
-	mu       sync.Mutex
-	segments [][][]float32 // segments[seg][pe] -> storage, allocated lazily
-	segSizes []int
-	segLocks []*stripedLock
+	// segs is the published segment table: segs[seg][rank]. AllocSymmetric
+	// appends under mu and swaps the pointer; ops load it without a lock. A
+	// published header is never shortened and its elements never change,
+	// so an append into spare capacity is invisible to holders of older
+	// headers.
+	mu   sync.Mutex
+	segs atomic.Pointer[[][]rankMem]
 
 	barrier *barrier
 
@@ -74,22 +83,55 @@ type World struct {
 	collSegs   []SegmentID
 	peAllocSeq []int
 
-	remoteGetBytes   atomic.Int64
-	remotePutBytes   atomic.Int64
-	remoteAccumBytes atomic.Int64
-	localGetBytes    atomic.Int64
-	localPutBytes    atomic.Int64
-	localAccumBytes  atomic.Int64
-	remoteOps        atomic.Int64
-	localOps         atomic.Int64
+	// traffic[rank] counts the ops rank issued; Stats sums the cells.
+	traffic []trafficCell
 }
+
+// rankMem is one rank's copy of one segment: its backing array and the
+// stripe locks that guard accumulates into it. Built by AllocSymmetric,
+// never per op. The array pointer and size sit on their own cache line,
+// apart from the mutexes accumulates write, and the struct is a whole
+// number of lines so neighbouring ranks share none.
+type rankMem struct {
+	data    atomic.Pointer[[]float32] // nil until first touch
+	size    int
+	_       [48]byte
+	stripes [numStripes]sync.Mutex
+}
+
+// trafficCell is one issuing rank's counters, padded to its own cache
+// lines so ranks never write a shared one. The byte counters are indexed
+// ctrRemoteGet + opKind (remote) or ctrLocalGet + opKind (local).
+// ctrStripeLocks counts stripe-mutex acquisitions; it is not part of Stats
+// and exists for the package's tests to pin how many critical sections an
+// accumulate takes.
+type trafficCell struct {
+	n [numCtrs]atomic.Int64
+	_ [56]byte
+}
+
+const (
+	ctrRemoteGet = iota
+	ctrRemotePut
+	ctrRemoteAccum
+	ctrLocalGet
+	ctrLocalPut
+	ctrLocalAccum
+	ctrRemoteOps
+	ctrLocalOps
+	ctrStripeLocks
+	numCtrs
+)
 
 // NewWorld creates a world with numPE processing elements.
 func NewWorld(numPE int) *World {
 	if numPE <= 0 {
 		panic(fmt.Sprintf("shmem: invalid world size %d", numPE))
 	}
-	return &World{numPE: numPE, barrier: newBarrier(numPE), peAllocSeq: make([]int, numPE)}
+	w := &World{numPE: numPE, barrier: newBarrier(numPE), peAllocSeq: make([]int, numPE),
+		traffic: make([]trafficCell, numPE)}
+	w.segs.Store(new([][]rankMem))
+	return w
 }
 
 // World returns the world itself, satisfying runtime.Allocator.
@@ -107,16 +149,18 @@ func (w *World) AllocSymmetric(n int) SegmentID {
 	if n < 0 {
 		panic(fmt.Sprintf("shmem: invalid segment size %d", n))
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	id := SegmentID(len(w.segments))
 	// Backing arrays are allocated lazily on first access so that
 	// metadata-only uses (the simulated-time backends, which never touch
 	// element data) do not pay for multi-gigabyte matrices.
-	w.segments = append(w.segments, make([][]float32, w.numPE))
-	w.segSizes = append(w.segSizes, n)
-	w.segLocks = append(w.segLocks, newStripedLock())
-	return id
+	ranks := make([]rankMem, w.numPE)
+	for r := range ranks {
+		ranks[r].size = n
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	segs := append(*w.segs.Load(), ranks)
+	w.segs.Store(&segs)
+	return SegmentID(len(segs) - 1)
 }
 
 // SegmentStorage returns rank's backing array for a segment, for
@@ -129,11 +173,7 @@ func (w *World) SegmentStorage(seg SegmentID, rank int) []float32 {
 }
 
 // SegmentLen returns the per-PE length of a segment.
-func (w *World) SegmentLen(seg SegmentID) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.segSizes[seg]
-}
+func (w *World) SegmentLen(seg SegmentID) int { return w.mem(seg, 0).size }
 
 // Run spawns one goroutine per PE, invokes body with each PE handle, and
 // waits for all of them to return. Panics inside a PE body are re-raised on
@@ -165,72 +205,82 @@ func (w *World) Run(body func(pe rt.PE)) {
 	}
 }
 
-// Stats returns a snapshot of the world's traffic counters.
+// Stats returns a snapshot of the world's traffic counters, summed over
+// the issuing ranks' cells.
 func (w *World) Stats() Stats {
+	var sum [numCtrs]int64
+	for r := range w.traffic {
+		for i := range sum {
+			sum[i] += w.traffic[r].n[i].Load()
+		}
+	}
 	return Stats{
-		RemoteGetBytes:   w.remoteGetBytes.Load(),
-		RemotePutBytes:   w.remotePutBytes.Load(),
-		RemoteAccumBytes: w.remoteAccumBytes.Load(),
-		LocalGetBytes:    w.localGetBytes.Load(),
-		LocalPutBytes:    w.localPutBytes.Load(),
-		LocalAccumBytes:  w.localAccumBytes.Load(),
-		RemoteOps:        w.remoteOps.Load(),
-		LocalOps:         w.localOps.Load(),
+		RemoteGetBytes:   sum[ctrRemoteGet],
+		RemotePutBytes:   sum[ctrRemotePut],
+		RemoteAccumBytes: sum[ctrRemoteAccum],
+		LocalGetBytes:    sum[ctrLocalGet],
+		LocalPutBytes:    sum[ctrLocalPut],
+		LocalAccumBytes:  sum[ctrLocalAccum],
+		RemoteOps:        sum[ctrRemoteOps],
+		LocalOps:         sum[ctrLocalOps],
 	}
 }
 
 // ResetStats zeroes the world's traffic counters.
 func (w *World) ResetStats() {
-	w.remoteGetBytes.Store(0)
-	w.remotePutBytes.Store(0)
-	w.remoteAccumBytes.Store(0)
-	w.localGetBytes.Store(0)
-	w.localPutBytes.Store(0)
-	w.localAccumBytes.Store(0)
-	w.remoteOps.Store(0)
-	w.localOps.Store(0)
+	for r := range w.traffic {
+		for i := range w.traffic[r].n {
+			w.traffic[r].n[i].Store(0)
+		}
+	}
 }
 
-func (w *World) storage(seg SegmentID, pe int) []float32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if int(seg) < 0 || int(seg) >= len(w.segments) {
+// mem returns rank's copy of a segment from the published table; no lock.
+func (w *World) mem(seg SegmentID, rank int) *rankMem {
+	segs := *w.segs.Load()
+	if int(seg) < 0 || int(seg) >= len(segs) {
 		panic(fmt.Sprintf("shmem: unknown segment %d", seg))
 	}
-	if pe < 0 || pe >= w.numPE {
-		panic(fmt.Sprintf("shmem: rank %d out of world of %d PEs", pe, w.numPE))
+	if rank < 0 || rank >= w.numPE {
+		panic(fmt.Sprintf("shmem: rank %d out of world of %d PEs", rank, w.numPE))
 	}
-	if w.segments[seg][pe] == nil && w.segSizes[seg] > 0 {
-		w.segments[seg][pe] = make([]float32, w.segSizes[seg])
-	}
-	return w.segments[seg][pe]
+	return &segs[seg][rank]
 }
 
-func (w *World) count(remote bool, kind opKind, n int) {
-	bytes := int64(n) * 4
-	if remote {
-		w.remoteOps.Add(1)
-		switch kind {
-		case opGet:
-			w.remoteGetBytes.Add(bytes)
-		case opPut:
-			w.remotePutBytes.Add(bytes)
-		case opAccum:
-			w.remoteAccumBytes.Add(bytes)
-		}
-	} else {
-		w.localOps.Add(1)
-		switch kind {
-		case opGet:
-			w.localGetBytes.Add(bytes)
-		case opPut:
-			w.localPutBytes.Add(bytes)
-		case opAccum:
-			w.localAccumBytes.Add(bytes)
-		}
+// storage returns rank's backing array for a segment.
+func (w *World) storage(seg SegmentID, rank int) []float32 { return w.mem(seg, rank).storage(w) }
+
+// storage returns the backing array: an atomic load once installed, and on
+// first touch an allocation published under w.mu.
+func (m *rankMem) storage(w *World) []float32 {
+	if p := m.data.Load(); p != nil {
+		return *p
 	}
+	if m.size == 0 {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if p := m.data.Load(); p != nil {
+		return *p
+	}
+	buf := make([]float32, m.size)
+	m.data.Store(&buf)
+	return buf
 }
 
+// count records one op of n elements issued by rank in rank's own cell.
+func (w *World) count(rank int, remote bool, kind opKind, n int) {
+	c := &w.traffic[rank].n
+	bytes, ops := ctrRemoteGet+int(kind), ctrRemoteOps
+	if !remote {
+		bytes, ops = ctrLocalGet+int(kind), ctrLocalOps
+	}
+	c[ops].Add(1)
+	c[bytes].Add(int64(n) * 4)
+}
+
+// opKind selects a byte counter; the order matches the ctr* constants.
 type opKind int
 
 const (
@@ -239,10 +289,11 @@ const (
 	opAccum
 )
 
-// stripedLock guards concurrent accumulates into a segment. Striping by
-// offset block lets accumulates into disjoint regions of a large tile
-// proceed in parallel, approximating the fine-grained atomics of the paper's
-// GPU accumulate kernel.
+// The stripe locks of a rankMem guard concurrent accumulates into one
+// rank's copy of a segment. Striping by offset block lets accumulates into
+// disjoint regions of a large tile proceed in parallel, approximating the
+// fine-grained atomics of the paper's GPU accumulate kernel; keeping a set
+// per (segment, rank) means accumulates to different ranks never meet.
 //
 // Accumulates are applied one stripe block at a time (lockBlocks): a range
 // spanning several blocks is split into per-block critical sections rather
@@ -253,37 +304,51 @@ const (
 // atomic-add kernel provides — is preserved; whole-range atomicity is not,
 // exactly as on real hardware. TestAccumulateStripeStress race-tests the
 // no-lost-update invariant across same-stripe collisions, spanning ranges,
-// and the get+put path.
+// strided blocks and the get+put path.
 //
-// Why 16 stripes: accumulate concurrency into one segment is bounded by
-// the world size times the per-PE chain concurrency (Config.MaxInflight,
+// Why 16 stripes: accumulate concurrency into one rank's copy is bounded
+// by the world size times the per-PE chain concurrency (Config.MaxInflight,
 // default 4), and worlds in this in-process runtime are node-scale (8–12
 // PEs, the Table 2 systems). 16 stripes keep the expected collision rate
 // for disjoint-block accumulates low at that concurrency, and with
 // block-chunked acquisition there is no whole-set path left to pay for.
-type stripedLock struct {
-	stripes [16]sync.Mutex
-}
+const (
+	numStripes  = 16
+	stripeBlock = 4096 // float32s per stripe block
+)
 
-func newStripedLock() *stripedLock { return &stripedLock{} }
-
-const stripeBlock = 4096 // float32s per stripe block
-
-// lockBlocks invokes f(lo, hi) for every stripe-block-aligned chunk of
-// [offset, offset+n), holding exactly that block's stripe mutex during the
-// call. Only one stripe is ever held at a time, so no acquisition ordering
+// lockBlocks is the one locking routine under every accumulate. It walks
+// the rows×cols block at offset (row stride `stride`; a contiguous range
+// is one row) and invokes f(lo, hi, r) for each piece [lo, hi) of row r
+// that lies in one stripe block, holding that block's mutex during the
+// call. The mutex is kept across consecutive pieces — and rows — of the
+// same block and exchanged only when the walk crosses into another, so an
+// op takes one critical section per stripe block it spans, not one per
+// row. Only one stripe is ever held at a time, so no acquisition ordering
 // is needed and a spanning accumulate cannot deadlock or convoy the whole
-// segment.
-func (s *stripedLock) lockBlocks(offset, n int, f func(lo, hi int)) {
-	for lo, end := offset, offset+n; lo < end; {
-		hi := (lo/stripeBlock + 1) * stripeBlock
-		if hi > end {
-			hi = end
+// segment. It returns the number of acquisitions.
+func (m *rankMem) lockBlocks(offset, stride, rows, cols int, f func(lo, hi, r int)) (acquired int64) {
+	var mu *sync.Mutex
+	held := -1
+	for r := 0; r < rows; r++ {
+		for lo, end := offset+r*stride, offset+r*stride+cols; lo < end; {
+			blk := lo / stripeBlock
+			if blk != held {
+				if mu != nil {
+					mu.Unlock()
+				}
+				mu = &m.stripes[blk%numStripes]
+				mu.Lock()
+				held = blk
+				acquired++
+			}
+			hi := min((blk+1)*stripeBlock, end)
+			f(lo, hi, r)
+			lo = hi
 		}
-		mu := &s.stripes[lo/stripeBlock%len(s.stripes)]
-		mu.Lock()
-		f(lo, hi)
-		mu.Unlock()
-		lo = hi
 	}
+	if mu != nil {
+		mu.Unlock()
+	}
+	return acquired
 }

@@ -3,6 +3,7 @@ package shmem
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	rt "slicing/internal/runtime"
 )
@@ -542,4 +543,196 @@ func TestAccumulatePathsAllocFree(t *testing.T) {
 			t.Errorf("AccumulateAddStrided allocates %v objects per call, want 0", allocs)
 		}
 	})
+}
+
+// AllocSymmetric on a world whose PEs are running — the serving situation,
+// a tenant calling NewMatrix mid-flight — must not race with ops on
+// earlier segments: ops read the segment table through an atomically
+// published pointer, never the slice AllocSymmetric is appending to.
+// Meaningful under -race (it failed there before the table was published).
+func TestAllocSymmetricWhilePEsAccumulate(t *testing.T) {
+	const rounds = 300
+	w := NewWorld(2)
+	seg := w.AllocSymmetric(8)
+	src := []float32{1, 1, 1, 1, 1, 1, 1, 1}
+	// The allocator free-runs until the PEs are done; it learns nothing
+	// about their progress on the way (that would order the accesses the
+	// race detector is here to compare).
+	var stop atomic.Bool
+	allocated := make(chan SegmentID)
+	go func() {
+		last := seg
+		for last == seg || (!stop.Load() && last < 1<<16) {
+			last = w.AllocSymmetric(16)
+		}
+		allocated <- last
+	}()
+	w.Run(func(pe rt.PE) {
+		for i := 0; i < rounds; i++ {
+			pe.AccumulateAdd(src, seg, 0, 0)
+			pe.AccumulateAddStrided(src, 4, seg, 1, 0, 4, 2, 4)
+			pe.AccumulateAddGetPut(src, seg, 0, 0)
+		}
+	})
+	stop.Store(true)
+	if last := <-allocated; last == seg || w.SegmentLen(last) != 16 || w.SegmentLen(seg) != 8 {
+		t.Fatalf("after %d concurrent allocations: segment %d holds %d elements, segment %d holds %d; want 16 and 8",
+			last-seg, last, w.SegmentLen(last), seg, w.SegmentLen(seg))
+	}
+	for rank, want := range []float32{4 * rounds, 2 * rounds} {
+		for i, v := range w.SegmentStorage(seg, rank) {
+			if v != want {
+				t.Fatalf("rank %d element %d = %v, want %v", rank, i, v, want)
+			}
+		}
+	}
+}
+
+// Strided blocks whose rows straddle stripe-block boundaries, mixed with
+// contiguous AccumulateAdd and AccumulateAddGetPut over the same ranges,
+// from every PE into one shared rank and into per-PE ranks of the same
+// segment: with one critical section per stripe block (not per row) every
+// element must still receive every contribution exactly once. Values are
+// small integers, so float32 sums are exact.
+func TestAccumulateStridedStraddlesStripeBlocks(t *testing.T) {
+	const (
+		p     = 6
+		iters = 3
+		rows  = 20
+		cols  = 72
+		off   = stripeBlock - 37 // the first row already crosses a boundary
+		srcSt = cols + 3
+	)
+	strides := []int{cols, cols + 1, 104, stripeBlock - 1, stripeBlock + 1}
+	segLen := off + (rows-1)*(stripeBlock+1) + cols + 5
+	w := NewWorld(p)
+	seg := w.AllocSymmetric(segLen)
+	ones := make([]float32, rows*srcSt)
+	for i := range ones {
+		ones[i] = 1
+	}
+	// Every PE sends to rank 0 and to rank 1+rank%(p-1).
+	targets := func(rank int) [2]int { return [2]int{0, 1 + rank%(p-1)} }
+	senders := make([]float32, p)
+	for r := 0; r < p; r++ {
+		for _, tgt := range targets(r) {
+			senders[tgt]++
+		}
+	}
+	// One sender's contribution to one target, applied serially.
+	unit := make([]float32, segLen)
+	for _, ds := range strides {
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				unit[off+r*ds+c] += 2 // strided src + dense src
+			}
+		}
+		span := (rows-1)*ds + cols
+		for i := off; i < off+span; i++ {
+			unit[i] += 2 // AccumulateAdd + AccumulateAddGetPut over the block's span
+		}
+	}
+	long := make([]float32, (rows-1)*(stripeBlock+1)+cols)
+	for i := range long {
+		long[i] = 1
+	}
+	w.Run(func(pe rt.PE) {
+		for it := 0; it < iters; it++ {
+			for _, tgt := range targets(pe.Rank()) {
+				for _, ds := range strides {
+					span := (rows-1)*ds + cols
+					pe.AccumulateAddStrided(ones, srcSt, seg, tgt, off, ds, rows, cols)
+					pe.AccumulateAdd(long[:span], seg, tgt, off)
+					pe.AccumulateAddStrided(ones, cols, seg, tgt, off, ds, rows, cols)
+					pe.AccumulateAddGetPut(long[:span], seg, tgt, off)
+				}
+			}
+		}
+	})
+	for rank := 0; rank < p; rank++ {
+		got := w.SegmentStorage(seg, rank)
+		for i, u := range unit {
+			if want := u * senders[rank] * iters; got[i] != want {
+				t.Fatalf("rank %d element %d = %v, want %v (lost or doubled update)", rank, i, got[i], want)
+			}
+		}
+	}
+}
+
+// Stripe locks belong to (segment, rank): with rank 0's stripe held — so an
+// accumulate into rank 0 is blocked on it — an accumulate into the same
+// offsets of rank 1 of the same segment must still complete.
+func TestAccumulateRanksShareNoLock(t *testing.T) {
+	w := NewWorld(2)
+	seg := w.AllocSymmetric(64)
+	src := make([]float32, 64)
+	pe := &PE{world: w, rank: 0}
+
+	held := &w.mem(seg, 0).stripes[0]
+	held.Lock()
+	blocked := make(chan struct{})
+	go func() {
+		pe.AccumulateAdd(src, seg, 0, 0)
+		close(blocked)
+	}()
+	other := make(chan struct{})
+	go func() {
+		pe.AccumulateAdd(src, seg, 1, 0)
+		pe.AccumulateAddStrided(src, 8, seg, 1, 0, 8, 8, 8)
+		pe.AccumulateAddGetPut(src, seg, 1, 0)
+		close(other)
+	}()
+	select {
+	case <-other:
+	case <-time.After(10 * time.Second):
+		t.Fatal("accumulates into rank 1 wait on rank 0's stripe lock")
+	}
+	select {
+	case <-blocked:
+		t.Fatal("accumulate into rank 0 completed while its stripe was held")
+	default:
+	}
+	held.Unlock()
+	<-blocked
+}
+
+// stripeLocksTaken sums the per-rank stripe-acquisition counters.
+func stripeLocksTaken(w *World) (n int64) {
+	for r := range w.traffic {
+		n += w.traffic[r].n[ctrStripeLocks].Load()
+	}
+	return n
+}
+
+// The contiguous case is decided inside AccumulateAddStrided: a block whose
+// rows are adjacent in source and destination is one range and takes one
+// critical section per stripe block it spans — a whole 32×32 tile exactly
+// one, a whole 72×104 tile (7488 floats) at any offset at most three — and
+// a true sub-rectangle takes one per block crossed, not one per row.
+func TestAccumulateStridedLockAcquisitions(t *testing.T) {
+	w := NewWorld(2)
+	seg := w.AllocSymmetric(4 * stripeBlock)
+	src := make([]float32, 72*104)
+	pe := &PE{world: w, rank: 0}
+	taken := func(f func()) int64 {
+		before := stripeLocksTaken(w)
+		f()
+		return stripeLocksTaken(w) - before
+	}
+	if n := taken(func() { pe.AccumulateAddStrided(src, 32, seg, 1, 1024, 32, 32, 32) }); n != 1 {
+		t.Errorf("whole 32x32 tile took %d stripe acquisitions, want 1", n)
+	}
+	for _, off := range []int{0, 1, stripeBlock - 1, stripeBlock + 700} {
+		if n := taken(func() { pe.AccumulateAddStrided(src, 104, seg, 1, off, 104, 72, 104) }); n > 3 {
+			t.Errorf("whole 72x104 tile at offset %d took %d stripe acquisitions, want <= 3", off, n)
+		}
+	}
+	// 32 rows of 32 inside a 128-wide tile: 31*128+32 = 4000 floats, one
+	// block when aligned, two when it straddles a boundary.
+	if n := taken(func() { pe.AccumulateAddStrided(src, 32, seg, 1, 0, 128, 32, 32) }); n != 1 {
+		t.Errorf("32x32 sub-rectangle inside one block took %d stripe acquisitions, want 1", n)
+	}
+	if n := taken(func() { pe.AccumulateAddStrided(src, 32, seg, 1, stripeBlock-2000, 128, 32, 32) }); n != 2 {
+		t.Errorf("32x32 sub-rectangle across one boundary took %d stripe acquisitions, want 2", n)
+	}
 }

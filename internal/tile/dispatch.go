@@ -22,15 +22,17 @@ type kernelImpl struct {
 	kc, mc, nc int
 	// id selects the micro-kernel routine via callKernel. An enum rather
 	// than a func value so the call site stays a direct call behind a
-	// switch: the //go:noescape micro-kernels then keep the accumulator
-	// tile on the caller's stack, which a function-pointer call would
-	// force to the heap.
+	// switch: the //go:noescape annotations then hold, and operand
+	// headers the caller built on its stack stay there — a
+	// function-pointer call would force them to the heap.
 	id kernID
 }
 
 // kernID enumerates the micro-kernel routines; callKernel (per-arch) maps
-// an id to its routine, which computes acc[0:mr*nr] = Apanel·Bpanel from
-// packed strips: ap is kc×mr k-major, bp is kc×nr k-major, acc is
+// an id to its routine, which computes acc[0:mr*nr] = Astrip·Bstrip over
+// kc steps — A element (r, kk) at a[r*rs + kk*ks], B row kk at b[kk*ldb],
+// so packed strips (rs=1, ks=mr, ldb=nr) and operands used in place
+// (rs=a.Stride, ks=1, ldb=b.Stride) run through the same routine. acc is
 // row-major with stride nr, overwritten, not accumulated into.
 type kernID int8
 
@@ -41,8 +43,8 @@ const (
 	kidAVX512
 )
 
-// maxAccTile bounds the stack accumulator in microTile: the largest mr*nr
-// over every variant in the table (avx512's 14×32).
+// maxAccTile bounds the edge-tile accumulator in gemmScratch: the largest
+// mr*nr over every variant in the table (avx512's 14×32).
 const maxAccTile = 14 * 32
 
 // goKernel is the portable pure-Go variant, present in every build: the
@@ -116,4 +118,17 @@ func SetKernel(name string) (prev string, err error) {
 	}
 	return activeKern.name, fmt.Errorf("tile: unknown or unavailable kernel %q (have %s)",
 		name, strings.Join(KernelVariants(), ","))
+}
+
+// AddInto accumulates src into dst element-wise: dst[i] += src[i] for
+// every i < len(src); dst must be at least that long. It is the one add
+// loop under the GEMM→accumulate chain — the runtime backends' accumulate
+// and the kernel's edge-window add both land here — and runs as a vector
+// kernel wherever the CPUID table found one (the Go loop otherwise, and
+// under -tags purego).
+func AddInto(dst, src []float32) {
+	if len(src) == 0 {
+		return
+	}
+	addVec(dst[:len(src)], src)
 }

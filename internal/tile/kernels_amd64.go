@@ -47,30 +47,41 @@ func buildKernelTable() []*kernelImpl {
 }
 
 // callKernel dispatches a micro-kernel id as a direct call so the
-// //go:noescape annotations hold and acc stays on the caller's stack.
-func callKernel(id kernID, acc, ap, bp *float32, kc int) {
+// //go:noescape annotations hold.
+func callKernel(id kernID, acc, a *float32, rs, ks int, b *float32, ldb, kc int) {
 	switch id {
 	case kidAVX512:
-		microKernelAVX512(acc, ap, bp, kc)
+		microKernelAVX512(acc, a, rs, ks, b, ldb, kc)
 	case kidAVX2:
-		microKernelAVX2(acc, ap, bp, kc)
+		microKernelAVX2(acc, a, rs, ks, b, ldb, kc)
 	case kidSSE2:
-		microKernelSSE2(acc, ap, bp, kc)
+		microKernelSSE2(acc, a, rs, ks, b, ldb, kc)
 	default:
-		microKernelGo(acc, ap, bp, kc)
+		microKernelGo(acc, a, rs, ks, b, ldb, kc)
 	}
 }
 
 // callKernelC runs the direct-into-C interior-tile variant when the id has
 // one, returning false to send the caller down the acc+masked-add path.
-func callKernelC(id kernID, c *float32, ldc int, ap, bp *float32, kc int) bool {
+func callKernelC(id kernID, c *float32, ldc int, a *float32, rs, ks int, b *float32, ldb, kc int) bool {
 	switch id {
 	case kidAVX512:
-		microKernelAVX512C(c, ldc, ap, bp, kc)
+		microKernelAVX512C(c, ldc, a, rs, ks, b, ldb, kc)
 		return true
 	case kidAVX2:
-		microKernelAVX2C(c, ldc, ap, bp, kc)
+		microKernelAVX2C(c, ldc, a, rs, ks, b, ldb, kc)
 		return true
 	}
 	return false
+}
+
+// addVec is AddInto's body: the YMM kernel wherever the CPUID table found
+// usable YMM state (it is memory-bound, so the avx512 variant shares it),
+// the Go loop on SSE2-only parts. len(dst) == len(src) > 0.
+func addVec(dst, src []float32) {
+	if hasAVX2FMA {
+		addVecAVX2(&dst[0], &src[0], len(src))
+		return
+	}
+	addVecGo(dst, src)
 }

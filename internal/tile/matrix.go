@@ -135,11 +135,7 @@ func (m *Matrix) AddFrom(src *Matrix) {
 		panic(fmt.Sprintf("tile: add shape mismatch %dx%d += %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
 	for i := 0; i < m.Rows; i++ {
-		dst := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		s := src.Data[i*src.Stride : i*src.Stride+src.Cols]
-		for j := range dst {
-			dst[j] += s[j]
-		}
+		AddInto(m.Data[i*m.Stride:i*m.Stride+m.Cols], src.Data[i*src.Stride:i*src.Stride+src.Cols])
 	}
 }
 

@@ -135,14 +135,14 @@ func (st *parState) runUnit(u int) {
 		lo := u * st.unitStride
 		hi := min(lo+st.unitStride, st.a.Rows)
 		s := gemmScratchPool.Get().(*gemmScratch)
-		s.a = grow(s.a, st.kn.aScratchLen())
+		bp := packedB(st.bp, st.kc, st.nc, st.kn.nr)
+		bStrips := (st.nc + st.kn.nr - 1) / st.kn.nr
 		// A unit may span several mc blocks (when there are few workers);
-		// pack and multiply them one at a time to keep the packed A panel
-		// L2-resident.
+		// multiply them one at a time to keep a packed A panel L2-resident.
 		for ic := lo; ic < hi; ic += st.kn.mc {
 			mc := min(st.kn.mc, hi-ic)
-			packA(s.a, &st.a, ic, st.pc, mc, st.kc, st.kn.mr)
-			gemmPanels(&st.c, s.a, st.bp, ic, st.jc, mc, st.nc, st.kc, st.kn)
+			ap := s.panelA(&st.a, ic, st.pc, mc, st.kc, bStrips, st.kn.mr)
+			gemmPanels(&st.c, &ap, &bp, &s.acc, ic, st.jc, mc, st.nc, st.kc, st.kn)
 		}
 		gemmScratchPool.Put(s)
 	}
@@ -209,9 +209,10 @@ func GemmParallel(c, a, b *Matrix, workers int) {
 	st.kn = kn
 	st.c, st.a, st.b = *c, *a, *b
 
-	// Shared packed-B scratch: one panel, reused across (pc, jc) blocks.
+	// Shared packed-B scratch: one panel, sized to the largest (the first)
+	// and reused across (pc, jc) blocks.
 	bs := gemmScratchPool.Get().(*gemmScratch)
-	bs.b = grow(bs.b, kn.bScratchLen())
+	bs.b = grow(bs.b, min(kn.kc, k)*((min(kn.nc, n)+kn.nr-1)/kn.nr)*kn.nr)
 	st.bp = bs.b
 
 	// Panel rows per fan-out unit: at least mc, grown so there are no more
