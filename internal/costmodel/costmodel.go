@@ -96,9 +96,11 @@ func (md *Model) StepCost(rank int, s universal.Step) StepCost {
 	}
 	op := s.Op
 	c.Compute += md.GemmCost(op.M.Len(), op.N.Len(), op.K.Len())
-	if s.CLocal {
+	switch {
+	case s.Chained: // summed into the next step's partial; no accumulate of its own
+	case s.CLocal:
 		c.Compute += md.AccumCost(rank, rank, s.AccumBytes)
-	} else {
+	default:
 		c.Comm += md.AccumCost(rank, s.CDst, s.AccumBytes)
 	}
 	return c

@@ -710,3 +710,27 @@ func TestGetTileIntoAsyncRejectsWrongShape(t *testing.T) {
 		m.GetTileIntoAsync(pe, &f, tile.New(3, 3), index.TileIdx{Row: 1, Col: 0}, LocalReplica)
 	})
 }
+
+// Zero runs once per multiply and once per served request: it must clear
+// exactly the caller's owned tiles and allocate nothing doing so.
+func TestZeroAllocFree(t *testing.T) {
+	const p = 4
+	w := shmem.NewWorld(p)
+	m := New(w, 50, 70, Custom{TileRows: 8, TileCols: 16, ProcRows: 2, ProcCols: 2}, 1)
+	w.Run(func(pe rt.PE) {
+		m.FillRandom(pe, 3)
+		m.ZeroLocal(pe)
+		for _, idx := range m.OwnedTiles(pe.Rank()) {
+			if got := m.Tile(pe, idx, LocalReplica); got.MaxAbsDiff(tile.New(got.Rows, got.Cols)) != 0 {
+				t.Errorf("rank %d tile %v not cleared", pe.Rank(), idx)
+			}
+		}
+		pe.Barrier()
+		if pe.Rank() != 0 || raceEnabled {
+			return // alloc counts are only meaningful without -race
+		}
+		if allocs := testing.AllocsPerRun(20, func() { m.ZeroLocal(pe) }); allocs > 0 {
+			t.Errorf("ZeroLocal allocates %v objects per call, want 0", allocs)
+		}
+	})
+}

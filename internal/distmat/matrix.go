@@ -402,10 +402,24 @@ func (m *Matrix) FillRandom(pe rt.PE, seed int64) {
 
 // Zero clears the caller's owned tiles in its replica. Collective.
 func (m *Matrix) Zero(pe rt.PE) {
-	for _, idx := range m.OwnedTiles(pe.Rank()) {
-		m.Tile(pe, idx, LocalReplica).Zero()
-	}
+	m.ZeroLocal(pe)
 	pe.Barrier()
+}
+
+// ZeroLocal is Zero without the closing barrier, for callers that zero
+// several matrices behind one barrier of their own. It walks the grid with
+// one stack tile header, so it allocates nothing.
+func (m *Matrix) ZeroLocal(pe rt.PE) {
+	slot := m.SlotOf(pe.Rank())
+	var t tile.Matrix
+	for r, row := range m.ownerSlot {
+		for c, owner := range row {
+			if owner == slot {
+				m.TileInto(pe, &t, index.TileIdx{Row: r, Col: c}, LocalReplica)
+				t.Zero()
+			}
+		}
+	}
 }
 
 // ScatterFrom distributes a full global matrix into the caller's owned

@@ -9,7 +9,10 @@ import (
 
 // Cost prices a program under the cost model: each output IR op costs the
 // maximum of its total communication time and total computation time (§4.3
-// — overlapped execution within an op), and ops run back to back.
+// — overlapped execution within an op), and ops run back to back. It is the
+// generators' score for an order that has not been lowered yet, so it
+// prices one accumulate per op: which steps chain (universal.Step.Chained)
+// is decided when the order is lowered, not before.
 func Cost(md *costmodel.Model, p Program) float64 {
 	var total float64
 	for _, op := range p.Ops {

@@ -646,9 +646,7 @@ func (s *Server) executeBatch(batch []*request, probs []universal.Problem, cps [
 			snap = s.world.Stats()
 		}
 		for _, r := range batch {
-			for _, idx := range r.prob.C.OwnedTiles(pe.Rank()) {
-				r.prob.C.Tile(pe, idx, distmat.LocalReplica).Zero()
-			}
+			r.prob.C.ZeroLocal(pe)
 		}
 		pe.Barrier() // all results zeroed before any accumulate can land
 		setErr(universal.Execute(pe, probs, cps, cfg))

@@ -19,9 +19,9 @@ var getPutScratch = sync.Pool{
 	},
 }
 
-// PE is a processing element's handle to the world. A PE value is only valid
-// inside the World.Run body that created it and must not be shared across
-// ranks.
+// PE is a processing element's handle to the world. The world builds one per
+// rank and hands the same one to every Run body of that rank; it is only
+// valid inside a Run body and must not be shared across ranks.
 type PE struct {
 	world *World
 	rank  int

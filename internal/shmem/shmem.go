@@ -85,6 +85,10 @@ type World struct {
 
 	// traffic[rank] counts the ops rank issued; Stats sums the cells.
 	traffic []trafficCell
+
+	// pes[rank] is the handle Run gives rank's body: stateless beyond
+	// (world, rank), so one set serves every Run.
+	pes []PE
 }
 
 // rankMem is one rank's copy of one segment: its backing array and the
@@ -129,7 +133,10 @@ func NewWorld(numPE int) *World {
 		panic(fmt.Sprintf("shmem: invalid world size %d", numPE))
 	}
 	w := &World{numPE: numPE, barrier: newBarrier(numPE), peAllocSeq: make([]int, numPE),
-		traffic: make([]trafficCell, numPE)}
+		traffic: make([]trafficCell, numPE), pes: make([]PE, numPE)}
+	for rank := range w.pes {
+		w.pes[rank] = PE{world: w, rank: rank}
+	}
 	w.segs.Store(new([][]rankMem))
 	return w
 }
@@ -180,29 +187,45 @@ func (w *World) SegmentLen(seg SegmentID) int { return w.mem(seg, 0).size }
 // the caller after all other PEs have been allowed to finish or deadlock is
 // avoided by the panic propagating first.
 func (w *World) Run(body func(pe rt.PE)) {
-	var wg sync.WaitGroup
-	panics := make([]any, w.numPE)
-	for rank := 0; rank < w.numPE; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[rank] = r
-					// Release peers that may be stuck in a barrier.
-					w.barrier.poison()
-				}
-			}()
-			body(&PE{world: w, rank: rank})
-		}(rank)
+	r := &run{w: w, body: body}
+	r.wg.Add(w.numPE)
+	for rank := range w.pes {
+		go r.rank(&w.pes[rank])
 	}
-	wg.Wait()
+	r.wg.Wait()
 	w.barrier.reset()
-	for _, p := range panics {
+	for _, p := range r.panics {
 		if p != nil {
 			panic(p)
 		}
 	}
+}
+
+// run is the state the ranks of one Run call share.
+type run struct {
+	w      *World
+	body   func(pe rt.PE)
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	panics []any // by rank; allocated by the first rank that panics
+}
+
+// rank runs the body as one PE, recording a panic instead of dying of it.
+func (r *run) rank(pe *PE) {
+	defer r.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			r.mu.Lock()
+			if r.panics == nil {
+				r.panics = make([]any, r.w.numPE)
+			}
+			r.panics[pe.rank] = p
+			r.mu.Unlock()
+			// Release peers that may be stuck in a barrier.
+			r.w.barrier.poison()
+		}
+	}()
+	r.body(pe)
 }
 
 // Stats returns a snapshot of the world's traffic counters, summed over

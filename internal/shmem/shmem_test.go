@@ -545,6 +545,30 @@ func TestAccumulatePathsAllocFree(t *testing.T) {
 	})
 }
 
+// Run is paid once per multiply and once per served batch. The PE handles
+// are built with the world and the panic table only when a rank panics, so
+// what is left per call is the run's shared state and one goroutine start
+// per rank.
+func TestWorldRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	const p = 4
+	w := NewWorld(p)
+	var handles [p]rt.PE
+	body := func(pe rt.PE) {
+		if h := handles[pe.Rank()]; h != nil && h != pe {
+			t.Errorf("rank %d got a different PE handle on a later Run", pe.Rank())
+		}
+		handles[pe.Rank()] = pe
+		pe.Barrier()
+	}
+	w.Run(body)
+	if allocs := testing.AllocsPerRun(20, func() { w.Run(body) }); allocs > 1+p {
+		t.Errorf("Run allocates %v objects per call on %d PEs, want at most %d", allocs, p, 1+p)
+	}
+}
+
 // AllocSymmetric on a world whose PEs are running — the serving situation,
 // a tenant calling NewMatrix mid-flight — must not race with ops on
 // earlier segments: ops read the segment table through an atomically

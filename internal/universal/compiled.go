@@ -311,9 +311,10 @@ func (cp *CompiledPlan) MarshalJSON() ([]byte, error) {
 // plancache/v1 file), and the executor trusts a plan completely, so
 // everything it relies on is checked here: malformed input — wrong rank
 // count, out-of-range tile indices or owner ranks, ops outside the tiles
-// they name, locality or fetch flags the slicing pass would not have
-// produced — returns an error rather than panicking later inside a PE; the
-// package fuzz target hammers this path.
+// they name, locality, fetch or chain flags the slicing pass would not have
+// produced (a file written before plans had chains, for a plan that has
+// them, is such a file) — returns an error rather than panicking later
+// inside a PE; the package fuzz target hammers this path.
 func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	var raw compiledPlanJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -326,7 +327,7 @@ func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	out.scheds = make([]fetchSchedule, len(out.Plans))
 	for r := range out.Plans {
 		if resolveFetches(out.Plans[r].Steps, out.Key.CacheTiles, &out.scheds[r]) {
-			return fmt.Errorf("universal: rank %d fetch flags disagree with the %d-tile LRU replay", r, out.Key.CacheTiles)
+			return fmt.Errorf("universal: rank %d fetch or chain flags disagree with the %d-tile LRU replay", r, out.Key.CacheTiles)
 		}
 	}
 	*cp = out
@@ -424,11 +425,10 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 }
 
 // Execute runs the calling rank's slice of one or more compiled plans as
-// one fused group: a single worker crew per PE drains every plan's
-// GEMM→accumulate chains back-to-back, so a batch of small multiplies pays
-// one crew spawn and one drain instead of one per request — the serving
-// layer's grouped-plan batching; Multiply is the same loop on a batch of
-// one. probs[i] must match cps[i]'s key (Matches), and the problems' result
+// one fused group: a single crew per PE runs every plan's GEMM→accumulate
+// chains back-to-back, so a batch of small multiplies pays one crew start
+// and one drain instead of one per request — the serving layer's
+// grouped-plan batching; Multiply is the same loop on a batch of one. probs[i] must match cps[i]'s key (Matches), and the problems' result
 // matrices must be pairwise distinct from each other and from every operand
 // (their interleaved one-sided accumulates are unsynchronized and must
 // commute). Performs no collective synchronization; callers Finish

@@ -365,8 +365,8 @@ type corruptCase struct {
 // executorTrustCases are well-formed by every structural check yet break
 // what the executor assumes of a plan without re-checking: ops inside the
 // tiles they name (or tile.ViewInto panics inside a PE), locality flags
-// that agree with the owner ranks, and fetch flags that agree with the
-// schedule rederived from Key.CacheTiles.
+// that agree with the owner ranks, and fetch and chain flags that agree
+// with the walk rerun at Key.CacheTiles.
 var executorTrustCases = []corruptCase{
 	{"op outside its tiles", func(cp *CompiledPlan) { cp.Plans[0].Steps[0].Op.M.End += 100 }},
 	{"locality contradicts owner", func(cp *CompiledPlan) {
@@ -377,6 +377,65 @@ var executorTrustCases = []corruptCase{
 		s := &cp.Plans[0].Steps[0]
 		s.FetchB = !s.FetchB
 	}},
+	{"chain flag contradicts the walk", func(cp *CompiledPlan) {
+		s := &cp.Plans[0].Steps[0]
+		s.Chained = !s.Chained
+	}},
+}
+
+// chainableProblem is a 2-PE Stationary-C problem whose K dimension is
+// split in two on both operands while each C tile spans all of N: every
+// rank's plan is one two-step chain.
+func chainableProblem() Problem {
+	return buildDraw(planDraw{
+		p: 2, m: 8, n: 6, k: 10,
+		partA: distmat.ColBlock{}, partB: distmat.RowBlock{}, partC: distmat.RowBlock{},
+		cA: 1, cB: 1, cC: 1,
+	})
+}
+
+// chainFlagBlobs serializes chainableProblem's plan three ways: as
+// compiled, with its first Chained flag flipped, and with every Chained
+// flag stripped — what a file written before plans had chains looks like.
+func chainFlagBlobs(t testing.TB) (good, flipped, stripped []byte) {
+	cp := CompilePlans(chainableProblem(), Config{Stationary: StationaryC})
+	good, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flag = `,"Chained":true`
+	if n := bytes.Count(good, []byte(flag)); n != len(cp.Plans) {
+		t.Fatalf("%d Chained flags in %s, want one per rank", n, good)
+	}
+	flipped = bytes.Replace(good, []byte(flag), []byte(`,"Chained":false`), 1)
+	stripped = bytes.ReplaceAll(good, []byte(flag), nil)
+	return good, flipped, stripped
+}
+
+// A plan with chains round-trips with its flags; the same bytes with one
+// flag flipped, or with the flags a pre-chain writer would not have known
+// to write, fail the loader's replay of the walk instead of reaching the
+// executor with chains it did not plan.
+func TestCompiledPlanChainFlagsChecked(t *testing.T) {
+	good, flipped, stripped := chainFlagBlobs(t)
+	var back CompiledPlan
+	if err := json.Unmarshal(good, &back); err != nil {
+		t.Fatalf("plan with chains rejected: %v", err)
+	}
+	for r, pl := range back.Plans {
+		if len(pl.Steps) != 2 || !pl.Steps[0].Chained || pl.Steps[1].Chained {
+			t.Errorf("rank %d came back as %+v, want one two-step chain", r, pl.Steps)
+		}
+	}
+	for name, blob := range map[string][]byte{"flipped": flipped, "stripped": stripped} {
+		var cp CompiledPlan
+		if err := json.Unmarshal(blob, &cp); err == nil {
+			t.Errorf("%s chain flags accepted", name)
+		}
+		if cp.Plans != nil {
+			t.Errorf("%s chain flags: rejected load left a partly filled plan", name)
+		}
+	}
 }
 
 func TestCompiledPlanValidateRejects(t *testing.T) {
@@ -466,6 +525,10 @@ func FuzzCompiledPlanJSON(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	chained, flipped, stripped := chainFlagBlobs(f)
+	f.Add(chained)
+	f.Add(flipped)
+	f.Add(stripped)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"key":{"NumPE":-1}}`))
 	f.Add([]byte(`{"key":{"NumPE":2,"Stationary":3,"CacheTiles":8},"plans":[]}`))

@@ -28,18 +28,52 @@ func reversedOrder(_ int, pl Plan) []int {
 // it is handed the problem or the compiled plan, exclusions included. A plan
 // lowered in another op order (CompileOrdered) is one more entry: the same
 // ops, so the same C and the same accumulate traffic, under its own key.
+//
+// Two layouts: misaligned tilings with A and C replicated (odd-shaped ops,
+// a replica reduction, exclusions dealing ops across replica groups, and no
+// two adjacent ops on one C rectangle), and a Stationary-A layout whose A
+// tiles span five B row tiles over single-tile C rows, so consecutive ops
+// accumulate into the same — for half the working ranks remote — C
+// rectangle: the accumulate chains the executor, the plan's byte
+// accounting and the model must all count the same way, at every chain cap.
 func TestEntryPointsEquivalent(t *testing.T) {
+	for _, lay := range []entryLayout{
+		{"", StationaryAuto, false,
+			distmat.Custom{TileRows: 7, TileCols: 11, ProcRows: 2, ProcCols: 2}, 2,
+			distmat.ColBlock{},
+			distmat.Custom{TileRows: 13, TileCols: 9, ProcRows: 2, ProcCols: 2}, 2},
+		{"remote-k-runs/", StationaryA, true,
+			distmat.Custom{TileRows: 25, TileCols: 22, ProcRows: 2, ProcCols: 4}, 1,
+			distmat.Custom{TileRows: 5, TileCols: 46, ProcRows: 8, ProcCols: 1},
+			distmat.Custom{TileRows: 25, TileCols: 46, ProcRows: 2, ProcCols: 4}, 1},
+	} {
+		testEntryPointsEquivalent(t, lay)
+	}
+}
+
+type entryLayout struct {
+	prefix string // of the layout's subtest names
+	stat   Stationary
+	// chains marks a layout whose plans chain remote accumulates whenever
+	// the cap allows it.
+	chains bool
+	partA  distmat.Partition
+	replA  int
+	partB  distmat.Partition
+	partC  distmat.Partition
+	replC  int
+}
+
+func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 	const p, m, n, k = 8, 50, 46, 44
 	sys := H100System() // 8 PEs
 	w := shmem.NewWorld(p)
-	// Misaligned tilings, A and C replicated: ops are odd-shaped, C needs
-	// the replica reduction, and exclusions deal ops across replica groups.
-	a := distmat.New(w, m, k, distmat.Custom{TileRows: 7, TileCols: 11, ProcRows: 2, ProcCols: 2}, 2)
-	b := distmat.New(w, k, n, distmat.ColBlock{}, 1)
+	a := distmat.New(w, m, k, lay.partA, lay.replA)
+	b := distmat.New(w, k, n, lay.partB, 1)
 	cs := make([]*distmat.Matrix, 3) // cs[0] serves the single-multiply entries
 	probs := make([]Problem, len(cs))
 	for i := range cs {
-		cs[i] = distmat.New(w, m, n, distmat.Custom{TileRows: 13, TileCols: 9, ProcRows: 2, ProcCols: 2}, 2)
+		cs[i] = distmat.New(w, m, n, lay.partC, lay.replC)
 		probs[i] = NewProblem(cs[i], a, b)
 	}
 	w.Run(func(pe rt.PE) {
@@ -106,10 +140,11 @@ func TestEntryPointsEquivalent(t *testing.T) {
 		name       string
 		subTile    bool
 		cacheTiles int
-	}{{"whole-tile", false, 0}, {"sub-tile", true, 0}, {"cache=1", false, 1}} {
+	}{{"whole-tile", false, 0}, {"sub-tile", true, 0}, {"cache=1", false, 1}, {"cache=3", false, 3}} {
 		for _, exclude := range [][]int{nil, {3}} {
-			t.Run(fmt.Sprintf("%s/exclude=%v", mode.name, exclude), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s%s/exclude=%v", lay.prefix, mode.name, exclude), func(t *testing.T) {
 				cfg := DefaultConfig()
+				cfg.Stationary = lay.stat
 				cfg.SubTileFetch, cfg.CacheTiles, cfg.Exclude = mode.subTile, mode.cacheTiles, exclude
 				cfg.Pool = gpusim.NewPool()
 
@@ -167,9 +202,33 @@ func TestEntryPointsEquivalent(t *testing.T) {
 					t.Errorf("problem moved (%d get, %d accum) remote bytes; the traffic comparison is vacuous", getBytes, accumBytes)
 				}
 
-				requireSimResultsEqual(t,
-					NewModelExecutor().Simulate(probs[0], direct, cfg, sys),
-					SimulateMultiply(probs[0], cfg, sys))
+				model := NewModelExecutor().Simulate(probs[0], direct, cfg, sys)
+				requireSimResultsEqual(t, model, SimulateMultiply(probs[0], cfg, sys))
+				if int64(model.RemoteGetBytes) != getBytes || int64(model.RemoteAccumBytes) != accumBytes {
+					t.Errorf("executed (%d get, %d accum) bytes, the model predicts (%d, %d)",
+						getBytes, accumBytes, model.RemoteGetBytes, model.RemoteAccumBytes)
+				}
+				// The plan's own accounting: one remote accumulate per chain,
+				// which at cap 1 is one per step.
+				var planAccum, perStep int64
+				chained := false
+				for _, pl := range direct.Plans {
+					planAccum += int64(pl.RemoteAccumBytes())
+					for _, s := range pl.Steps {
+						if !s.CLocal {
+							perStep += int64(s.AccumBytes)
+							chained = chained || s.Chained
+						}
+					}
+				}
+				if lay.replC == 1 && planAccum != accumBytes { // a replicated C adds its reduction
+					t.Errorf("executed %d remote accumulate bytes, the plans count %d", accumBytes, planAccum)
+				}
+				if capped := mode.cacheTiles == 1; capped && (chained || planAccum != perStep) {
+					t.Errorf("cap 1: plans count %d remote accumulate bytes (chained steps: %v), want one accumulate per step, %d", planAccum, chained, perStep)
+				} else if !capped && lay.chains && (!chained || planAccum >= perStep) {
+					t.Errorf("plans count %d remote accumulate bytes of %d per-step: no remote accumulate chained, the comparison is vacuous", planAccum, perStep)
+				}
 			})
 		}
 	}

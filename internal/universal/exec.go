@@ -161,23 +161,17 @@ func Finish(pe rt.PE, probs []Problem, cfg Config) {
 
 // tileSlot is one fetched buffer with its in-flight future and a reference
 // count. A slot is born with one reference for its scheduled residency
-// (fetchSchedule.evictions says when that ends); every step using the
-// buffer takes a reference for the duration of its GEMM→accumulate chain.
-// When the count reaches zero — the residency has ended and no in-flight
-// chain still reads the buffer — the buffer returns to the pool for the
-// next fetch.
+// (fetchSchedule.evictions says when that ends); every step reading the
+// buffer takes a reference when it is assembled into a chain and drops it
+// when the chain retires. When the count reaches zero — the residency has
+// ended and no in-flight chain still reads the buffer — the buffer returns
+// to the pool for the next fetch.
 type tileSlot struct {
 	fut  distmat.TileFuture
 	mat  tile.Matrix
 	buf  []float32
 	pool *gpusim.Pool
 	refs atomic.Int32
-}
-
-// acquire takes a user reference and blocks until the fetch has landed.
-func (s *tileSlot) acquire() *tile.Matrix {
-	s.refs.Add(1)
-	return s.fut.Wait()
 }
 
 // release drops one reference, recycling the buffer on the last one.
@@ -190,85 +184,86 @@ func (s *tileSlot) release() {
 }
 
 // stepState is the executor's per-step storage: the slots of the step's own
-// A and B fetches and its sliced operand views. One array per plan, so
-// fetching and slicing allocate nothing per step.
+// A and B fetches, its sliced operand views, and the slots that serve its
+// operands (nil for a local tile), on which the step's chain holds a
+// reference from assembly until it retires. One zeroed array per execute
+// call, cut across the batch's plans, so fetching and slicing allocate
+// nothing per step.
 type stepState struct {
 	a, b         tileSlot
 	aView, bView tile.Matrix
-}
-
-// chainTask is one ready GEMM→accumulate chain handed to the worker crew.
-// It carries its own Problem so one crew can serve a fused batch of
-// multiplies.
-type chainTask struct {
-	prob         Problem
-	op           LocalOp
-	st           *stepState
 	aSlot, bSlot *tileSlot
-	// ckpt/step checkpoint the chain's accumulate when it lands (nil = no
-	// checkpointing; the common fault-free entry points pay nothing).
-	ckpt *Checkpoint
-	step int
 }
 
-// startChainCrew spawns the bounded GEMM→accumulate worker crew (§4.2's
-// configurable chain-concurrency limit): MaxInflight workers drain a channel
-// of ready chains. Tasks are plain values, so dispatching a step allocates
-// nothing; the unbuffered send blocks exactly when all workers are busy,
-// which is the same admission control as a counting semaphore. The crew is
-// problem-agnostic (each task carries its own Problem), so one crew drains
-// the chains of many fused multiplies.
+// chainTask names one ready GEMM→accumulate chain: steps [first, first+n)
+// of f's plan, n-1 of them Chained to their successor. Everything else the
+// chain needs — problem, views, slots, checkpoint — is reached through f,
+// so one crew serves a fused batch of multiplies and a dispatch moves three
+// words. The zero task tells a helper to stop.
+type chainTask struct {
+	f        *feeder
+	first, n int
+}
+
+// crew is what one execute call needs besides its feeders: the hand-off
+// channel, the helpers' WaitGroup, the abort flag, and the backing array of
+// every feeder's stepState. Records are recycled through crewPool, so a
+// warm execute allocates none of it; no goroutine outlives the call.
 //
-// box is the crew's abort flag: a worker whose accumulate fails fatally
-// (after its retry budget) publishes the error, and every worker keeps
-// draining tasks — releasing their slots so pooled buffers balance — but
-// skips their compute. The feeder polls the same box and stops
-// dispatching, so a failed step ends the run cleanly instead of
-// deadlocking the channel.
-func startChainCrew(pe rt.PE, cfg Config, box *errBox) (chan<- chainTask, *sync.WaitGroup) {
-	tasks := make(chan chainTask)
-	wg := new(sync.WaitGroup)
-	for w := 0; w < cfg.MaxInflight; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			ret := newRetrier(cfg.Retry, seed)
-			for t := range tasks {
-				if box.err() == nil {
-					err := gemmAccumulate(pe, t.prob, t.op, &t.st.aView, &t.st.bView, cfg.Pool, cfg.KernelWorkers, &ret)
-					if err == nil && t.ckpt != nil {
-						// The chain's single accumulate landed (a failed op
-						// moves no data, so this is exactly the step's C
-						// contribution becoming durable): checkpoint it at
-						// the same point the step's slot references retire.
-						t.ckpt.mark(t.step)
-					}
-					box.set(err)
-				}
-				if t.aSlot != nil {
-					t.aSlot.release()
-				}
-				if t.bSlot != nil {
-					t.bSlot.release()
-				}
-			}
-		}(uint64(pe.Rank())<<16 | uint64(w+1))
+// box is the abort flag: whoever fails fatally (a chain's accumulate after
+// its retry budget, a fetch issue) publishes the error, and every chain
+// dispatched afterwards is skipped — its slot references still released so
+// pooled buffers balance. The feeder polls the same box and stops
+// assembling chains.
+type crew struct {
+	pe  rt.PE
+	cfg Config
+	// tasks is unbuffered, so a non-blocking send lands only in a helper
+	// already parked on the receive.
+	tasks chan chainTask
+	wg    sync.WaitGroup
+	box   errBox
+	steps []stepState // grow-only; all zero between calls
+	// start is help bound to the record once, so starting a helper is a go
+	// statement on an argument-free func value, which allocates nothing;
+	// started numbers the helpers as they come up.
+	start   func()
+	started atomic.Uint64
+}
+
+var crewPool = sync.Pool{New: func() any {
+	c := &crew{tasks: make(chan chainTask)}
+	c.start = c.help
+	return c
+}}
+
+// help is one helper's loop: run chains until the stop task arrives.
+func (c *crew) help() {
+	defer c.wg.Done()
+	ret := newRetrier(c.cfg.Retry, uint64(c.pe.Rank())<<16|c.started.Add(1))
+	for t := <-c.tasks; t.f != nil; t = <-c.tasks {
+		t.f.runChain(t.first, t.n, &ret)
 	}
-	return tasks, wg
 }
 
 // execute is the one executor: it runs this rank's slice of every plan in
-// work through a single worker crew with the §4.2 optimizations — iteration
-// offset (already baked into the op order), prefetching via get_tile_async,
+// work through a single crew with the §4.2 optimizations — iteration offset
+// (already baked into the op order), prefetching via get_tile_async,
 // asynchronous GEMM→accumulate chains with bounded concurrency, and pooled
 // scratch memory. Multiply passes one plan, the serving layer a fused
 // batch, the resilient multiply one plan with a checkpoint; a plan lowered
 // from a §4.3 IR schedule (CompileOrdered) is the same steps in another
-// order and runs here unchanged. The loop is allocation-free in the steady
-// state. cfg must already have defaults
-// applied; the plans' schedules are read-only, so concurrent executions of
-// one CompiledPlan share them. No collective synchronization happens here;
-// callers Finish afterwards.
+// order and runs here unchanged.
+//
+// The unit of dispatch is the chain the plan marked (Step.Chained): the
+// calling goroutine walks each plan as the feeder, and hands a ready chain
+// to one of MaxInflight-1 helpers if one is idle, else runs it itself — so
+// at most MaxInflight chains are in flight per PE (§4.2's configurable
+// limit), MaxInflight 1 starts no goroutine, and a dispatch never parks the
+// feeder. The loop is allocation-free in the steady state. cfg must already
+// have defaults applied; the plans' schedules are read-only, so concurrent
+// executions of one CompiledPlan share them. No collective synchronization
+// happens here; callers Finish afterwards.
 //
 // The run is bracketed in a fault scope with the configured per-op
 // deadline: on fault-capable backends this is the recoverable region
@@ -282,38 +277,65 @@ func execute(pe rt.PE, work []feeder, cfg Config) error {
 	defer rt.PopFaultScope(pe)
 	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
 	defer rt.SetOpDeadline(pe, 0)
-	var box errBox
-	tasks, wg := startChainCrew(pe, cfg, &box)
-	fed := 0
-	for ; fed < len(work) && box.err() == nil; fed++ {
-		work[fed].feed(pe, cfg, tasks, &box)
+
+	c := crewPool.Get().(*crew)
+	c.pe, c.cfg = pe, cfg
+	total := 0
+	for i := range work {
+		total += len(work[i].plan.Steps)
 	}
-	close(tasks)
-	wg.Wait()
+	if cap(c.steps) < total {
+		c.steps = make([]stepState, total)
+	}
+	rest := c.steps[:total]
+	for i := range work {
+		n := len(work[i].plan.Steps)
+		work[i].steps, rest = rest[:n:n], rest[n:]
+	}
+	helpers := cfg.MaxInflight - 1
+	c.wg.Add(helpers)
+	for w := 0; w < helpers; w++ {
+		go c.start()
+	}
+	fed := 0
+	for ; fed < len(work) && c.box.err() == nil; fed++ {
+		work[fed].feed(c)
+	}
+	for w := 0; w < helpers; w++ {
+		c.tasks <- chainTask{} // each helper takes exactly one and exits
+	}
+	c.wg.Wait()
 	// Residual residencies are dropped only now, on this goroutine, so the
-	// final pool returns never race worker releases mid-execution.
+	// final pool returns never race chain releases mid-execution.
 	for i := range work[:fed] {
 		work[i].finish()
 	}
-	return box.err()
+	err := c.box.err()
+	// The record goes back holding no reference to this call's buffers,
+	// pool or world.
+	clear(c.steps[:total])
+	c.pe, c.cfg = nil, Config{}
+	c.box.p.Store(nil)
+	c.started.Store(0)
+	crewPool.Put(c)
+	return err
 }
 
-// feeder walks one per-rank plan, issuing prefetches and handing each ready
-// GEMM→accumulate chain to the crew. Callers of execute fill the first
-// four fields; the rest is the walk's state. It owns the plan's slot array,
-// whose refcounts keep pooled buffers alive until the last in-flight chain
-// using them retires — which is why a feeder outlives its feed call and
-// execute can feed further plans to the same crew before this one's chains
-// drain.
+// feeder walks one per-rank plan, issuing prefetches and assembling its
+// steps into ready GEMM→accumulate chains. Callers of execute fill the
+// first four fields; the rest is the walk's state. It owns the plan's slot
+// array, whose refcounts keep pooled buffers alive until the last in-flight
+// chain using them retires — which is why a feeder outlives its feed call
+// and execute can feed further plans to the same crew before this one's
+// chains drain.
 type feeder struct {
 	prob  Problem
 	plan  Plan
 	sched *fetchSchedule
-	ckpt  *Checkpoint // non-nil (and Reset to the plan's length): mark every step whose accumulate lands
+	ckpt  *Checkpoint // non-nil (and Reset to the plan's length): mark every step whose product lands
 
-	pe    rt.PE
-	pool  *gpusim.Pool
-	ret   retrier
+	c     *crew
+	ret   retrier // the feeder goroutine's own: fetch issues and the chains it runs itself
 	steps []stepState
 	// Local-tile view headers, one per operand (reused across steps) so a
 	// step with two local tiles never aliases them.
@@ -321,34 +343,85 @@ type feeder struct {
 	evicted        int // cursor into sched.evictions
 }
 
-// feed dispatches the plan's steps in order. Fetch issues run under the
-// retry budget; a fatal failure (or one published by a crew worker) stops
-// dispatch at that step. Already-issued fetches are safe to abandon — every
-// backend completes the data movement of an async get at issue time — so
-// finish returns their buffers to the pool unconditionally.
-func (f *feeder) feed(pe rt.PE, cfg Config, tasks chan<- chainTask, box *errBox) {
-	f.pe, f.pool = pe, cfg.Pool
-	f.ret = newRetrier(cfg.Retry, uint64(pe.Rank())<<16|0xfeed)
-	f.steps = make([]stepState, len(f.plan.Steps))
-	box.set(f.issueFetches(0, 1+cfg.PrefetchDepth))
-	for i := range f.plan.Steps {
-		if box.err() != nil {
-			return
-		}
-		if err := f.issueFetches(i+1+cfg.PrefetchDepth, i+2+cfg.PrefetchDepth); err != nil {
-			box.set(err)
-			return
+// feed walks the plan's steps in order: issue the fetches PrefetchDepth
+// ahead, take each operand's slot reference and view, retire the
+// residencies that ended, and dispatch at every unchained step the chain it
+// closes. Fetch issues run under the retry budget; a fatal failure (or one
+// published by a chain) stops the walk at that step, and the references of
+// a chain still being assembled are dropped here since nobody will run it.
+// Already-issued fetches are safe to abandon — every backend completes the
+// data movement of an async get at issue time — so finish returns their
+// buffers to the pool unconditionally.
+func (f *feeder) feed(c *crew) {
+	f.c = c
+	depth := c.cfg.PrefetchDepth
+	f.ret = newRetrier(c.cfg.Retry, uint64(c.pe.Rank())<<16|0xfeed)
+	c.box.set(f.issueFetches(0, 1+depth))
+	first, i := 0, 0 // the chain being assembled is steps [first, i)
+	for ; i < len(f.plan.Steps) && c.box.err() == nil; i++ {
+		if err := f.issueFetches(i+1+depth, i+2+depth); err != nil {
+			c.box.set(err)
+			break
 		}
 		s, st := &f.plan.Steps[i], &f.steps[i]
-		aSlot := f.slot(fetchRef{f.sched.srcA[i], 'A'})
-		bSlot := f.slot(fetchRef{f.sched.srcB[i], 'B'})
-		f.acquire(f.prob.A, aSlot, s.Op.AIdx, s.aRect(), s.SubTile, &f.aLocal, &st.aView)
-		f.acquire(f.prob.B, bSlot, s.Op.BIdx, s.bRect(), s.SubTile, &f.bLocal, &st.bView)
-		tasks <- chainTask{prob: f.prob, op: s.Op, st: st, aSlot: aSlot, bSlot: bSlot, ckpt: f.ckpt, step: i}
+		st.aSlot = f.slot(fetchRef{f.sched.srcA[i], 'A'})
+		st.bSlot = f.slot(fetchRef{f.sched.srcB[i], 'B'})
+		f.operand(f.prob.A, st.aSlot, s.Op.AIdx, s.aRect(), s.SubTile, &f.aLocal, &st.aView)
+		f.operand(f.prob.B, st.bSlot, s.Op.BIdx, s.bRect(), s.SubTile, &f.bLocal, &st.bView)
 		// Retire buffers whose scheduled residency ended at this step; the
-		// chains still using them hold their own references.
+		// chains still reading them hold their own references.
 		for ; f.evicted < len(f.sched.evictions) && f.sched.evictions[f.evicted].atStep == i; f.evicted++ {
 			f.slot(f.sched.evictions[f.evicted].ref).release()
+		}
+		if !s.Chained {
+			f.dispatch(chainTask{f: f, first: first, n: i + 1 - first})
+			first = i + 1
+		}
+	}
+	f.release(first, i)
+}
+
+// dispatch hands a ready chain to an idle helper, or runs it on the feeder's
+// own goroutine when none is parked on the channel. The fetches of the next
+// PrefetchDepth steps are already issued either way, so get/compute overlap
+// on asynchronous backends does not depend on who runs the chain.
+func (f *feeder) dispatch(t chainTask) {
+	select {
+	case f.c.tasks <- t:
+	default:
+		f.runChain(t.first, t.n, &f.ret)
+	}
+}
+
+// runChain runs steps [first, first+n) as one chain on the calling
+// goroutine — a helper or the feeder — unless the run has been aborted, and
+// retires the chain's slot references either way.
+func (f *feeder) runChain(first, n int, ret *retrier) {
+	if box := &f.c.box; box.err() == nil {
+		err := f.gemmChain(first, n, ret)
+		if err == nil && f.ckpt != nil {
+			// The chain's single accumulate landed (a failed op moves no
+			// data, so this is exactly the products of all its steps
+			// becoming durable together): checkpoint every one of them, at
+			// the same point their slot references retire.
+			for i := first; i < first+n; i++ {
+				f.ckpt.mark(i)
+			}
+		}
+		box.set(err)
+	}
+	f.release(first, first+n)
+}
+
+// release drops the slot references steps [from, to) took at assembly.
+func (f *feeder) release(from, to int) {
+	for i := from; i < to; i++ {
+		st := &f.steps[i]
+		if st.aSlot != nil {
+			st.aSlot.release()
+		}
+		if st.bSlot != nil {
+			st.bSlot.release()
 		}
 	}
 }
@@ -406,28 +479,30 @@ func (f *feeder) issueFetch(s *tileSlot, m *distmat.Matrix, idx index.TileIdx, w
 		rect = m.TileBounds(idx)
 	}
 	rows, cols := rect.Shape()
-	s.pool = f.pool
-	s.buf = f.pool.GetUninit(rows * cols)
+	s.pool = f.c.cfg.Pool
+	s.buf = s.pool.GetUninit(rows * cols)
 	s.mat = tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf}
 	s.refs.Store(1) // the scheduled residency
 	return f.ret.do(func() {
 		if subTile {
-			m.GetSubTileIntoAsync(f.pe, &s.fut, &s.mat, idx, distmat.LocalReplica, want)
+			m.GetSubTileIntoAsync(f.c.pe, &s.fut, &s.mat, idx, distmat.LocalReplica, want)
 		} else {
-			m.GetTileIntoAsync(f.pe, &s.fut, &s.mat, idx, distmat.LocalReplica)
+			m.GetTileIntoAsync(f.c.pe, &s.fut, &s.mat, idx, distmat.LocalReplica)
 		}
 	})
 }
 
-// acquire resolves one operand of a step into view, sliced to want: from a
-// zero-copy view of the local tile (slot nil), or from the fetch in slot,
-// taking the chain's reference and waiting for the copy to land.
-func (f *feeder) acquire(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, want index.Rect, subTile bool, localView, view *tile.Matrix) {
+// operand resolves one operand of a step into view, sliced to want: from a
+// zero-copy view of the local tile (slot nil), or from the buffer the fetch
+// in slot lands in, taking the chain's reference on it. The copy may still
+// be in flight; the chain waits for it right before the GEMM that reads it.
+func (f *feeder) operand(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, want index.Rect, subTile bool, localView, view *tile.Matrix) {
 	base, held := localView, m.TileBounds(idx)
 	if slot == nil {
-		m.TileInto(f.pe, localView, idx, distmat.LocalReplica)
+		m.TileInto(f.c.pe, localView, idx, distmat.LocalReplica)
 	} else {
-		base = slot.acquire()
+		slot.refs.Add(1)
+		base = &slot.mat
 		if subTile {
 			held = want // a sub-tile fetch holds exactly the operand
 		}
@@ -435,26 +510,42 @@ func (f *feeder) acquire(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, w
 	base.ViewInto(view, want.Rows.Begin-held.Rows.Begin, want.Cols.Begin-held.Cols.Begin, want.Rows.Len(), want.Cols.Len())
 }
 
-// gemmAccumulate multiplies the sliced tiles into a pooled scratch buffer
-// and atomically accumulates the result into C — the GEMM→accumulate chain
-// of §4.2. aSlice and bSlice must already be sliced to the op's (M,K) and
-// (K,N) bounds; workers > 1 spreads the local GEMM across that many
-// goroutines (Config.KernelWorkers). It performs no heap allocation in the
-// steady state: the partial lives in a pooled buffer and its header on the
-// stack. The accumulate runs under ret's retry budget; a fatal fault comes
-// back as an error with the scratch buffer already back in the pool.
-func gemmAccumulate(pe rt.PE, prob Problem, op LocalOp, aSlice, bSlice *tile.Matrix, pool *gpusim.Pool, workers int, ret *retrier) error {
+// gemmChain is the GEMM→accumulate chain of §4.2 over steps [first,
+// first+n), which all write the same C rectangle: every step's sliced
+// operands are multiplied into one zeroed pooled partial (the kernels
+// compute C += A·B), each step waiting for its own fetches only right
+// before the GEMM that reads them so the first GEMM of a chain never waits
+// for the last fetch, and the sum is atomically accumulated into C once.
+// KernelWorkers > 1 spreads each local GEMM across that many goroutines. It
+// performs no heap allocation in the steady state: the partial lives in a
+// pooled buffer and its header on the stack. The accumulate runs under
+// ret's retry budget; a fatal fault comes back as an error with the partial
+// already back in the pool.
+func (f *feeder) gemmChain(first, n int, ret *retrier) error {
+	pe, cfg := f.c.pe, &f.c.cfg
+	op := f.plan.Steps[first].Op
 	rows, cols := op.M.Len(), op.N.Len()
-	buf := pool.Get(rows * cols)
+	buf := cfg.Pool.Get(rows * cols)
 	partial := tile.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: buf}
-	if workers > 1 {
-		tile.GemmParallel(&partial, aSlice, bSlice, workers)
-	} else {
-		tile.Gemm(&partial, aSlice, bSlice)
+	for i := first; i < first+n; i++ {
+		st := &f.steps[i]
+		if st.aSlot != nil {
+			st.aSlot.fut.Wait()
+		}
+		if st.bSlot != nil {
+			st.bSlot.fut.Wait()
+		}
+		if cfg.KernelWorkers > 1 {
+			tile.GemmParallel(&partial, &st.aView, &st.bView, cfg.KernelWorkers)
+		} else {
+			tile.Gemm(&partial, &st.aView, &st.bView)
+		}
+		rt.ChargeGemm(pe, rows, cols, f.plan.Steps[i].Op.K.Len())
 	}
-	rt.ChargeGemm(pe, rows, cols, op.K.Len())
-	err := ret.do(func() { prob.C.AccumulateSubTile(pe, op.CIdx, distmat.LocalReplica, subRect(op), &partial) })
-	pool.Put(buf)
+	err := ret.do(func() {
+		f.prob.C.AccumulateSubTile(pe, op.CIdx, distmat.LocalReplica, subRect(op), &partial)
+	})
+	cfg.Pool.Put(buf)
 	return err
 }
 

@@ -40,6 +40,13 @@ type Step struct {
 	// SubTile marks the bandwidth-optimal fetch mode: only the op's (M,K)
 	// and (K,N) slices move, at the cost of losing cross-op tile reuse.
 	SubTile bool
+	// Chained marks a step whose product is summed into the next step's
+	// partial instead of being accumulated on its own: the next step writes
+	// the same C rectangle, so the run shares one partial and lands one
+	// accumulate, issued by the run's last (unchained) step. Decided by
+	// resolveFetches; omitted from JSON when false, so plans without
+	// adjacent same-C runs serialize as they always did.
+	Chained bool `json:",omitempty"`
 }
 
 // Plan is the per-rank execution plan for one distributed multiply.
@@ -72,11 +79,12 @@ func (pl Plan) RemoteFetchBytes() int {
 	return b
 }
 
-// RemoteAccumBytes sums the bytes of remote accumulate traffic.
+// RemoteAccumBytes sums the bytes of remote accumulate traffic: one
+// accumulate per chain, issued by its last step.
 func (pl Plan) RemoteAccumBytes() int {
 	var b int
 	for _, s := range pl.Steps {
-		if !s.CLocal {
+		if !s.CLocal && !s.Chained {
 			b += s.AccumBytes
 		}
 	}
@@ -180,13 +188,19 @@ func (fs *fetchSchedule) evict(atStep int, ref fetchRef) {
 	}
 }
 
-// resolveFetches is the one place fetch decisions are made: it walks steps
-// (locality already resolved) through the tile LRU at capacity cacheTiles,
-// writes each step's FetchA/FetchB, and fills sched (when non-nil) with the
-// matching executor schedule. changed reports whether any flag it wrote
-// differed from the one already there — false for steps whose flags came
-// from this same walk, which is how the plan loader checks a deserialized
-// plan.
+// resolveFetches is the one place fetch and chain decisions are made: it
+// walks steps (locality already resolved) through the tile LRU at capacity
+// cacheTiles, writes each step's FetchA/FetchB and Chained, and fills sched
+// (when non-nil) with the matching executor schedule. changed reports
+// whether any flag it wrote differed from the one already there — false for
+// steps whose flags came from this same walk, which is how the plan loader
+// checks a deserialized plan.
+//
+// Step i is chained to step i+1 when both write the same C rectangle and
+// the chain so far is shorter than the cache capacity. The cap is the
+// memory bound the capacity already is: an in-flight chain pins its steps'
+// operand buffers past their LRU residency, so its length is held to the
+// number that bounds resident tiles (capacity 1 chains nothing).
 func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed bool) {
 	n := len(steps)
 	if sched != nil {
@@ -208,19 +222,32 @@ func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed
 		}
 		return src, src == i
 	}
+	chainLen := 1 // steps in the chain step i belongs to, i included
 	for i := range steps {
 		s := &steps[i]
 		srcA, fetchA := resolve(i, s.ALocal, s.SubTile, cacheKey{'A', s.Op.AIdx})
 		srcB, fetchB := resolve(i, s.BLocal, s.SubTile, cacheKey{'B', s.Op.BIdx})
 		sched.serve(i, srcA, srcB)
-		changed = changed || fetchA != s.FetchA || fetchB != s.FetchB
-		s.FetchA, s.FetchB = fetchA, fetchB
+		chained := i+1 < n && chainLen < cache.cap && sameC(s.Op, steps[i+1].Op)
+		changed = changed || fetchA != s.FetchA || fetchB != s.FetchB || chained != s.Chained
+		s.FetchA, s.FetchB, s.Chained = fetchA, fetchB, chained
+		if chained {
+			chainLen++
+		} else {
+			chainLen = 1
+		}
 	}
 	// Fetches still resident at plan end are retired together.
 	for _, e := range cache.ents {
 		sched.evict(n, fetchRef{e.step, e.key.mat})
 	}
 	return changed
+}
+
+// sameC reports whether two ops update the same rectangle of the same C
+// tile, so their products can share one partial.
+func sameC(x, y LocalOp) bool {
+	return x.CIdx == y.CIdx && x.M == y.M && x.N == y.N
 }
 
 // BuildPlan resolves the ops rank must execute into a Step sequence:

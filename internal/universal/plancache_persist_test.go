@@ -117,6 +117,32 @@ func TestPlanCacheLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
+// A plancache/v1 file whose chain flags are not what the walk produces —
+// one flipped, or all missing because the writer predates chains — is a
+// failed load that leaves the cache cold, good entries in the same file
+// included.
+func TestPlanCacheLoadRejectsChainFlagMismatch(t *testing.T) {
+	good, flipped, stripped := chainFlagBlobs(t)
+	file := func(plans ...[]byte) string {
+		return `{"schema":"plancache/v1","plans":[` + string(bytes.Join(plans, []byte(","))) + `]}`
+	}
+	c := NewPlanCache(4)
+	for name, in := range map[string]string{
+		"flipped":  file(good, flipped),
+		"stripped": file(stripped),
+	} {
+		if n, err := c.Load(strings.NewReader(in)); err == nil || n != 0 {
+			t.Errorf("%s: Load = (%d, %v), want a rejected file", name, n, err)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("rejected loads left %d entries", c.Len())
+	}
+	if n, err := c.Load(strings.NewReader(file(good))); err != nil || n != 1 {
+		t.Fatalf("the untouched file: Load = (%d, %v)", n, err)
+	}
+}
+
 // LoadFile on a missing path is a cold start, not an error.
 func TestPlanCacheLoadFileMissing(t *testing.T) {
 	c := NewPlanCache(4)

@@ -52,7 +52,7 @@ func tryOp(op func()) (err error) {
 }
 
 // retrier is one goroutine's retry state: the budget plus a private
-// xorshift64 stream for backoff jitter. Each feeder and each crew worker
+// xorshift64 stream for backoff jitter. Each feeder and each crew helper
 // owns its own, so retries never contend on shared PRNG state.
 type retrier struct {
 	attempts int

@@ -311,7 +311,10 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 				r.b.compute[rank:rank+1])
 			r.chainEnd[i] = r.gemmIDs[i]
 
-			if s.AccumBytes > 0 {
+			// One accumulate per chain, after its last GEMM: a chained step
+			// ends at its GEMM, and the GEMMs of one rank serialize on its
+			// compute resource, so the last one implies the others.
+			if s.AccumBytes > 0 && !s.Chained {
 				r.deps = append(r.deps[:0], r.gemmIDs[i])
 				if s.CLocal {
 					// Local accumulate: read-modify-write in HBM.
