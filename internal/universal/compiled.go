@@ -53,10 +53,14 @@ type PlanKey struct {
 	Excluded uint64
 	// Order fingerprints the per-rank op order of a plan lowered from a
 	// reordered schedule (CompileOrdered) — the mirror of Excluded. 0 means
-	// the generated order, so PlanKeyOf never sets it and plans serialized
-	// before reordered plans existed deserialize to the key they were
-	// compiled under; any other order gets its own key, so a reordered plan
-	// Put into a PlanCache is never returned for the direct key.
+	// the compiler's order: the one its order pass chose, which is always
+	// on and so needs no key of its own. PlanKeyOf never sets Order, and
+	// plans serialized before reordered plans existed deserialize to the key
+	// they were compiled under. A file written before the order pass may
+	// hold another order under Order 0; it validates against, and runs, the
+	// order it stores until it is saved again. Any caller-chosen order gets
+	// its own key, so a reordered plan Put into a PlanCache is never
+	// returned for the direct key.
 	Order   uint64
 	A, B, C MatrixKey
 }
@@ -221,31 +225,33 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 
 // CompileOrdered is CompilePlans with each rank's ops in a caller-chosen
 // order — §4.3's "reordered and lowered" as the same list in another order.
-// order receives a rank's generated-order plan and returns the step indices
-// in the order to execute them; the permuted ops are lowered by the same
-// buildStepsFromOps walk as every other plan, so fetch flags, the fetch
-// schedule and evictions follow the new order at key.CacheTiles and the
-// result executes, replays, caches and serializes like any CompiledPlan.
-// order is called one rank at a time; anything but a permutation panics.
+// order receives a rank's compiled plan and returns the step indices in the
+// order to execute them; the permuted steps are walked again at
+// key.CacheTiles (permuteSteps, resolveFetches), so fetch flags, chains, the
+// fetch schedule and evictions follow the new order, and the result
+// executes, replays, caches and serializes like any CompiledPlan. Each rank
+// is lowered once, by CompilePlans. order is called one rank at a time;
+// anything but a permutation panics.
 func CompileOrdered(prob Problem, cfg Config, order func(rank int, pl Plan) []int) *CompiledPlan {
 	cp := CompilePlans(prob, cfg)
 	h, reordered := uint64(fnvOffset64), false
 	for rank := range cp.Plans {
-		steps := cp.Plans[rank].Steps
-		perm := order(rank, cp.Plans[rank])
-		if len(perm) != len(steps) {
-			panic(fmt.Sprintf("universal: rank %d order names %d of %d steps", rank, len(perm), len(steps)))
+		pl := &cp.Plans[rank]
+		perm := order(rank, *pl)
+		if len(perm) != len(pl.Steps) {
+			panic(fmt.Sprintf("universal: rank %d order names %d of %d steps", rank, len(perm), len(pl.Steps)))
 		}
-		ops, seen := make([]LocalOp, len(steps)), make([]bool, len(steps))
+		seen := make([]bool, len(perm))
 		for i, j := range perm {
-			if j < 0 || j >= len(steps) || seen[j] {
+			if j < 0 || j >= len(perm) || seen[j] {
 				panic(fmt.Sprintf("universal: rank %d order is not a permutation (entry %d = %d)", rank, i, j))
 			}
-			seen[j], ops[i] = true, steps[j].Op
+			seen[j] = true
 			reordered = reordered || i != j
 			h = fnvMix(h, uint64(j))
 		}
-		cp.Plans[rank] = buildStepsFromOps(rank, prob, cp.Key.Stationary, ops, cp.Key.CacheTiles, cp.Key.SubTile, &cp.scheds[rank])
+		pl.Steps = permuteSteps(pl.Steps, perm)
+		resolveFetches(pl.Steps, cp.Key.CacheTiles, &cp.scheds[rank])
 	}
 	if reordered {
 		cp.Key.Order = h
@@ -253,21 +259,26 @@ func CompileOrdered(prob Problem, cfg Config, order func(rank int, pl Plan) []in
 	return cp
 }
 
-// compileRank is the slicing pass for one rank: the only code that knows
-// how a rank's ops are generated, how excluded ranks' ops are dealt to the
-// survivors, and how the steps and their fetch schedule (into sched, when
-// non-nil) are derived — both from key.CacheTiles in one walk, so a
-// schedule cannot disagree with its plan. It
-// reads only the key's plan-shaping scalars (Stationary, CacheTiles,
-// SubTile, and NumPE when ranks are excluded); excluded must be sorted and
-// duplicate-free.
+// compileRank is the slicing pass for one rank, and the only code that
+// knows its pipeline: generate the rank's ops (§4.1), deal it the excluded
+// ranks' ops, lower them once, choose their order (orderSteps), and walk
+// that order at key.CacheTiles, which decides the steps' fetch and chain
+// flags and fills the fetch schedule (into sched, when non-nil) — both in
+// one walk, so a schedule cannot disagree with its plan. It reads only the
+// key's plan-shaping scalars (Stationary, CacheTiles, SubTile, and NumPE
+// when ranks are excluded); excluded must be sorted and duplicate-free.
 func compileRank(rank int, prob Problem, key PlanKey, excluded []int, sched *fetchSchedule) Plan {
 	var ops []LocalOp // an excluded rank keeps none
+	own := 0
 	if i := sort.SearchInts(excluded, rank); i == len(excluded) || excluded[i] != rank {
-		ops = append(GenerateOps(rank, prob, key.Stationary),
-			adoptedOps(prob, key.Stationary, excluded, rank-i, key.NumPE-len(excluded))...)
+		ops = GenerateOps(rank, prob, key.Stationary)
+		own = len(ops)
+		ops = append(ops, adoptedOps(prob, key.Stationary, excluded, rank-i, key.NumPE-len(excluded))...)
 	}
-	return buildStepsFromOps(rank, prob, key.Stationary, ops, key.CacheTiles, key.SubTile, sched)
+	cache := newTileLRU(key.CacheTiles)
+	steps := orderSteps(lowerOps(rank, prob, ops, key.SubTile), own, key.Stationary, cache)
+	cache.walk(steps, sched)
+	return Plan{Rank: rank, Stationary: key.Stationary, Steps: steps}
 }
 
 // adoptedOps returns the slice of the excluded ranks' ops adopted by the
@@ -428,7 +439,8 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 // one fused group: a single crew per PE runs every plan's GEMM→accumulate
 // chains back-to-back, so a batch of small multiplies pays one crew start
 // and one drain instead of one per request — the serving layer's
-// grouped-plan batching; Multiply is the same loop on a batch of one. probs[i] must match cps[i]'s key (Matches), and the problems' result
+// grouped-plan batching; Multiply is the same loop on a batch of one.
+// probs[i] must match cps[i]'s key (Matches), and the problems' result
 // matrices must be pairwise distinct from each other and from every operand
 // (their interleaved one-sided accumulates are unsynchronized and must
 // commute). Performs no collective synchronization; callers Finish

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"slicing/internal/distmat"
+	"slicing/internal/modelworld"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
 )
@@ -516,6 +517,13 @@ func FuzzCompiledPlanJSON(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(reordered)
+	// A plan in the generated order where the order pass now groups: what a
+	// file written before the pass holds.
+	prePass, err := json.Marshal(prePassPlan(prePassFileProblem(modelworld.NewWorld(4))))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(prePass)
 	for _, tc := range executorTrustCases {
 		cp := CompilePlans(prob, Config{})
 		tc.mut(cp)

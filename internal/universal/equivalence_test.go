@@ -29,13 +29,17 @@ func reversedOrder(_ int, pl Plan) []int {
 // lowered in another op order (CompileOrdered) is one more entry: the same
 // ops, so the same C and the same accumulate traffic, under its own key.
 //
-// Two layouts: misaligned tilings with A and C replicated (odd-shaped ops,
-// a replica reduction, exclusions dealing ops across replica groups, and no
-// two adjacent ops on one C rectangle), and a Stationary-A layout whose A
-// tiles span five B row tiles over single-tile C rows, so consecutive ops
-// accumulate into the same — for half the working ranks remote — C
-// rectangle: the accumulate chains the executor, the plan's byte
-// accounting and the model must all count the same way, at every chain cap.
+// Three layouts. First, misaligned tilings with A and C replicated:
+// odd-shaped ops, a replica reduction, and exclusions dealing ops across
+// replica groups. It is Stationary C, so its chains are local; adopted ops
+// keep their deal order, so none of its remote accumulates chain. Second, a
+// Stationary-A layout whose A tiles span five B row tiles over single-tile
+// C rows, so consecutive generated ops accumulate into the same — for half
+// the working ranks remote — C rectangle. Third, the universality case
+// (mm-skew scaled down): A ColBlock at replication 2, B and C misaligned,
+// Stationary A, where only the order pass makes same-C ops adjacent. In the
+// last two, the accumulate chains the executor, the plan's byte accounting
+// and the model must all count the same way, at every chain cap.
 func TestEntryPointsEquivalent(t *testing.T) {
 	for _, lay := range []entryLayout{
 		{"", StationaryAuto, false,
@@ -46,6 +50,10 @@ func TestEntryPointsEquivalent(t *testing.T) {
 			distmat.Custom{TileRows: 25, TileCols: 22, ProcRows: 2, ProcCols: 4}, 1,
 			distmat.Custom{TileRows: 5, TileCols: 46, ProcRows: 8, ProcCols: 1},
 			distmat.Custom{TileRows: 25, TileCols: 46, ProcRows: 2, ProcCols: 4}, 1},
+		{"skew/", StationaryA, true,
+			distmat.ColBlock{}, 2,
+			distmat.Custom{TileRows: 8, TileCols: 7, ProcRows: 2, ProcCols: 4},
+			distmat.Custom{TileRows: 6, TileCols: 9, ProcRows: 2, ProcCols: 4}, 1},
 	} {
 		testEntryPointsEquivalent(t, lay)
 	}

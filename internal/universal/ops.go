@@ -116,9 +116,11 @@ func replicaShare(total, c, rep int) index.Interval {
 // reference tiles in the executing rank's local replicas; together across
 // all ranks they cover every (m, k, n) elementary product exactly once.
 //
-// Each stationary tile's op run is rotated by the sum of the tile's grid
-// indices — the iteration offset of §4.2 that staggers which remote tile
-// each process fetches first, balancing network load.
+// Each stationary tile's op run is rotated by the tile's iterOffset — the
+// iteration offset of §4.2 that staggers which remote tile each process
+// fetches first, balancing network load. This is the generated order; the
+// compiler's order pass (orderSteps) may group a run's same-C ops, keeping
+// the rotation inside each group.
 func GenerateOps(rank int, p Problem, stat Stationary) []LocalOp {
 	switch p.ResolveStationary(stat) {
 	case StationaryA:
@@ -162,7 +164,7 @@ func generateStationaryC(rank int, p Problem) []LocalOp {
 				tileOps = append(tileOps, op)
 			}
 		}
-		ops = append(ops, rotate(tileOps, cIdx.Row+cIdx.Col)...)
+		ops = append(ops, rotate(tileOps, iterOffset(cIdx))...)
 	}
 	return ops
 }
@@ -195,7 +197,7 @@ func generateStationaryB(rank int, p Problem) []LocalOp {
 				tileOps = append(tileOps, op)
 			}
 		}
-		ops = append(ops, rotate(tileOps, bIdx.Row+bIdx.Col)...)
+		ops = append(ops, rotate(tileOps, iterOffset(bIdx))...)
 	}
 	return ops
 }
@@ -229,10 +231,14 @@ func generateStationaryA(rank int, p Problem) []LocalOp {
 				tileOps = append(tileOps, op)
 			}
 		}
-		ops = append(ops, rotate(tileOps, aIdx.Row+aIdx.Col)...)
+		ops = append(ops, rotate(tileOps, iterOffset(aIdx))...)
 	}
 	return ops
 }
+
+// iterOffset is the §4.2 iteration offset of a stationary tile's op run:
+// the sum of the tile's grid indices, taken mod the run's length.
+func iterOffset(t index.TileIdx) int { return t.Row + t.Col }
 
 // rotate returns ops shifted left by offset positions (mod len), the
 // iteration offset of §4.2.

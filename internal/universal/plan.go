@@ -1,15 +1,17 @@
 package universal
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"slicing/internal/distmat"
 	"slicing/internal/index"
 )
 
-// planBuilds counts executed slicing passes (buildStepsFromOps calls), the
+// planBuilds counts executed slicing passes (lowerOps calls), the
 // observable for pass-count tests proving a plan-cache hit re-runs zero
-// slicing work.
+// slicing work and a compile lowers each rank once.
 var planBuilds atomic.Int64
 
 // PlanBuildCount returns the number of slicing passes run so far in this
@@ -202,12 +204,18 @@ func (fs *fetchSchedule) evict(atStep int, ref fetchRef) {
 // operand buffers past their LRU residency, so its length is held to the
 // number that bounds resident tiles (capacity 1 chains nothing).
 func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed bool) {
+	return newTileLRU(cacheTiles).walk(steps, sched)
+}
+
+// walk is resolveFetches through an existing LRU, which it empties first,
+// so the order pass prices its candidate orders in one LRU's storage.
+func (cache *tileLRU) walk(steps []Step, sched *fetchSchedule) (changed bool) {
 	n := len(steps)
 	if sched != nil {
 		src := make([]int, 2*n)
 		*sched = fetchSchedule{srcA: src[:n:n], srcB: src[n:]}
 	}
-	cache := newTileLRU(cacheTiles)
+	cache.ents = cache.ents[:0]
 	resolve := func(i int, local, subTile bool, key cacheKey) (src int, fetch bool) {
 		switch {
 		case local:
@@ -228,7 +236,7 @@ func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed
 		srcA, fetchA := resolve(i, s.ALocal, s.SubTile, cacheKey{'A', s.Op.AIdx})
 		srcB, fetchB := resolve(i, s.BLocal, s.SubTile, cacheKey{'B', s.Op.BIdx})
 		sched.serve(i, srcA, srcB)
-		chained := i+1 < n && chainLen < cache.cap && sameC(s.Op, steps[i+1].Op)
+		chained := i+1 < n && chainLen < cache.cap && cmpC(&s.Op, &steps[i+1].Op) == 0
 		changed = changed || fetchA != s.FetchA || fetchB != s.FetchB || chained != s.Chained
 		s.FetchA, s.FetchB, s.Chained = fetchA, fetchB, chained
 		if chained {
@@ -244,10 +252,19 @@ func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed
 	return changed
 }
 
-// sameC reports whether two ops update the same rectangle of the same C
-// tile, so their products can share one partial.
-func sameC(x, y LocalOp) bool {
-	return x.CIdx == y.CIdx && x.M == y.M && x.N == y.N
+// cmpC orders ops by the rectangle of C they update (CIdx, M, N). 0 means
+// the same rectangle, so the ops' products can share one partial. It takes
+// pointers so sorting does not copy ops.
+func cmpC(x, y *LocalOp) int {
+	switch {
+	case x.CIdx.Row != y.CIdx.Row:
+		return cmp.Compare(x.CIdx.Row, y.CIdx.Row)
+	case x.CIdx.Col != y.CIdx.Col:
+		return cmp.Compare(x.CIdx.Col, y.CIdx.Col)
+	case x.M != y.M:
+		return cmp.Or(cmp.Compare(x.M.Begin, y.M.Begin), cmp.Compare(x.M.End, y.M.End))
+	}
+	return cmp.Or(cmp.Compare(x.N.Begin, y.N.Begin), cmp.Compare(x.N.End, y.N.End))
 }
 
 // BuildPlan resolves the ops rank must execute into a Step sequence:
@@ -268,15 +285,24 @@ func BuildPlanMode(rank int, p Problem, stat Stationary, cacheTiles int, subTile
 	}, nil, nil)
 }
 
-// buildStepsFromOps lowers an explicit op list into a Step sequence with
-// locality, fetch decisions, and byte counts resolved for the executing
-// rank, filling sched (when non-nil) with the executor schedule of those
-// fetches. compileRank feeds it the rank's own and adopted ops; the
-// resilient multiply's repair rounds feed it the unfinished ops of ranks
-// that failed mid-run, where the adopting rank's own replica placement —
-// not the dead rank's — must drive the source/destination resolution. stat
-// must already be resolved.
+// buildStepsFromOps lowers an explicit op list and walks it in the given
+// order, filling sched (when non-nil) with the executor schedule of its
+// fetches. The resilient multiply's repair rounds feed it the unfinished
+// ops of ranks that failed mid-run, where the adopting rank's own replica
+// placement — not the dead rank's — must drive the source/destination
+// resolution. stat must already be resolved.
 func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, cacheTiles int, subTile bool, sched *fetchSchedule) Plan {
+	steps := lowerOps(rank, p, ops, subTile)
+	resolveFetches(steps, cacheTiles, sched)
+	return Plan{Rank: rank, Stationary: resolved, Steps: steps}
+}
+
+// lowerOps lowers an op list into steps with locality, owner ranks and byte
+// counts resolved for the executing rank. None of that depends on the
+// order the steps run in, so a reordered plan is a permutation of these
+// steps and a new walk (permuteSteps, resolveFetches), never a second
+// lowering.
+func lowerOps(rank int, p Problem, ops []LocalOp, subTile bool) []Step {
 	planBuilds.Add(1)
 	steps := make([]Step, len(ops))
 	for i, op := range ops {
@@ -297,6 +323,147 @@ func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, 
 			s.BBytes = p.B.TileBounds(op.BIdx).Area() * 4
 		}
 	}
-	resolveFetches(steps, cacheTiles, sched)
-	return Plan{Rank: rank, Stationary: resolved, Steps: steps}
+	return steps
+}
+
+// permuteSteps returns a copy of steps with its first len(perm) steps in
+// perm's order (step i of the result is steps[perm[i]]) and the rest in
+// place. The caller walks the result.
+func permuteSteps(steps []Step, perm []int) []Step {
+	out := make([]Step, len(steps))
+	for i, j := range perm {
+		out[i] = steps[j]
+	}
+	copy(out[len(perm):], steps[len(perm):])
+	return out
+}
+
+// orderSteps is the compiler's order pass, §4.3's "reordered" on the
+// direct executor. It prices two orders of a rank's lowered steps with the
+// walk itself — remote get bytes from the fetch flags plus remote
+// accumulate bytes from the chain flags — and returns the cheaper: the
+// generated order, or the C-grouped order of the first own steps (the
+// rank's generated ops; adopted ops stay at the tail in deal order). Ties
+// go to the generated order. Grouping same-C steps lets them chain, but it
+// can also lose A/B reuse under the tile LRU; the walk sees both exactly.
+// When grouping moves nothing it walks and allocates nothing. The caller's
+// final walk sets the flags of the steps it returns.
+func orderSteps(steps []Step, own int, stat Stationary, cache *tileLRU) []Step {
+	perm := groupedOrder(steps[:own], stat)
+	if perm == nil {
+		return steps
+	}
+	grouped := permuteSteps(steps, perm)
+	cache.walk(steps, nil)
+	cache.walk(grouped, nil)
+	if remoteBytes(grouped) < remoteBytes(steps) {
+		return grouped
+	}
+	return steps
+}
+
+// remoteBytes is the order pass's objective: the walked steps' remote get
+// and remote accumulate bytes.
+func remoteBytes(steps []Step) int {
+	pl := Plan{Steps: steps}
+	return pl.RemoteFetchBytes() + pl.RemoteAccumBytes()
+}
+
+// groupedOrder returns the C-grouped permutation of a rank's generated
+// steps, or nil when it is the identity. Within each stationary tile's run
+// the steps that write one C rectangle become adjacent. Groups follow their
+// first appearance in the un-rotated run, and a group's steps keep their
+// rotated order, so §4.2's iteration offset survives inside each group.
+// (Ordering groups by the rotated run instead splits the group the rotation
+// wrapped around the run's end.) A run that writes one rectangle is
+// already grouped and costs one scan; a run in which no rectangle repeats
+// has nothing to group and keeps its order.
+func groupedOrder(steps []Step, stat Stationary) []int {
+	var perm, first, count []int // perm[i] is the step grouped position i takes
+	for s := 0; s < len(steps); {
+		t := stationaryTile(steps[s].Op, stat)
+		e, oneC := s+1, true
+		for ; e < len(steps) && stationaryTile(steps[e].Op, stat) == t; e++ {
+			oneC = oneC && cmpC(&steps[s].Op, &steps[e].Op) == 0
+		}
+		if !oneC {
+			if perm == nil {
+				n := len(steps)
+				buf := make([]int, 3*n+1)
+				perm, first, count = buf[:n], buf[n:2*n], buf[2*n:]
+				for i := range perm {
+					perm[i] = i
+				}
+			}
+			groupRun(steps[s:e], iterOffset(t)%(e-s), perm[s:e], first[s:e], count[:e-s+1])
+			for i := s; i < e; i++ {
+				perm[i] += s
+			}
+		}
+		s = e
+	}
+	for i, j := range perm {
+		if i != j {
+			return perm
+		}
+	}
+	return nil
+}
+
+// groupRun writes into idx the grouped order of one run rotated by off:
+// idx[i] is the run position grouped position i takes. first and count are
+// scratch of len(run) and len(run)+1.
+func groupRun(run []Step, off int, idx, first, count []int) {
+	n := len(run)
+	for j := range idx {
+		idx[j], first[j] = j, (j+off)%n // j's un-rotated position, for now
+	}
+	// By C rectangle, then un-rotated position: each group is contiguous
+	// and led by its first un-rotated step, whose position ranks the group.
+	slices.SortFunc(idx, func(x, y int) int {
+		if c := cmpC(&run[x].Op, &run[y].Op); c != 0 {
+			return c
+		}
+		return first[x] - first[y]
+	})
+	g, repeats := 0, false
+	for i, j := range idx {
+		if i == 0 || cmpC(&run[idx[i-1]].Op, &run[j].Op) != 0 {
+			g = first[j]
+		} else {
+			repeats = true
+		}
+		first[j] = g
+	}
+	if !repeats { // nothing to group: reordering would only undo the rotation
+		for j := range idx {
+			idx[j] = j
+		}
+		return
+	}
+	// A counting sort by group rank, stable, so each group keeps the
+	// rotated order.
+	clear(count)
+	for _, f := range first {
+		count[f+1]++
+	}
+	for f := 1; f < n; f++ {
+		count[f] += count[f-1]
+	}
+	for j, f := range first {
+		idx[count[f]] = j
+		count[f]++
+	}
+}
+
+// stationaryTile is the tile of the stationary operand an op belongs to:
+// the generator emits one run per such tile.
+func stationaryTile(op LocalOp, stat Stationary) index.TileIdx {
+	switch stat {
+	case StationaryA:
+		return op.AIdx
+	case StationaryB:
+		return op.BIdx
+	}
+	return op.CIdx
 }

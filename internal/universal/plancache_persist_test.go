@@ -2,12 +2,16 @@ package universal
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"slicing/internal/distmat"
 	"slicing/internal/modelworld"
+	rt "slicing/internal/runtime"
+	"slicing/internal/shmem"
 )
 
 func persistProblem(p, m, n, k, cC int) Problem {
@@ -140,6 +144,74 @@ func TestPlanCacheLoadRejectsChainFlagMismatch(t *testing.T) {
 	}
 	if n, err := c.Load(strings.NewReader(file(good))); err != nil || n != 1 {
 		t.Fatalf("the untouched file: Load = (%d, %v)", n, err)
+	}
+}
+
+// prePassFileProblem is a key on which the order pass picks the C-grouped
+// order: the universality case at 96³ (mm-skew's tiles scaled by 3/16).
+func prePassFileProblem(w rt.World) (Problem, Config) {
+	return skewProblem(w, 96, 18, 15, 14, 20), Config{Stationary: StationaryA}
+}
+
+// A plancache/v1 file written before the order pass holds the generated
+// order under the key the pass now compiles in the grouped order. It still
+// loads, validates against the order it stores, answers that key, and runs
+// that order to the right C without a slicing pass. Saved again after a
+// fresh compile, the file holds the grouped order.
+func TestPlanCacheLoadsPrePassOrder(t *testing.T) {
+	w := shmem.NewWorld(4)
+	prob, cfg := prePassFileProblem(w)
+	old, fresh := prePassPlan(prob, cfg), CompilePlans(prob, cfg)
+	if reflect.DeepEqual(old.Plans, fresh.Plans) {
+		t.Fatal("the order pass keeps the generated order on this key; the test is vacuous")
+	}
+	blob, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewPlanCache(4)
+	file := `{"schema":"plancache/v1","plans":[` + string(blob) + `]}`
+	if n, err := cache.Load(strings.NewReader(file)); err != nil || n != 1 {
+		t.Fatalf("pre-pass file: Load = (%d, %v)", n, err)
+	}
+	if got, ok := cache.Get(fresh.Key); !ok || !reflect.DeepEqual(got.Plans, old.Plans) {
+		t.Fatalf("the key does not return the stored generated order (found %v)", ok)
+	}
+
+	w.Run(func(pe rt.PE) {
+		prob.A.FillRandom(pe, 61)
+		prob.B.FillRandom(pe, 62)
+	})
+	want := referenceProduct(96, 96, 96, 61, 62, prob.A, prob.B, w)
+	run := cfg
+	run.Plans = cache
+	before := PlanBuildCount()
+	w.Run(func(pe rt.PE) {
+		if _, err := Multiply(pe, prob.C, prob.A, prob.B, run); err != nil {
+			t.Errorf("rank %d: %v", pe.Rank(), err)
+		}
+		if pe.Rank() == 0 {
+			if got := prob.C.Gather(pe, 0); !got.AllClose(want, 1e-4) {
+				t.Errorf("pre-pass plan: maxdiff %g vs GemmNaive", got.MaxAbsDiff(want))
+			}
+		}
+	})
+	if n := PlanBuildCount() - before; n != 0 {
+		t.Errorf("the loaded plan was recompiled: %d slicing passes", n)
+	}
+
+	resaved := NewPlanCache(4)
+	resaved.GetOrCompile(prob, cfg)
+	var buf bytes.Buffer
+	if err := resaved.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back := NewPlanCache(4)
+	if n, err := back.Load(&buf); err != nil || n != 1 {
+		t.Fatalf("re-saved file: Load = (%d, %v)", n, err)
+	}
+	if got, _ := back.Get(fresh.Key); got == nil || !reflect.DeepEqual(got.Plans, fresh.Plans) {
+		t.Fatal("the re-saved file does not hold the grouped order")
 	}
 }
 
