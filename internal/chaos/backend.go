@@ -48,12 +48,14 @@ func WrapWorld(inner rt.World, plan *Plan) rt.World {
 	}
 	_, timed := inner.(rt.TimedWorld)
 	_, stream := inner.(rt.StreamTimer)
+	// Every flavour is a pointer, so the world's identity is one heap
+	// object, which universal.PlansOf holds weakly.
 	var out rt.World
 	switch {
 	case timed && stream:
-		out = streamWorld{timedWorld{w}}
+		out = &streamWorld{timedWorld{w}}
 	case timed:
-		out = timedWorld{w}
+		out = &timedWorld{w}
 	default:
 		out = w
 	}
@@ -67,9 +69,9 @@ func Of(w rt.World) (*World, bool) {
 	switch v := w.(type) {
 	case *World:
 		return v, true
-	case timedWorld:
+	case *timedWorld:
 		return v.base, true
-	case streamWorld:
+	case *streamWorld:
 		return v.base, true
 	}
 	return nil, false

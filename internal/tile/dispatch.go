@@ -61,7 +61,7 @@ var goKernel = &kernelImpl{
 // buildKernelTable is per-arch (kernels_amd64.go / kernels_purego.go).
 var kernelTable = buildKernelTable()
 
-// activeKern is the variant Gemm/GemmPacked/GemmParallel currently drive.
+// activeKern is the variant Gemm/GemmPacked currently drive.
 // It is read per call without synchronization; SetKernel is for tests,
 // benchmarks, and process start-up, not for flipping mid-multiply.
 var activeKern = pickKernel()

@@ -22,7 +22,7 @@ func GemmNaive(c, a, b *Matrix) {
 	}
 }
 
-// blockSize is the cache-blocking factor for GemmBlocked. 64×64 float32
+// blockSize is the cache-blocking factor of gemmBlocked. 64×64 float32
 // panels (16 KiB each) fit comfortably in L1/L2 on commodity CPUs.
 const blockSize = 64
 
@@ -37,7 +37,7 @@ const packThreshold = 1024
 // Gemm computes C += A*B. It is the default single-goroutine local GEMM:
 // large products go through the packed register-blocked kernel
 // (GemmPacked); tiny ones, where packing cannot be amortized, through the
-// cache-blocked kernel (GemmBlocked).
+// cache-blocked, 2-way unrolled kernel (gemmBlocked).
 func Gemm(c, a, b *Matrix) {
 	checkGemmShapes(c, a, b)
 	if a.Rows*a.Cols*b.Cols < packThreshold {
@@ -45,15 +45,6 @@ func Gemm(c, a, b *Matrix) {
 		return
 	}
 	gemmPacked(c, a, b)
-}
-
-// GemmBlocked computes C += A*B with the cache-blocked, 2-way unrolled
-// kernel (the repository's original local GEMM). It remains exported as the
-// baseline the packed kernel is benchmarked against and as the small-case
-// path of Gemm.
-func GemmBlocked(c, a, b *Matrix) {
-	checkGemmShapes(c, a, b)
-	gemmBlocked(c, a, b)
 }
 
 func gemmBlocked(c, a, b *Matrix) {

@@ -188,129 +188,6 @@ func FuzzGemmLayouts(f *testing.F) {
 	})
 }
 
-// The shared-pack parallel path must agree with the oracle for every
-// variant and worker count, including strided views and shapes that don't
-// divide the blocking.
-func TestGemmParallelSharedPackMatchesNaive(t *testing.T) {
-	for _, name := range KernelVariants() {
-		t.Run(name, func(t *testing.T) {
-			forceKernel(t, name)
-			rng := rand.New(rand.NewSource(45))
-			for _, workers := range []int{2, 3, 5, 8} {
-				for _, s := range [][3]int{{64, 64, 64}, {97, 101, 103}, {300, 257, 129}, {512, 96, 512}} {
-					m, k, n := s[0], s[1], s[2]
-					big := randomMatrix(rng, m+3, n+2)
-					c := big.View(1, 1, m, n)
-					a := randomMatrix(rng, m, k)
-					b := randomMatrix(rng, k, n)
-					want := c.Clone()
-					GemmNaive(want, a, b)
-					GemmParallel(c, a, b, workers)
-					if !c.AllClose(want, 1e-3) {
-						t.Fatalf("%s workers=%d mismatch for %dx%dx%d: maxdiff %v",
-							name, workers, m, k, n, c.MaxAbsDiff(want))
-					}
-				}
-			}
-		})
-	}
-}
-
-// The whole point of the shared-pack path: each (pc, jc) B panel is
-// packed exactly once, no matter how many workers run — the row-band
-// path packed it once per worker.
-func TestGemmParallelPacksEachBPanelOnce(t *testing.T) {
-	kn := activeKern
-	m := 8 * kn.mc // 4 row bands of 2·mc rows: enough A strips per band that the rule packs B
-	k := 2*kn.kc + 7
-	n := kn.nr*5 + 3
-	rng := rand.New(rand.NewSource(46))
-	a := randomMatrix(rng, m, k)
-	b := randomMatrix(rng, k, n)
-	wantPanels := int64(((n + kn.nc - 1) / kn.nc) * ((k + kn.kc - 1) / kn.kc))
-	for _, workers := range []int{2, 4, 8} {
-		c := New(m, n)
-		before := packBPanels.Load()
-		GemmParallel(c, a, b, workers)
-		got := packBPanels.Load() - before
-		if got != wantPanels {
-			t.Fatalf("workers=%d packed %d B panels, want %d (independent of workers)",
-				workers, got, wantPanels)
-		}
-	}
-	// The row-band baseline re-packs per band: with enough rows per band
-	// to clear the fallback, the count must scale with the worker count.
-	c := New(m, n)
-	before := packBPanels.Load()
-	gemmParallelRowBands(c, a, b, 4)
-	got := packBPanels.Load() - before
-	if got != 4*wantPanels {
-		t.Fatalf("row-band baseline packed %d B panels, want %d (4 workers x %d panels)",
-			got, 4*wantPanels, wantPanels)
-	}
-}
-
-// The shared-pack parallel path must allocate nothing in the steady state:
-// crew goroutines are pooled, state and scratch come from sync.Pools, and
-// fan-out bookkeeping is a cursor plus a WaitGroup.
-func TestGemmParallelSteadyStateAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates and sync.Pool sheds items; alloc counts only meaningful without -race")
-	}
-	rng := rand.New(rand.NewSource(47))
-	a := randomMatrix(rng, 256, 256)
-	b := randomMatrix(rng, 256, 256)
-	c := New(256, 256)
-	GemmParallel(c, a, b, 4) // warm crew, state pool, and scratch pool
-	allocs := testing.AllocsPerRun(10, func() {
-		GemmParallel(c, a, b, 4)
-	})
-	if allocs > 0 {
-		t.Fatalf("GemmParallel allocates %v objects per call in steady state, want 0", allocs)
-	}
-}
-
-// Regression guard for the phase-admission protocol: a pull that straddles
-// a phase transition (claimed from one phase's cursor, checked against the
-// next phase's window) must be rejected, not admitted into the wider next
-// phase — admission would run a unit twice (double-accumulating into C)
-// and over-signal the WaitGroup. Hammer transitions with many small calls
-// from concurrent goroutines at oversubscribed worker counts, so crew
-// wake-ups routinely arrive after their phase (or call) has closed.
-func TestGemmParallelPhaseTransitionStress(t *testing.T) {
-	iters := 400
-	if testing.Short() || raceEnabled {
-		iters = 50
-	}
-	const m, k, n = 70, 70, 70 // just above the serial-fallback threshold
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			a := randomMatrix(rng, m, k)
-			b := randomMatrix(rng, k, n)
-			want := New(m, n)
-			GemmNaive(want, a, b)
-			got := New(m, n)
-			for i := 0; i < iters; i++ {
-				clear(got.Data)
-				GemmParallel(got, a, b, 64)
-				if !got.AllClose(want, 1e-4) {
-					done <- fmt.Errorf("seed %d iter %d: GemmParallel mismatch: maxdiff %v",
-						seed, i, got.MaxAbsDiff(want))
-					return
-				}
-			}
-			done <- nil
-		}(int64(49 + g))
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestKernelDispatchSmoke logs which micro-kernel the runtime dispatch
 // selected and which are available — CI runs it with -v on every push so
 // the selected ISA on the runner is visible in the log.
@@ -338,29 +215,6 @@ func TestSetKernelUnknownRejected(t *testing.T) {
 		t.Fatalf("failed SetKernel changed the active kernel: %s -> %s", prev, KernelName())
 	}
 }
-
-// benchGemmParallel reports GFLOP/s and packed-B panel counts for the
-// parallel paths at 512³, the satellite comparison showing the shared-pack
-// rebuild removed the per-worker B re-packing.
-func benchGemmParallel(b *testing.B, workers int, impl func(c, a, bm *Matrix, workers int)) {
-	rng := rand.New(rand.NewSource(48))
-	a := randomMatrix(rng, 512, 512)
-	bm := randomMatrix(rng, 512, 512)
-	c := New(512, 512)
-	impl(c, a, bm, workers) // warm pools and crew
-	flops := Flops(512, 512, 512)
-	packsBefore := packBPanels.Load()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		impl(c, a, bm, workers)
-	}
-	b.StopTimer()
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-	b.ReportMetric(float64(packBPanels.Load()-packsBefore)/float64(b.N), "Bpacks/op")
-}
-
-func BenchmarkGemmParallelSharedPack4(b *testing.B) { benchGemmParallel(b, 4, GemmParallel) }
-func BenchmarkGemmParallelRowBands4(b *testing.B)   { benchGemmParallel(b, 4, gemmParallelRowBands) }
 
 // forceLayout pins the pack-vs-in-place rule to one side for a test or
 // benchmark — every strip in place (ragged edges still packed), or every

@@ -1,9 +1,6 @@
 package tile
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Packed register-blocked GEMM (COSMA/BLIS-style, §4.2's "keep the local
 // GEMM saturated" requirement). The micro-kernel holds an mr×nr accumulator
@@ -74,11 +71,6 @@ func grow(buf []float32, n int) []float32 {
 // only so the layout tests can force either side; nothing else writes it.
 var inPlaceMaxReuse = 12
 
-// packBPanels counts whole-panel B packs; the shared-pack parallel path's
-// tests and benchmarks use it to show each B panel is packed once
-// regardless of worker count.
-var packBPanels atomic.Int64
-
 // panel locates the strips of one operand panel for the micro-kernel.
 // Strip s < full starts at data[s*step] with element strides (rs, ks) —
 // A element (r, kk) at [r*rs + kk*ks], B row kk at [kk*ks]. The ragged last
@@ -137,23 +129,16 @@ func (s *gemmScratch) panelB(b *Matrix, pc, jc, kc, nc, reuse, nr int) panel {
 	if reuse > inPlaceMaxReuse {
 		strips := (nc + nr - 1) / nr
 		s.b = grow(s.b, strips*nr*kc)
-		packBPanels.Add(1)
-		packBStrips(s.b, b, pc, jc, kc, nc, nr, 0, strips)
-		return packedB(s.b, kc, nc, nr)
+		packBStrips(s.b, b, pc, jc, kc, nc, nr, strips)
+		return panel{data: s.b, step: kc * nr, ks: nr, full: full, edge: s.b[full*kc*nr:], eks: nr}
 	}
 	p := panel{data: b.Data[pc*b.Stride+jc:], step: nr, ks: b.Stride, full: full, eks: nr}
 	if rest := nc - full*nr; rest > 0 {
 		s.b = grow(s.b, nr*kc)
-		packBStrips(s.b, b, pc, jc+full*nr, kc, rest, nr, 0, 1)
+		packBStrips(s.b, b, pc, jc+full*nr, kc, rest, nr, 1)
 		p.edge = s.b
 	}
 	return p
-}
-
-// packedB describes a kc×nc B panel already packed into bp.
-func packedB(bp []float32, kc, nc, nr int) panel {
-	full := nc / nr
-	return panel{data: bp, step: kc * nr, ks: nr, full: full, edge: bp[full*kc*nr:], eks: nr}
 }
 
 // GemmPacked computes C += A*B with the register-blocked kernel,
@@ -204,12 +189,11 @@ func packA(ap []float32, a *Matrix, ic, pc, strips, kc, mr int) {
 	}
 }
 
-// packBStrips copies strips [s0, s1) of B[pc:pc+kc, jc:jc+nc] into bp,
+// packBStrips copies strips [0, strips) of B[pc:pc+kc, jc:jc+nc] into bp,
 // each strip nr columns stored k-major (bp[strip*kc*nr + kk*nr + j]),
-// columns past nc zero-padded; the shared-pack parallel path splits one
-// panel's packing across the crew with it.
-func packBStrips(bp []float32, b *Matrix, pc, jc, kc, nc, nr, s0, s1 int) {
-	for s := s0; s < s1; s++ {
+// columns past nc zero-padded.
+func packBStrips(bp []float32, b *Matrix, pc, jc, kc, nc, nr, strips int) {
+	for s := 0; s < strips; s++ {
 		base := s * kc * nr
 		j0 := jc + s*nr
 		w := min(nr, jc+nc-j0)

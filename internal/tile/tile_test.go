@@ -234,21 +234,6 @@ func TestGemmMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGemmParallelMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, workers := range []int{0, 1, 2, 5, 16} {
-		a := randomMatrix(rng, 97, 83)
-		b := randomMatrix(rng, 83, 71)
-		want := New(97, 71)
-		GemmNaive(want, a, b)
-		got := New(97, 71)
-		GemmParallel(got, a, b, workers)
-		if !got.AllClose(want, 1e-4) {
-			t.Fatalf("GemmParallel(%d workers) mismatch: %v", workers, got.MaxAbsDiff(want))
-		}
-	}
-}
-
 func TestGemmOnStridedViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	big := randomMatrix(rng, 50, 50)
@@ -306,18 +291,6 @@ func BenchmarkGemm256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Gemm(c, a, bm)
-	}
-}
-
-func BenchmarkGemmParallel512(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomMatrix(rng, 512, 512)
-	bm := randomMatrix(rng, 512, 512)
-	c := New(512, 512)
-	b.SetBytes(int64(Flops(512, 512, 512)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmParallel(c, a, bm, 0)
 	}
 }
 

@@ -35,7 +35,7 @@ type MatrixKey struct {
 // resolved stationary choice, the Config fields that alter plan structure
 // (CacheTiles changes fetch decisions, SubTileFetch changes step shapes),
 // and the three operands' structural fingerprints. Purely-runtime Config
-// fields (PrefetchDepth, MaxInflight, KernelWorkers, Pool, reduce options)
+// fields (PrefetchDepth, MaxInflight, Pool, Plans, SyncReplicas, Retry)
 // deliberately do not appear: they tune execution of a plan, not the plan.
 // PlanKey is comparable, so cache lookups allocate nothing.
 type PlanKey struct {

@@ -72,7 +72,6 @@ func randomPlanDraw(rng *rand.Rand) planDraw {
 		// Runtime-only fields, randomized to prove they never reach the key.
 		PrefetchDepth: rng.Intn(5),
 		MaxInflight:   rng.Intn(5),
-		KernelWorkers: rng.Intn(3),
 		SyncReplicas:  rng.Intn(2) == 0,
 	}
 	return d
@@ -131,9 +130,8 @@ func TestPlanKeyPropertyRandomDraws(t *testing.T) {
 		runtimeOnly := d.cfg
 		runtimeOnly.PrefetchDepth += 3
 		runtimeOnly.MaxInflight += 7
-		runtimeOnly.KernelWorkers += 2
 		runtimeOnly.SyncReplicas = !runtimeOnly.SyncReplicas
-		runtimeOnly.ReduceOrigin = 1
+		runtimeOnly.Plans = NewPlanCache(1)
 		if PlanKeyOf(p1, runtimeOnly) != k1 {
 			t.Fatalf("trial %d: runtime-only config fields leaked into the key", trial)
 		}

@@ -196,7 +196,7 @@ func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 					w.Run(func(pe rt.PE) {
 						if pe.Rank() == 0 {
 							for i := range got {
-								got[i] = cs[i].Gather(pe, cfg.ReduceOrigin)
+								got[i] = cs[i].Gather(pe, 0)
 							}
 						}
 					})

@@ -22,12 +22,6 @@ type Config struct {
 	// MaxInflight bounds concurrent GEMM+accumulate chains, the paper's
 	// configurable concurrency limit trading asynchrony for memory.
 	MaxInflight int
-	// KernelWorkers parallelizes each local GEMM inside the PE across this
-	// many goroutines (tile.GemmParallel's shared-pack crew). 1 (or 0, the
-	// default) keeps local GEMMs single-threaded, leaving MaxInflight as the
-	// only concurrency axis; set it when PEs are few and cores are many, so
-	// a single large per-step GEMM can use the whole socket.
-	KernelWorkers int
 	// CacheTiles bounds the recently-fetched tile cache used for reuse
 	// across consecutive ops. It also bounds the executor's resident tile
 	// buffers: a fetched tile's buffer returns to the pool when the
@@ -42,20 +36,15 @@ type Config struct {
 	// Pool supplies scratch buffers for partial results and fetched tiles;
 	// nil allocates one internally.
 	Pool *gpusim.Pool
-	// Plans, when non-nil, makes Multiply/MultiplyAccumulate look up the
-	// problem's CompiledPlan in this cache instead of re-running the §4.1
-	// slicing pass per call: a hit executes the precompiled per-rank plan
-	// and fetch schedule directly (zero slicing work, zero additional
-	// allocations), a miss compiles once for the whole world and caches
-	// the result. Use PlansOf(world) for the world's shared cache. Nil
-	// preserves the per-rank rebuild-every-call behaviour.
+	// Plans is the cache the multiplies find the problem's CompiledPlan in:
+	// a hit executes the precompiled per-rank plan and fetch schedule
+	// directly (zero slicing work, zero additional allocations), a miss
+	// compiles once for the whole world and caches the result. Nil means
+	// the world's shared cache, PlansOf(pe.World()).
 	Plans *PlanCache
-	// ReduceOrigin is the replica partial C results are reduced into when C
-	// is replicated.
-	ReduceOrigin int
 	// SyncReplicas re-broadcasts the reduced C so every replica holds the
-	// final result. The paper's algorithm only reduces; enabling this adds
-	// a broadcast_replica for API convenience.
+	// final result. The paper's algorithm only reduces, into replica 0;
+	// enabling this adds a broadcast_replica for API convenience.
 	SyncReplicas bool
 	// Retry budgets recovery from one-sided op faults on fault-capable
 	// backends: per-op attempts, backoff, and the per-op deadline
@@ -91,9 +80,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4
 	}
-	if cfg.KernelWorkers <= 0 {
-		cfg.KernelWorkers = 1
-	}
 	if cfg.CacheTiles <= 0 {
 		cfg.CacheTiles = DefaultCacheTiles
 	}
@@ -120,40 +106,42 @@ func Multiply(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationary, error)
 
 // MultiplyAccumulate computes C += A·B assuming C already holds the values
 // to accumulate onto (zeroed for a plain product). Collective. It is the
-// whole pipeline on a batch of one: compile (memoized in cfg.Plans when
-// set — built once per world on a miss, zero slicing work on a hit —
-// otherwise only the calling rank's slice, rebuilt per call), execute,
+// whole pipeline on a batch of one: compile (memoized in the plan cache —
+// built once per world on a miss, zero slicing work on a hit), execute,
 // finish. Error semantics are Multiply's.
 func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withPlans(pe)
 	rank := pe.Rank()
-	var work [1]feeder
-	if cfg.Plans != nil {
-		cp := cfg.Plans.GetOrCompile(prob, cfg)
-		work[0] = feeder{prob: prob, plan: cp.Plans[rank], sched: &cp.scheds[rank]}
-	} else {
-		sched := new(fetchSchedule)
-		plan := compileRank(rank, prob, PlanKeyOf(prob, cfg), normalizeExclude(cfg.Exclude), sched)
-		work[0] = feeder{prob: prob, plan: plan, sched: sched}
-	}
+	cp := cfg.Plans.GetOrCompile(prob, cfg)
+	work := [1]feeder{{prob: prob, plan: cp.Plans[rank], sched: &cp.scheds[rank]}}
 	err := execute(pe, work[:], cfg)
 	Finish(pe, []Problem{prob}, cfg)
-	return work[0].plan.Stationary, err
+	return cp.Key.Stationary, err
+}
+
+// withPlans is withDefaults for an entry point that compiles: a nil Plans
+// becomes the world's shared cache, so a plain Multiply compiles once per
+// world like every other caller.
+func (cfg Config) withPlans(pe rt.PE) Config {
+	if cfg.Plans == nil {
+		cfg.Plans = PlansOf(pe.World())
+	}
+	return cfg.withDefaults()
 }
 
 // Finish is the collective epilogue of the multiplies a rank just executed:
 // one barrier — every one-sided update must land before any C is read —
-// then, for each replicated C, the replica reduction and optional
-// re-broadcast. It runs outside the executor's fault scope, so it proceeds
-// (and stays barrier-matched across ranks) even after an execution error;
-// the reduced values are only meaningful if no rank failed.
+// then, for each replicated C, the replica reduction into replica 0 and the
+// optional re-broadcast. It runs outside the executor's fault scope, so it
+// proceeds (and stays barrier-matched across ranks) even after an execution
+// error; the reduced values are only meaningful if no rank failed.
 func Finish(pe rt.PE, probs []Problem, cfg Config) {
 	pe.Barrier()
 	for _, prob := range probs {
 		if prob.C.Replication() > 1 {
-			prob.C.ReduceReplicas(pe, cfg.ReduceOrigin)
+			prob.C.ReduceReplicas(pe, 0)
 			if cfg.SyncReplicas {
-				prob.C.BroadcastReplica(pe, cfg.ReduceOrigin)
+				prob.C.BroadcastReplica(pe, 0)
 			}
 		}
 	}
@@ -516,8 +504,7 @@ func (f *feeder) operand(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, w
 // compute C += A·B), each step waiting for its own fetches only right
 // before the GEMM that reads them so the first GEMM of a chain never waits
 // for the last fetch, and the sum is atomically accumulated into C once.
-// KernelWorkers > 1 spreads each local GEMM across that many goroutines. It
-// performs no heap allocation in the steady state: the partial lives in a
+// It performs no heap allocation in the steady state: the partial lives in a
 // pooled buffer and its header on the stack. The accumulate runs under
 // ret's retry budget; a fatal fault comes back as an error with the partial
 // already back in the pool.
@@ -535,11 +522,7 @@ func (f *feeder) gemmChain(first, n int, ret *retrier) error {
 		if st.bSlot != nil {
 			st.bSlot.fut.Wait()
 		}
-		if cfg.KernelWorkers > 1 {
-			tile.GemmParallel(&partial, &st.aView, &st.bView, cfg.KernelWorkers)
-		} else {
-			tile.Gemm(&partial, &st.aView, &st.bView)
-		}
+		tile.Gemm(&partial, &st.aView, &st.bView)
 		rt.ChargeGemm(pe, rows, cols, f.plan.Steps[i].Op.K.Len())
 	}
 	err := ret.do(func() {

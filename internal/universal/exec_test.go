@@ -323,7 +323,7 @@ func TestMultiplySteadyStateAllocs(t *testing.T) {
 			b := distmat.New(w, tc.k, tc.n, tc.partB, 1)
 			c := distmat.New(w, tc.m, tc.n, tc.partC, 1)
 			cfg := DefaultConfig()
-			cfg.Stationary, cfg.Pool, cfg.Plans = tc.stat, gpusim.NewPool(), PlansOf(w)
+			cfg.Stationary, cfg.Pool = tc.stat, gpusim.NewPool() // nil Plans: the world's cache
 			w.Run(func(pe rt.PE) {
 				a.FillRandom(pe, 1)
 				b.FillRandom(pe, 2)
@@ -338,7 +338,7 @@ func TestMultiplySteadyStateAllocs(t *testing.T) {
 			// work slice and nothing else.
 			cfg.MaxInflight = 1
 			prob := NewProblem(c, a, b)
-			probs, cps := []Problem{prob}, []*CompiledPlan{cfg.Plans.GetOrCompile(prob, cfg)}
+			probs, cps := []Problem{prob}, []*CompiledPlan{PlansOf(w).GetOrCompile(prob, cfg)}
 			w.Run(func(pe rt.PE) {
 				c.Zero(pe)
 				if pe.Rank() == 0 {

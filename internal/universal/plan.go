@@ -269,20 +269,11 @@ func cmpC(x, y *LocalOp) int {
 
 // BuildPlan resolves the ops rank must execute into a Step sequence:
 // which tiles are local, which fetches hit the tile cache, where updates
-// go, and how many bytes move.
+// go, and how many bytes move. It fetches whole tiles through a
+// cacheTiles-tile LRU; the sub-tile fetch mode (Config.SubTileFetch) is
+// compiled by CompilePlans.
 func BuildPlan(rank int, p Problem, stat Stationary, cacheTiles int) Plan {
-	return BuildPlanMode(rank, p, stat, cacheTiles, false)
-}
-
-// BuildPlanMode is BuildPlan with an explicit fetch-mode choice. With
-// subTile true the plan fetches only each op's exact (M,K) and (K,N)
-// slices — minimal bytes, no cross-op reuse; with subTile false it fetches
-// whole tiles through the LRU cache — more bytes, amortized across the ops
-// sharing a tile. The tradeoff is benchmarked in BenchmarkFetchModeAblation.
-func BuildPlanMode(rank int, p Problem, stat Stationary, cacheTiles int, subTile bool) Plan {
-	return compileRank(rank, p, PlanKey{
-		Stationary: p.ResolveStationary(stat), CacheTiles: cacheTiles, SubTile: subTile,
-	}, nil, nil)
+	return compileRank(rank, p, PlanKey{Stationary: p.ResolveStationary(stat), CacheTiles: cacheTiles}, nil, nil)
 }
 
 // buildStepsFromOps lowers an explicit op list and walks it in the given

@@ -1,8 +1,12 @@
 package universal
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+	"weak"
 
 	rt "slicing/internal/runtime"
 )
@@ -61,9 +65,6 @@ func NewPlanCache(capacity int) *PlanCache {
 		inflight: make(map[PlanKey]*planFlight),
 	}
 }
-
-// Capacity returns the maximum number of plans the cache retains.
-func (c *PlanCache) Capacity() int { return c.capacity }
 
 // Len returns the number of plans currently cached.
 func (c *PlanCache) Len() int {
@@ -225,18 +226,62 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// worldPlans maps each world to its shared plan cache. Worlds are compared
-// by interface identity, so every consumer of one world sees one cache.
-var worldPlans sync.Map // rt.World -> *PlanCache
+// worldPlans holds each world's shared plan cache without keeping the world
+// alive, so a process that makes many worlds — a test binary, a sweep — does
+// not keep every one of them until exit. A world held by a heap pointer
+// (every backend's) is found by address and confirmed by a weak pointer, so
+// a later world at a reused address never inherits the entry, and a cleanup
+// drops the entry once the world is collected. Any other world — a struct
+// value, or a pointer the collector does not manage — is keyed by interface
+// identity and kept. A cache holds plans, never a world or its memory.
+var worldPlans = struct {
+	sync.Mutex
+	byAddr  map[uintptr]worldPlan
+	byValue map[rt.World]*PlanCache
+}{byAddr: map[uintptr]worldPlan{}, byValue: map[rt.World]*PlanCache{}}
+
+type worldPlan struct {
+	world weak.Pointer[byte]
+	plans *PlanCache
+}
 
 // PlansOf returns the plan cache attached to a world, creating it with
-// DefaultPlanCacheSize on first use. This is how long-lived consumers (the
-// serving loop, repeated benchmark harnesses) share compiled plans without
-// threading a cache through every call site.
+// DefaultPlanCacheSize on first use. It is the cache Multiply uses when
+// Config.Plans is nil, and how long-lived consumers (the serving loop,
+// repeated benchmark harnesses) share compiled plans without threading a
+// cache through every call site. Allocation-free after the first call.
 func PlansOf(w rt.World) *PlanCache {
-	if c, ok := worldPlans.Load(w); ok {
-		return c.(*PlanCache)
+	var p *byte // the world's heap identity, nil for a non-pointer world
+	if v := reflect.ValueOf(w); v.Kind() == reflect.Pointer {
+		p = (*byte)(v.UnsafePointer())
 	}
-	c, _ := worldPlans.LoadOrStore(w, NewPlanCache(DefaultPlanCacheSize))
-	return c.(*PlanCache)
+	addr := uintptr(unsafe.Pointer(p))
+	worldPlans.Lock()
+	defer worldPlans.Unlock()
+	if e, ok := worldPlans.byAddr[addr]; ok && p != nil && e.world.Value() == p {
+		return e.plans
+	}
+	if c, ok := worldPlans.byValue[w]; ok {
+		return c
+	}
+	c := NewPlanCache(DefaultPlanCacheSize)
+	// AddCleanup returns the zero Cleanup, and does nothing, for memory the
+	// collector does not manage; weak.Make would reject such a pointer.
+	drop := func(c *PlanCache) { dropWorldPlans(addr, c) }
+	if p != nil && runtime.AddCleanup(p, drop, c) != (runtime.Cleanup{}) {
+		worldPlans.byAddr[addr] = worldPlan{world: weak.Make(p), plans: c}
+	} else {
+		worldPlans.byValue[w] = c
+	}
+	return c
+}
+
+// dropWorldPlans deletes the entry of the collected world that was at addr
+// with cache c, unless a newer world at that address has replaced it.
+func dropWorldPlans(addr uintptr, c *PlanCache) {
+	worldPlans.Lock()
+	if e, ok := worldPlans.byAddr[addr]; ok && e.plans == c {
+		delete(worldPlans.byAddr, addr)
+	}
+	worldPlans.Unlock()
 }

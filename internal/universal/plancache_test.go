@@ -2,8 +2,12 @@ package universal
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
+	"weak"
 
 	"slicing/internal/distmat"
 	rt "slicing/internal/runtime"
@@ -185,7 +189,15 @@ func TestPlanCacheHitZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	prob := cacheProb(8)
 	cache.Put(CompilePlans(prob, cfg))
+	// A plain Multiply finds its world's cache first, whatever the world's
+	// dynamic type. (The value world is boxed once, here: boxing allocates.)
+	w := prob.C.World()
+	var vw rt.World = valueWorld{w}
+	PlansOf(w)
+	PlansOf(vw)
 	allocs := testing.AllocsPerRun(100, func() {
+		PlansOf(w)
+		PlansOf(vw)
 		key := PlanKeyOf(prob, cfg)
 		if _, ok := cache.Get(key); !ok {
 			t.Fatal("unexpected miss")
@@ -236,16 +248,27 @@ func TestCachedMultiplyRunsZeroSlicingWork(t *testing.T) {
 		t.Fatalf("world-wide compilations: %d, want 1", st.Builds)
 	}
 
-	// And the uncached path really does rebuild per rank per call — the
-	// contrast that makes the counter meaningful.
-	before = PlanBuildCount()
-	uncached := cfg
-	uncached.Plans = nil
-	w.Run(func(pe rt.PE) {
-		Multiply(pe, c, a, b, uncached)
-	})
-	if got := PlanBuildCount() - before; got != int64(p) {
-		t.Fatalf("uncached multiply ran %d slicing passes, want %d", got, p)
+	// A nil Plans is the world's own cache, cold here: the first call — a
+	// resilient one, which compiles through the same cache — compiles once
+	// for the world, the contrast that makes the counter meaningful, and
+	// every later one compiles nothing.
+	plain := cfg
+	plain.Plans = nil
+	for call, want := range []int64{p, 0, 0} {
+		before = PlanBuildCount()
+		w.Run(func(pe rt.PE) {
+			if call == 0 {
+				MultiplyResilient(pe, c, a, b, plain)
+			} else {
+				Multiply(pe, c, a, b, plain)
+			}
+		})
+		if got := PlanBuildCount() - before; got != want {
+			t.Fatalf("plain call %d ran %d slicing passes, want %d", call, got, want)
+		}
+	}
+	if st := PlansOf(w).Stats(); st.Builds != 1 || st.Len != 1 {
+		t.Fatalf("world cache after plain multiplies: %d builds, %d plans; want 1 and 1", st.Builds, st.Len)
 	}
 }
 
@@ -294,7 +317,56 @@ func TestPlansOfPerWorldIdentity(t *testing.T) {
 	if PlansOf(w1) == PlansOf(w2) {
 		t.Fatal("different worlds share a cache")
 	}
-	if PlansOf(w1).Capacity() != DefaultPlanCacheSize {
-		t.Fatalf("implicit cache capacity %d", PlansOf(w1).Capacity())
+	if got := PlansOf(w1).Stats().Capacity; got != DefaultPlanCacheSize {
+		t.Fatalf("implicit cache capacity %d", got)
+	}
+	// A world that is a struct value, not a pointer, is keyed by identity.
+	if v := (valueWorld{w1}); PlansOf(v) != PlansOf(v) || PlansOf(v) == PlansOf(w1) {
+		t.Fatal("a value world needs its own stable cache")
+	}
+}
+
+// valueWorld is a world whose dynamic value is a struct, not a pointer.
+// (The alias keeps the embedded field from being named World, which would
+// hide the World method.)
+type valueWorld struct{ anyWorld }
+
+type anyWorld = rt.World
+
+// The per-world registry must not keep a world alive: a world that a plain
+// Multiply registered is collected once the caller drops it, and its entry
+// goes with it, while a world still in use keeps its cache across
+// collections.
+func TestPlansOfDoesNotPinWorlds(t *testing.T) {
+	kept := shmem.NewWorld(2)
+	keptPlans := PlansOf(kept)
+	var addr uintptr
+	gone := func() weak.Pointer[shmem.World] {
+		w := shmem.NewWorld(2)
+		a := distmat.New(w, 8, 8, distmat.RowBlock{}, 1)
+		b := distmat.New(w, 8, 8, distmat.ColBlock{}, 1)
+		c := distmat.New(w, 8, 8, distmat.Block2D{}, 1)
+		w.Run(func(pe rt.PE) { Multiply(pe, c, a, b, DefaultConfig()) })
+		if PlansOf(w).Stats().Builds != 1 {
+			t.Fatal("a plain multiply did not compile through the world's cache")
+		}
+		addr = uintptr(unsafe.Pointer(w))
+		return weak.Make(w)
+	}()
+	registered := func() bool {
+		worldPlans.Lock()
+		defer worldPlans.Unlock()
+		_, ok := worldPlans.byAddr[addr]
+		return ok
+	}
+	for deadline := time.Now().Add(10 * time.Second); gone.Value() != nil || registered(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped world: collected %v, registry entry still present %v", gone.Value() == nil, registered())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if PlansOf(kept) != keptPlans {
+		t.Fatal("a live world's cache changed across collections")
 	}
 }

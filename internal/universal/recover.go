@@ -56,14 +56,9 @@ func MultiplyResilient(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationar
 // contribution exactly once, preserving the disjoint-accumulate
 // invariant the correctness bound relies on.
 func MultiplyAccumulateResilient(pe rt.PE, prob Problem, cfg Config) (Stationary, RecoveryReport, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withPlans(pe)
 	rank, p := pe.Rank(), pe.NumPE()
-	var cp *CompiledPlan
-	if cfg.Plans != nil {
-		cp = cfg.Plans.GetOrCompile(prob, cfg)
-	} else {
-		cp = CompilePlans(prob, cfg)
-	}
+	cp := cfg.Plans.GetOrCompile(prob, cfg)
 	stat := cp.Key.Stationary
 
 	// Status segment layout, per rank: word 0 is the failed flag, then 16

@@ -331,15 +331,14 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 	}
 
 	// reduce_replicas for a replicated C: after a barrier (modelled as a
-	// dependency on every rank's last chain), each non-origin rank
-	// accumulates its owned C tiles into the origin replica.
+	// dependency on every rank's last chain), each rank outside replica 0
+	// accumulates its owned C tiles into replica 0.
 	if prob.C.Replication() > 1 {
-		origin := cfg.ReduceOrigin
 		for rank := 0; rank < p; rank++ {
-			if prob.C.ReplicaOf(rank) == origin {
+			if prob.C.ReplicaOf(rank) == 0 {
 				continue
 			}
-			dst := prob.C.RankFor(prob.C.SlotOf(rank), origin)
+			dst := prob.C.RankFor(prob.C.SlotOf(rank), 0)
 			for _, idx := range prob.C.OwnedTiles(rank) {
 				bytes := prob.C.TileBounds(idx).Area() * 4
 				r.b.addAccum("reduce", "reduce_get", "reduce_put", rank, dst, bytes, r.lastOpPerRank)

@@ -411,8 +411,8 @@ func TestSubTilePlanMovesFewerBytes(t *testing.T) {
 	prob := NewProblem(c, a, b)
 	fullBytes, subBytes := 0, 0
 	for rank := 0; rank < 4; rank++ {
-		fullBytes += BuildPlanMode(rank, prob, StationaryC, 0, false).RemoteFetchBytes()
-		subBytes += BuildPlanMode(rank, prob, StationaryC, 0, true).RemoteFetchBytes()
+		fullBytes += compileRank(rank, prob, PlanKey{Stationary: StationaryC}, nil, nil).RemoteFetchBytes()
+		subBytes += compileRank(rank, prob, PlanKey{Stationary: StationaryC, SubTile: true}, nil, nil).RemoteFetchBytes()
 	}
 	if subBytes >= fullBytes {
 		t.Fatalf("sub-tile fetches (%d B) should undercut full-tile fetches (%d B) on misaligned k-split tiles",
@@ -432,8 +432,10 @@ func TestFullTilePlanWinsOnReuse(t *testing.T) {
 	prob := NewProblem(c, a, b)
 	fullBytes, subBytes := 0, 0
 	for rank := 0; rank < 4; rank++ {
-		fullBytes += BuildPlanMode(rank, prob, StationaryC, DefaultCacheTiles, false).RemoteFetchBytes()
-		subBytes += BuildPlanMode(rank, prob, StationaryC, DefaultCacheTiles, true).RemoteFetchBytes()
+		key := PlanKey{Stationary: StationaryC, CacheTiles: DefaultCacheTiles}
+		fullBytes += compileRank(rank, prob, key, nil, nil).RemoteFetchBytes()
+		key.SubTile = true
+		subBytes += compileRank(rank, prob, key, nil, nil).RemoteFetchBytes()
 	}
 	if fullBytes > subBytes {
 		t.Fatalf("full-tile+cache (%d B) should beat sub-tile (%d B) when ops share tiles",
@@ -460,8 +462,8 @@ func TestMultiplyConfigKnobs(t *testing.T) {
 		{PrefetchDepth: 8, MaxInflight: 2, CacheTiles: 2},
 		{PrefetchDepth: 1, MaxInflight: 16, CacheTiles: 64},
 		{PrefetchDepth: 3, MaxInflight: 4, CacheTiles: 8, SubTileFetch: true},
-		{PrefetchDepth: 2, MaxInflight: 1, CacheTiles: 8, KernelWorkers: 4},
-		{PrefetchDepth: 2, MaxInflight: 4, CacheTiles: 8, KernelWorkers: 3, SubTileFetch: true},
+		{PrefetchDepth: 2, MaxInflight: 1, CacheTiles: 8},
+		{PrefetchDepth: 2, MaxInflight: 4, CacheTiles: 8, SubTileFetch: true},
 	}
 	w := shmem.NewWorld(p)
 	a := distmat.New(w, m, k, distmat.Block2D{}, 1)
@@ -485,39 +487,6 @@ func TestMultiplyConfigKnobs(t *testing.T) {
 		})
 		if !got.AllClose(ref, 1e-3) {
 			t.Errorf("knob set %d (%+v): mismatch %g", i, knobs[i], got.MaxAbsDiff(ref))
-		}
-	}
-}
-
-// KernelWorkers > 1 must route each step's local GEMM through the
-// shared-pack parallel kernel and still match the serial reference on a
-// problem large enough that the parallel path actually engages (the tiny
-// knob-matrix above falls back to the single-goroutine kernel).
-func TestMultiplyKernelWorkersParallelPath(t *testing.T) {
-	const p, m, n, k = 2, 192, 192, 192
-	w := shmem.NewWorld(p)
-	a := distmat.New(w, m, k, distmat.RowBlock{}, 1)
-	b := distmat.New(w, k, n, distmat.RowBlock{}, 1)
-	w.Run(func(pe rt.PE) {
-		a.FillRandom(pe, 401)
-		b.FillRandom(pe, 402)
-	})
-	ref := referenceProduct(m, n, k, 401, 402, a, b, w)
-	for _, workers := range []int{2, 4} {
-		c := distmat.New(w, m, n, distmat.Block2D{}, 1)
-		cfg := DefaultConfig()
-		cfg.KernelWorkers = workers
-		w.Run(func(pe rt.PE) {
-			Multiply(pe, c, a, b, cfg)
-		})
-		var got *tile.Matrix
-		w.Run(func(pe rt.PE) {
-			if pe.Rank() == 0 {
-				got = c.Gather(pe, 0)
-			}
-		})
-		if !got.AllClose(ref, 1e-3) {
-			t.Errorf("KernelWorkers=%d: mismatch %g", workers, got.MaxAbsDiff(ref))
 		}
 	}
 }

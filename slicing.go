@@ -294,14 +294,15 @@ type CompiledPlan = universal.CompiledPlan
 func CompilePlans(p Problem, cfg Config) *CompiledPlan { return universal.CompilePlans(p, cfg) }
 
 // PlanCache is a bounded LRU of compiled plans with single-flight
-// compilation. Set Config.Plans to one (or use PlansOf) to make Multiply
-// reuse compiled plans across calls.
+// compilation. Multiply compiles through the world's own (PlansOf) unless
+// Config.Plans names another.
 type PlanCache = universal.PlanCache
 
 // NewPlanCache returns a plan cache holding up to capacity plans.
 func NewPlanCache(capacity int) *PlanCache { return universal.NewPlanCache(capacity) }
 
 // PlansOf returns the world's shared plan cache, creating it on first use.
+// The cache does not keep the world alive.
 func PlansOf(w World) *PlanCache { return universal.PlansOf(w) }
 
 // ModelExecutor is the model-only execution mode: it replays compiled
