@@ -5,18 +5,24 @@ package chaos_test
 // C within 1e-4 of the naive reference — the retry layer makes injected
 // transients invisible to results — with pooled buffers balanced and the
 // no-fault interception path allocation-free. Fatal faults must surface
-// as errors from Multiply without wedging the world or leaking slots.
+// as errors from Multiply without wedging the world or leaking slots, and
+// the one recovery mechanism — the serving loop's failover onto Exclude
+// plans — must turn a crash into a correct, served result on every
+// backend.
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"slicing/internal/chaos"
 	"slicing/internal/distmat"
 	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
+	"slicing/internal/serve"
 	"slicing/internal/shmem"
 	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
@@ -207,6 +213,86 @@ func TestChaosCrashSurfacesAsError(t *testing.T) {
 			// the pool must balance.
 			if live := pool.Stats().Live; live != 0 {
 				t.Fatalf("%d pooled elements leaked across the crash", live)
+			}
+		})
+	}
+}
+
+// recoveryStormPlan crashes rank 2 mid-run (After skips its first ops) on
+// top of a light transient drizzle, proving retry and recovery compose.
+func recoveryStormPlan(seed int64) *chaos.Plan {
+	return &chaos.Plan{Seed: seed, Rules: []chaos.Rule{
+		{Name: "get-drizzle", Ops: chaos.OpGet, Rate: 0.02},
+		{Name: "die", Kind: chaos.Crash, Ranks: []int{2}, Rate: 1, After: 8, MaxFires: 1},
+	}}
+}
+
+// TestRecoveryConformanceAcrossBackends is the recovery contract on every
+// backend: with rank 2 crashed mid-multiply under the drizzle, a server
+// with failover on (serve.Config.Recover) replays the batch against the
+// Exclude plan of the survivors, so every request is served with C within
+// 1e-4 of GemmNaive, the crash counts as recovered rather than failed, and
+// pooled buffers balance.
+func TestRecoveryConformanceAcrossBackends(t *testing.T) {
+	for _, b := range chaosBackends() {
+		b := b
+		t.Run(b.Name(), func(t *testing.T) {
+			const p, m, n, k, requests = 4, 90, 70, 50, 3
+			pool := gpusim.NewPool()
+			w := chaos.Wrap(b, recoveryStormPlan(99)).NewWorld(p)
+			cw, ok := chaos.Of(w)
+			if !ok {
+				t.Fatal("chaos.Of failed on a wrapped world")
+			}
+			a := distmat.New(w, m, k, distmat.RowBlock{}, 1)
+			bm := distmat.New(w, k, n, distmat.ColBlock{}, 1)
+			cs := make([]*distmat.Matrix, requests)
+			for i := range cs {
+				cs[i] = distmat.New(w, m, n, distmat.Custom{TileRows: 13, TileCols: 11, ProcRows: 2, ProcCols: 2}, 1)
+			}
+			want := tile.New(m, n)
+			w.Run(func(pe rt.PE) {
+				a.FillRandom(pe, 31)
+				bm.FillRandom(pe, 32)
+				pe.Barrier()
+				if pe.Rank() == 0 {
+					tile.GemmNaive(want, a.Gather(pe, 0), bm.Gather(pe, 0))
+				}
+			})
+			cfg := universal.DefaultConfig()
+			cfg.Pool = pool
+			cfg.Retry.Attempts = stormRetryAttempts
+			s := serve.NewServer(w, serve.Config{
+				Batch: 1, Queue: requests, Recover: true,
+				Breaker: serve.BreakerConfig{Threshold: 2, Cooldown: time.Minute},
+				Exec:    cfg,
+			})
+			for i, c := range cs {
+				if _, err := s.Multiply(context.Background(), "storm", c, a, bm); err != nil {
+					t.Errorf("request %d: %v", i, err)
+				}
+			}
+			st := s.Stats()
+			s.Close()
+			if !cw.Crashed(2) {
+				t.Fatal("rank 2 never crashed — the test exercised nothing")
+			}
+			if st.Served != requests || st.Recovered < 1 || st.Failed != 0 || st.Tripped != 0 {
+				t.Errorf("served %d of %d, recovered %d, failed %d, tripped %d; want all served, at least one recovered, none failed or tripped",
+					st.Served, requests, st.Recovered, st.Failed, st.Tripped)
+			}
+			w.Run(func(pe rt.PE) {
+				if pe.Rank() != 0 {
+					return
+				}
+				for i, c := range cs {
+					if d := maxRelDiff(want, c.Gather(pe, 0)); d > 1e-4 {
+						t.Errorf("request %d: max rel diff %g vs GemmNaive after recovery", i, d)
+					}
+				}
+			})
+			if live := pool.Stats().Live; live != 0 {
+				t.Errorf("%d pooled elements leaked across the recovery", live)
 			}
 		})
 	}

@@ -4,17 +4,60 @@ package serve
 // by replan-and-replay against the surviving world — every request still
 // completes correctly, the breaker never trips, and the recovery shows
 // up in Recovered/Replans/ReplanMs. The kill/heal cycle additionally
-// re-includes the revived rank.
+// re-includes the revived rank, and a second rank dying during a replay
+// costs one more replan, not the batch. Each test logs (-v) what the
+// recovery cost: the replan times and the recovered batch's wall time
+// against the median healthy one.
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"slicing/internal/chaos"
 	"slicing/internal/gpusim"
+	"slicing/internal/shmem"
 	"slicing/internal/universal"
 )
+
+// serveTimed submits fx's requests one at a time and returns each one's
+// wall time and whether a failover replay recovered its batch.
+func serveTimed(t *testing.T, s *Server, fx *tenantFixture) (lat []time.Duration, recovered []bool) {
+	t.Helper()
+	for i := range fx.cs {
+		before := s.Stats().Recovered
+		t0 := time.Now()
+		if _, err := s.Multiply(context.Background(), fx.name, fx.cs[i], fx.a, fx.b); err != nil {
+			t.Fatalf("request %d with failover on: %v", i, err)
+		}
+		lat = append(lat, time.Since(t0))
+		recovered = append(recovered, s.Stats().Recovered > before)
+	}
+	return lat, recovered
+}
+
+// logReplayCost reports what recovery cost: every replan's lookup-through-
+// recompile time, and each recovered request's wall time (its failed
+// attempts, replans and the replay) against the median healthy request.
+func logReplayCost(t *testing.T, st Stats, lat []time.Duration, recovered []bool) {
+	t.Helper()
+	var healthy, replayed []time.Duration
+	for i, d := range lat {
+		if recovered[i] {
+			replayed = append(replayed, d)
+		} else {
+			healthy = append(healthy, d)
+		}
+	}
+	slices.Sort(healthy)
+	median := time.Duration(0)
+	if len(healthy) > 0 {
+		median = healthy[len(healthy)/2]
+	}
+	t.Logf("replan ms %.3f; recovered request(s) %v vs healthy median %v", st.ReplanMs, replayed, median)
+}
 
 // TestServeFailoverRecoversCrash is the serving half of the tentpole: a
 // rank crashes mid-run under a seeded plan, and the server replays the
@@ -31,13 +74,10 @@ func TestServeFailoverRecoversCrash(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Minute},
 		Exec:    universal.Config{Pool: pool},
 	})
-	for i := range fx.cs {
-		if _, err := s.Multiply(context.Background(), fx.name, fx.cs[i], fx.a, fx.b); err != nil {
-			t.Fatalf("request %d with failover on: %v", i, err)
-		}
-	}
+	lat, recovered := serveTimed(t, s, fx)
 	st := s.Stats()
 	s.Close()
+	logReplayCost(t, st, lat, recovered)
 	if !cw.Crashed(1) {
 		t.Fatal("crash rule never fired — the test exercised nothing")
 	}
@@ -80,13 +120,10 @@ func TestServeFailoverKillHealCycle(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Minute},
 		Exec:    universal.Config{Pool: pool},
 	})
-	for i := range fx.cs {
-		if _, err := s.Multiply(context.Background(), fx.name, fx.cs[i], fx.a, fx.b); err != nil {
-			t.Fatalf("request %d through the kill/heal cycle: %v", i, err)
-		}
-	}
+	lat, recovered := serveTimed(t, s, fx)
 	st := s.Stats()
 	s.Close()
+	logReplayCost(t, st, lat, recovered)
 	inj := cw.Injected()
 	if inj.Crashes != 1 || inj.Heals != 1 {
 		t.Fatalf("cycle did not complete: %+v", inj)
@@ -103,5 +140,67 @@ func TestServeFailoverKillHealCycle(t *testing.T) {
 	checkResults(t, w, []*tenantFixture{fx})
 	if live := pool.Stats().Live; live != 0 {
 		t.Fatalf("%d pooled elements leaked across the cycle", live)
+	}
+}
+
+// TestServeFailoverSurvivesCrashDuringReplay: a second rank dying while the
+// first death's replay runs costs one more failover attempt, not the batch.
+// Rank 1 crashes on a get halfway through the first request; rank 3 crashes
+// on its first get of that batch's replay, the one that adopts rank 1's
+// ops. The batch lands on the two survivors after two replans, and later
+// batches run on them from the start.
+func TestServeFailoverSurvivesCrashDuringReplay(t *testing.T) {
+	// Crash points are get counts of the same fixture's plans, compiled on
+	// a plain world (the plan key does not name the world): rank 3 skips
+	// its whole healthy share, so its next get is the replay's.
+	probe := makeTenant(shmem.NewWorld(4), "probe", 24, 20, 16, 1, 0)
+	gets := func(exclude []int, rank int) int {
+		cp := universal.CompilePlans(universal.NewProblem(probe.cs[0], probe.a, probe.b), universal.Config{Exclude: exclude})
+		n := 0
+		for _, st := range cp.Plans[rank].Steps {
+			for _, fetched := range [...]bool{st.FetchA, st.FetchB} {
+				if fetched {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	rank1, rank3, replay3 := gets(nil, 1), gets(nil, 3), gets([]int{1}, 3)
+	if rank1 == 0 || replay3 == 0 {
+		t.Fatalf("rank 1 issues %d gets, rank 3 %d in the replay; a crash could not be placed", rank1, replay3)
+	}
+	plan := &chaos.Plan{Seed: 31, Rules: []chaos.Rule{
+		{Name: "die", Kind: chaos.Crash, Ops: chaos.OpGet, Ranks: []int{1}, Rate: 1, After: rank1 / 2},
+		{Name: "die-in-replay", Kind: chaos.Crash, Ops: chaos.OpGet, Ranks: []int{3}, Rate: 1, After: rank3},
+	}}
+	w, cw := chaosWorld(plan)
+	fx := makeTenant(w, "twice", 24, 20, 16, 4, 55)
+	pool := gpusim.NewPool()
+	s := NewServer(w, Config{
+		Batch: 1, Queue: 16, Recover: true,
+		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Minute},
+		Exec:    universal.Config{Pool: pool},
+	})
+	lat, recovered := serveTimed(t, s, fx)
+	st := s.Stats()
+	s.Close()
+	logReplayCost(t, st, lat, recovered)
+	if !cw.Crashed(1) || !cw.Crashed(3) {
+		t.Fatalf("crashed: rank 1 %v, rank 3 %v; want both", cw.Crashed(1), cw.Crashed(3))
+	}
+	// One recovered batch that needed two replans: both deaths hit it.
+	if !recovered[0] || st.Recovered != 1 || st.Replans != 2 {
+		t.Fatalf("recovered %v (total %d) after %d replans; want the first batch alone, after 2", recovered, st.Recovered, st.Replans)
+	}
+	if st.Served != int64(len(fx.cs)) || st.Failed != 0 || st.Tripped != 0 {
+		t.Fatalf("repeated death leaked into failure accounting: %+v", st)
+	}
+	if dead := s.member.Excluded(); !reflect.DeepEqual(dead, []int{1, 3}) {
+		t.Fatalf("membership's dead set %v, want [1 3]", dead)
+	}
+	checkResults(t, w, []*tenantFixture{fx})
+	if live := pool.Stats().Live; live != 0 {
+		t.Fatalf("%d pooled elements leaked across the two failovers", live)
 	}
 }

@@ -94,26 +94,22 @@ func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 		name  string
 		fused int // result matrices written per run
 		run   func(pe rt.PE, cfg Config) error
-		// protocolGets is the entry's own remote-get traffic on top of the
-		// plan's, for a plan of the given total step count.
-		protocolGets func(steps int) int64
 		// reordered marks an entry that runs the ops in another order: its
 		// whole-tile gets follow its own tile-LRU walk, so they are compared
 		// with the model's replay of the same plan instead of with the other
 		// entries.
 		reordered bool
 	}
-	none := func(int) int64 { return 0 }
 	entries := []entry{
 		{"Multiply/cached", 1, func(pe rt.PE, cfg Config) error {
 			cfg.Plans = NewPlanCache(4)
 			_, err := Multiply(pe, cs[0], a, b, cfg)
 			return err
-		}, none, false},
+		}, false},
 		{"Multiply/uncached", 1, func(pe rt.PE, cfg Config) error {
 			_, err := Multiply(pe, cs[0], a, b, cfg)
 			return err
-		}, none, false},
+		}, false},
 		{"Execute/fused3", 3, func(pe rt.PE, cfg Config) error {
 			cps := make([]*CompiledPlan, len(probs))
 			for i, c := range cs {
@@ -123,25 +119,14 @@ func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 			err := Execute(pe, probs, cps, cfg)
 			Finish(pe, probs, cfg)
 			return err
-		}, none, false},
+		}, false},
 		{"Execute/ordered", 1, func(pe rt.PE, cfg Config) error {
 			cp := CompileOrdered(probs[0], cfg, reversedOrder)
 			cs[0].Zero(pe)
 			err := Execute(pe, probs[:1], []*CompiledPlan{cp}, cfg)
 			Finish(pe, probs[:1], cfg)
 			return err
-		}, none, true},
-		{"MultiplyResilient/clean", 1, func(pe rt.PE, cfg Config) error {
-			_, report, err := MultiplyResilient(pe, cs[0], a, b, cfg)
-			if report.Rounds != 0 {
-				t.Errorf("clean resilient run took %d repair rounds", report.Rounds)
-			}
-			return err
-		}, func(steps int) int64 {
-			// One status exchange: every rank reads every peer's failed
-			// flag plus 16 landed bits per float32 word.
-			return int64(p * (p - 1) * (1 + (steps+15)/16) * 4)
-		}, false},
+		}, true},
 	}
 
 	for _, mode := range []struct {
@@ -157,7 +142,6 @@ func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 				cfg.Pool = gpusim.NewPool()
 
 				direct := CompilePlans(probs[0], cfg)
-				steps := direct.Steps()
 				var getBytes, accumBytes int64
 				for ei, e := range entries {
 					before := w.Stats()
@@ -167,7 +151,7 @@ func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 						}
 					})
 					after := w.Stats()
-					get := (after.RemoteGetBytes - before.RemoteGetBytes - e.protocolGets(steps)) / int64(e.fused)
+					get := (after.RemoteGetBytes - before.RemoteGetBytes) / int64(e.fused)
 					accum := (after.RemoteAccumBytes - before.RemoteAccumBytes) / int64(e.fused)
 					// Order cannot change what an op's own slices or its
 					// accumulate cost; only whole-tile reuse depends on it.

@@ -1,8 +1,9 @@
 package universal
 
-// White-box tests of the exclusion/repair plan machinery and the
-// step-granular checkpoint. The cross-backend crash-recovery matrix
-// lives in internal/chaos/recovery_conformance_test.go.
+// White-box tests of the exclusion (repair) plans that PE-loss recovery
+// replays on. The cross-backend crash-recovery matrix, which drives them
+// through the serving loop's failover, lives in
+// internal/chaos/conformance_test.go.
 
 import (
 	"testing"
@@ -127,30 +128,4 @@ func TestExcludeExecutionMatchesReference(t *testing.T) {
 			t.Errorf("exclude %v: maxdiff %g vs reference", exclude, got.MaxAbsDiff(ref))
 		}
 	}
-}
-
-// TestCheckpointCleanRunLandsEverything pins the checkpoint contract on
-// the happy path: a fault-free checkpointed execution marks every step.
-func TestCheckpointCleanRunLandsEverything(t *testing.T) {
-	const p, m, n, k = 4, 60, 50, 40
-	w := shmem.NewWorld(p)
-	prob, a, b, c := excludeProblem(w, m, n, k)
-	cfg := DefaultConfig().withDefaults()
-	w.Run(func(pe rt.PE) {
-		a.FillRandom(pe, 11)
-		b.FillRandom(pe, 12)
-		c.Zero(pe)
-		var sched fetchSchedule
-		plan := compileRank(pe.Rank(), prob, PlanKeyOf(prob, cfg), nil, &sched)
-		var ckpt Checkpoint
-		ckpt.Reset(len(plan.Steps))
-		work := [1]feeder{{prob: prob, plan: plan, sched: &sched, ckpt: &ckpt}}
-		if err := execute(pe, work[:], cfg); err != nil {
-			t.Errorf("rank %d: %v", pe.Rank(), err)
-		}
-		if got, want := ckpt.LandedCount(), len(plan.Steps); got != want {
-			t.Errorf("rank %d: %d of %d steps landed", pe.Rank(), got, want)
-		}
-		pe.Barrier()
-	})
 }

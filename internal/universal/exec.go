@@ -185,7 +185,7 @@ type stepState struct {
 
 // chainTask names one ready GEMM→accumulate chain: steps [first, first+n)
 // of f's plan, n-1 of them Chained to their successor. Everything else the
-// chain needs — problem, views, slots, checkpoint — is reached through f,
+// chain needs — problem, views, slots — is reached through f,
 // so one crew serves a fused batch of multiplies and a dispatch moves three
 // words. The zero task tells a helper to stop.
 type chainTask struct {
@@ -239,7 +239,7 @@ func (c *crew) help() {
 // (already baked into the op order), prefetching via get_tile_async,
 // asynchronous GEMM→accumulate chains with bounded concurrency, and pooled
 // scratch memory. Multiply passes one plan, the serving layer a fused
-// batch, the resilient multiply one plan with a checkpoint; a plan lowered
+// batch; a plan lowered
 // from a §4.3 IR schedule (CompileOrdered) is the same steps in another
 // order and runs here unchanged.
 //
@@ -311,7 +311,7 @@ func execute(pe rt.PE, work []feeder, cfg Config) error {
 
 // feeder walks one per-rank plan, issuing prefetches and assembling its
 // steps into ready GEMM→accumulate chains. Callers of execute fill the
-// first four fields; the rest is the walk's state. It owns the plan's slot
+// first three fields; the rest is the walk's state. It owns the plan's slot
 // array, whose refcounts keep pooled buffers alive until the last in-flight
 // chain using them retires — which is why a feeder outlives its feed call
 // and execute can feed further plans to the same crew before this one's
@@ -320,7 +320,6 @@ type feeder struct {
 	prob  Problem
 	plan  Plan
 	sched *fetchSchedule
-	ckpt  *Checkpoint // non-nil (and Reset to the plan's length): mark every step whose product lands
 
 	c     *crew
 	ret   retrier // the feeder goroutine's own: fetch issues and the chains it runs itself
@@ -386,17 +385,7 @@ func (f *feeder) dispatch(t chainTask) {
 // retires the chain's slot references either way.
 func (f *feeder) runChain(first, n int, ret *retrier) {
 	if box := &f.c.box; box.err() == nil {
-		err := f.gemmChain(first, n, ret)
-		if err == nil && f.ckpt != nil {
-			// The chain's single accumulate landed (a failed op moves no
-			// data, so this is exactly the products of all its steps
-			// becoming durable together): checkpoint every one of them, at
-			// the same point their slot references retire.
-			for i := first; i < first+n; i++ {
-				f.ckpt.mark(i)
-			}
-		}
-		box.set(err)
+		box.set(f.gemmChain(first, n, ret))
 	}
 	f.release(first, first+n)
 }

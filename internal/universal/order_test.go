@@ -40,7 +40,9 @@ func mmFine() Problem {
 // generatedOrderPlan lowers rank's ops in the generated order, as compiles
 // did before the order pass.
 func generatedOrderPlan(rank int, prob Problem, key PlanKey) Plan {
-	return buildStepsFromOps(rank, prob, key.Stationary, GenerateOps(rank, prob, key.Stationary), key.CacheTiles, key.SubTile, nil)
+	steps := lowerOps(rank, prob, GenerateOps(rank, prob, key.Stationary), key.SubTile)
+	resolveFetches(steps, key.CacheTiles, nil)
+	return Plan{Rank: rank, Stationary: key.Stationary, Steps: steps}
 }
 
 // groupedOrderPlan is generatedOrderPlan in the order pass's C-grouped

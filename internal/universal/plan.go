@@ -276,18 +276,6 @@ func BuildPlan(rank int, p Problem, stat Stationary, cacheTiles int) Plan {
 	return compileRank(rank, p, PlanKey{Stationary: p.ResolveStationary(stat), CacheTiles: cacheTiles}, nil, nil)
 }
 
-// buildStepsFromOps lowers an explicit op list and walks it in the given
-// order, filling sched (when non-nil) with the executor schedule of its
-// fetches. The resilient multiply's repair rounds feed it the unfinished
-// ops of ranks that failed mid-run, where the adopting rank's own replica
-// placement — not the dead rank's — must drive the source/destination
-// resolution. stat must already be resolved.
-func buildStepsFromOps(rank int, p Problem, resolved Stationary, ops []LocalOp, cacheTiles int, subTile bool, sched *fetchSchedule) Plan {
-	steps := lowerOps(rank, p, ops, subTile)
-	resolveFetches(steps, cacheTiles, sched)
-	return Plan{Rank: rank, Stationary: resolved, Steps: steps}
-}
-
 // lowerOps lowers an op list into steps with locality, owner ranks and byte
 // counts resolved for the executing rank. None of that depends on the
 // order the steps run in, so a reordered plan is a permutation of these

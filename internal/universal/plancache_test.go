@@ -248,20 +248,15 @@ func TestCachedMultiplyRunsZeroSlicingWork(t *testing.T) {
 		t.Fatalf("world-wide compilations: %d, want 1", st.Builds)
 	}
 
-	// A nil Plans is the world's own cache, cold here: the first call — a
-	// resilient one, which compiles through the same cache — compiles once
-	// for the world, the contrast that makes the counter meaningful, and
-	// every later one compiles nothing.
+	// A nil Plans is the world's own cache, cold here: the first plain call
+	// compiles once for the world, the contrast that makes the counter
+	// meaningful, and every later one compiles nothing.
 	plain := cfg
 	plain.Plans = nil
 	for call, want := range []int64{p, 0, 0} {
 		before = PlanBuildCount()
 		w.Run(func(pe rt.PE) {
-			if call == 0 {
-				MultiplyResilient(pe, c, a, b, plain)
-			} else {
-				Multiply(pe, c, a, b, plain)
-			}
+			Multiply(pe, c, a, b, plain)
 		})
 		if got := PlanBuildCount() - before; got != want {
 			t.Fatalf("plain call %d ran %d slicing passes, want %d", call, got, want)
