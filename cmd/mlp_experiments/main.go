@@ -8,12 +8,13 @@
 // Two annotations ground the estimator curves in real (timed) execution:
 //
 //   - validation points: each UA series' winning configuration re-runs at
-//     1/scale dimensions through both timed backends, and the spread
-//     around the estimator is printed as an error bar per series;
+//     1/scale dimensions through the timed backend, and its signed error
+//     against the estimator is printed per series;
 //
 //   - pipeline tuning: the headline configuration's PrefetchDepth ×
-//     MaxInflight grid is swept per timed backend (autotune.TunePipeline),
-//     surfacing how the optimum depends on the backend's contention model.
+//     MaxInflight grid is swept on the timed backend
+//     (autotune.TunePipeline), surfacing how engine contention moves the
+//     optimum.
 //
 //     mlp_experiments -system pvc  -layer mlp1
 //     mlp_experiments -system h100 -layer mlp2
@@ -28,9 +29,6 @@ import (
 
 	"slicing/internal/autotune"
 	"slicing/internal/bench"
-	"slicing/internal/gpubackend"
-	rt "slicing/internal/runtime"
-	"slicing/internal/simbackend"
 	"slicing/internal/trace"
 	"slicing/internal/universal"
 )
@@ -41,7 +39,7 @@ func main() {
 		layer    = flag.String("layer", "mlp1", "mlp1 | mlp2")
 		quick    = flag.Bool("quick", false, "restrict the sweep (fewer batches and factors)")
 		validate = flag.Bool("validate", true, "annotate UA series with timed-backend validation points")
-		tune     = flag.Bool("tune", true, "sweep the headline point's pipeline depth per timed backend")
+		tune     = flag.Bool("tune", true, "sweep the headline point's pipeline depth on the timed backend")
 		scale    = flag.Int("scale", 16, "divide dimensions by this factor for timed validation runs")
 	)
 	flag.Parse()
@@ -94,10 +92,8 @@ func main() {
 }
 
 // tunePipelines sweeps the figure's headline UA configuration over the
-// PrefetchDepth × MaxInflight grid on both timed backends and prints the
-// per-backend ranking head — the open-ROADMAP comparison of how queue
-// depth moves the optimum between the single-clock and stream/event
-// contention models.
+// PrefetchDepth × MaxInflight grid on the timed backend and prints the
+// ranking head: how queue depth on the copy engines moves the optimum.
 func tunePipelines(sys universal.SimSystem, l bench.Layer, fig bench.Figure, scale int) {
 	pk, pt, ok := headlineUA(fig)
 	if !ok {
@@ -111,18 +107,15 @@ func tunePipelines(sys universal.SimSystem, l bench.Layer, fig bench.Figure, sca
 	cand := autotune.Candidate{Part: pk, ReplAB: pt.ReplAB, ReplC: pt.ReplC, Stationary: pt.Stationary}
 	fmt.Printf("pipeline tuning: UA - %v cAB=%d cC=%d %v @ batch %d (1/%d scale)\n",
 		pk, pt.ReplAB, pt.ReplC, pt.Stationary, pt.Batch, scale)
-	backends := []rt.Backend{simbackend.New(sys.Topo, sys.Dev), gpubackend.New(sys.Topo, sys.Dev)}
-	for _, b := range backends {
-		choices := autotune.TunePipeline(b, sys, m, n, k, cand, autotune.PipelineOptions{})
-		best := choices[0]
-		fmt.Printf("  %-22s best prefetch=%d inflight=%d (%.4gs, queue %.4gs)",
-			b.Name(), best.PrefetchDepth, best.MaxInflight, best.Seconds, best.QueueDelaySeconds)
-		if len(choices) > 1 {
-			worst := choices[len(choices)-1]
-			fmt.Printf("  [worst %d/%d: %.4gs]", worst.PrefetchDepth, worst.MaxInflight, worst.Seconds)
-		}
-		fmt.Println()
+	choices := autotune.TunePipeline(sys, m, n, k, cand, autotune.PipelineOptions{})
+	best := choices[0]
+	fmt.Printf("  %-22s best prefetch=%d inflight=%d (%.4gs, queue %.4gs)",
+		sys.Topo.Name(), best.PrefetchDepth, best.MaxInflight, best.Seconds, best.QueueDelaySeconds)
+	if len(choices) > 1 {
+		worst := choices[len(choices)-1]
+		fmt.Printf("  [worst %d/%d: %.4gs]", worst.PrefetchDepth, worst.MaxInflight, worst.Seconds)
 	}
+	fmt.Println()
 }
 
 // headlineUA finds the best UA point in the figure along with its

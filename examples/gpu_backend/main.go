@@ -1,15 +1,12 @@
-// GPU stream/event backend walkthrough: the same universal multiply runs
-// on all three runtime backends — the in-process shmem backend (the
-// numeric reference), the single-clock simnet-timed backend, and the
-// gpusim stream/event-timed backend — and every backend produces the same
-// C. The difference is what the timed runs can see: the stream/event
-// backend schedules each get, put, accumulate, and GEMM on modeled
+// Timed backend walkthrough: the same universal multiply runs on the
+// in-process shmem backend (the numeric reference) and on the timed
+// backend for both Table 2 systems, and both produce the same C. The timed
+// run additionally models the wall-clock of the schedule the runtime
+// actually chose: it places each get, put, accumulate, and GEMM on modeled
 // per-device engines (a compute stream, copy engines, fabric ports), so it
-// additionally reports queue-depth contention (async prefetches stacking
-// up on a copy engine) and accumulate/GEMM interference (remote
-// accumulates occupying the victim device's compute stream, the §5.2 H100
-// effect). The single-clock backend, asked through the same
-// slicing.StreamStatsOf hook, reports that it cannot observe either.
+// also reports queue-depth contention (async prefetches stacking up on a
+// copy engine) and accumulate/GEMM interference (remote accumulates
+// occupying the victim device's compute stream, the §5.2 H100 effect).
 package main
 
 import (
@@ -74,42 +71,38 @@ func maxAbsDiff(x, y *tile.Matrix) float64 {
 }
 
 func main() {
-	sys := slicing.H100System() // the system whose device models interference
-	p := sys.Topo.NumPE()
+	fmt.Printf("%dx%dx%d outer-product multiply, prefetch 4, Stationary A\n\n", m, n, k)
+	for _, sys := range []slicing.SimSystem{slicing.PVCSystem(), slicing.H100System()} {
+		name := sys.Topo.Name()
 
-	// 1. Numeric reference on the untimed shmem backend.
-	ref := slicing.NewWorld(p)
-	ra, rb, rc := operands(ref)
-	multiply(ref, ra, rb, rc)
-	want := gather(ref, rc)
+		// 1. Numeric reference on the untimed shmem backend.
+		ref := slicing.NewWorld(sys.Topo.NumPE())
+		ra, rb, rc := operands(ref)
+		multiply(ref, ra, rb, rc)
+		want := gather(ref, rc)
 
-	fmt.Printf("%s, %dx%dx%d outer-product multiply, prefetch 4, Stationary A\n\n", sys.Topo.Name(), m, n, k)
-
-	// 2. The same multiply on both timed backends.
-	for _, backend := range []slicing.Backend{
-		slicing.SimnetBackend(sys),
-		slicing.GpuSimBackend(sys),
-	} {
-		world := backend.NewWorld(p)
+		// 2. The same multiply on the timed backend. Snapshot the modeled
+		// time, traffic and stream stats before the verification gather
+		// adds its own (modeled) transfers.
+		world := slicing.NewTimedWorld(sys)
 		a, b, c := operands(world)
 		multiply(world, a, b, c)
-
 		seconds, ok := slicing.PredictedTime(world)
 		if !ok {
-			log.Fatalf("%s: timed world did not report a predicted time", backend.Name())
+			log.Fatalf("%s: timed world did not report a predicted time", name)
 		}
-		ss, streamed := slicing.StreamStatsOf(world)
+		ss, _ := slicing.StreamStatsOf(world)
+		stats := world.Stats()
 
-		if d := maxAbsDiff(want, gather(world, c)); d > 1e-3 {
-			log.Fatalf("%s: backends disagree, max abs diff %g", backend.Name(), d)
+		d := maxAbsDiff(want, gather(world, c))
+		if d > 1e-3 {
+			log.Fatalf("%s: backends disagree, max abs diff %g", name, d)
 		}
 
-		fmt.Printf("%-22s modeled wall-clock %8.3f ms  (C matches reference)\n", backend.Name(), seconds*1e3)
-		if streamed {
-			fmt.Printf("%-22s %d stream ops: queue delay %.3f ms, accumulate/GEMM interference %.3f ms\n\n",
-				"", ss.StreamOps, ss.QueueDelaySeconds*1e3, ss.AccumInterferenceSeconds*1e3)
-		} else {
-			fmt.Printf("%-22s single-clock model: queue depth and interference not observable\n\n", "")
-		}
+		fmt.Printf("%-16s modeled wall-clock %8.3f ms  (C matches shmem, max abs diff %.2g)\n", name, seconds*1e3, d)
+		fmt.Printf("%-16s remote traffic %.1f MB get / %.1f MB accum\n", "",
+			float64(stats.RemoteGetBytes)/1e6, float64(stats.RemoteAccumBytes)/1e6)
+		fmt.Printf("%-16s %d stream ops: queue delay %.3f ms, accumulate/GEMM interference %.3f ms\n\n",
+			"", ss.StreamOps, ss.QueueDelaySeconds*1e3, ss.AccumInterferenceSeconds*1e3)
 	}
 }

@@ -224,13 +224,11 @@ func buildProblem(sys universal.SimSystem, m, n, k int, part bench.Partitioning,
 
 // PipelineChoice is one (PrefetchDepth, MaxInflight) point of a pipeline
 // sweep, with the modeled wall-clock the timed backend observed for it and
-// the stream-level delay signals when the backend exposes them.
+// the time its ops queued behind busy engines.
 type PipelineChoice struct {
-	PrefetchDepth int
-	MaxInflight   int
-	Seconds       float64
-	// QueueDelaySeconds is the time ops queued behind busy engines (zero on
-	// single-clock backends, which cannot observe it).
+	PrefetchDepth     int
+	MaxInflight       int
+	Seconds           float64
 	QueueDelaySeconds float64
 }
 
@@ -257,18 +255,17 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 
 // TunePipeline sweeps the async pipeline depth — PrefetchDepth ×
 // MaxInflight — for one candidate configuration by executing the multiply
-// for real on the given timed backend (simbackend or gpubackend) and
-// ranking the observed modeled wall-clocks. This is the per-backend
-// refinement the cost model cannot provide: queue-depth contention makes
-// the optimum backend-dependent (a deeper pipeline that is free on a
-// single-clock model can queue on a copy engine), so the same candidate is
-// tuned separately per backend and topology. Choices return sorted
-// best-first.
-func TunePipeline(b rt.Backend, sys universal.SimSystem, m, n, k int, c Candidate, opt PipelineOptions) []PipelineChoice {
+// for real on the timed backend over sys and ranking the observed modeled
+// wall-clocks. This is the refinement the cost model cannot provide:
+// queue-depth contention on the copy engines makes the optimum
+// system-dependent (a deeper pipeline that overlaps on one device's
+// engines queues on another's), so the same candidate is tuned separately
+// per system. Choices return sorted best-first.
+func TunePipeline(sys universal.SimSystem, m, n, k int, c Candidate, opt PipelineOptions) []PipelineChoice {
 	opt = opt.withDefaults()
 	out := make([]PipelineChoice, len(opt.Depths)*len(opt.Inflights))
-	// Every grid point executes the multiply on its own world (the backend
-	// only carries the immutable topology and device models), so the sweep
+	// Every grid point executes the multiply on its own world (sys only
+	// carries the immutable topology and device models), so the sweep
 	// runs concurrently; slot-indexed results plus the stable final sort
 	// keep the ranking deterministic.
 	rt.ForEachIndex(len(out), func(i int) {
@@ -277,7 +274,7 @@ func TunePipeline(b rt.Backend, sys universal.SimSystem, m, n, k int, c Candidat
 		cfg := c.Config()
 		cfg.PrefetchDepth = d
 		cfg.MaxInflight = fl
-		res := bench.RunUATimedOn(b, sys, m, n, k, c.Part, c.ReplAB, c.ReplC, cfg)
+		res := bench.RunUATimed(sys, m, n, k, c.Part, c.ReplAB, c.ReplC, cfg)
 		out[i] = PipelineChoice{
 			PrefetchDepth:     d,
 			MaxInflight:       fl,

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"slicing/internal/bench"
-	"slicing/internal/gpubackend"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/tile"
 	"slicing/internal/universal"
 )
@@ -164,9 +162,9 @@ func (t testTopo) Latency(src, dst int) float64 { return 1e-6 }
 func (t testTopo) Name() string                 { return "test" }
 
 // TestTunePipelineSweepsPerBackend runs the PrefetchDepth/MaxInflight
-// sweep on both timed backends for the same candidate and checks the
-// returned choices are complete, sorted best-first, and carry the
-// stream-level queue-delay signal only on the stream/event backend.
+// sweep on the timed backend and checks the returned choices are
+// complete, sorted best-first, and carry the stream-level queue-delay
+// signal.
 func TestTunePipelineSweepsPerBackend(t *testing.T) {
 	sys := universal.H100System()
 	const m, n, k = 256, 256, 256
@@ -176,37 +174,24 @@ func TestTunePipelineSweepsPerBackend(t *testing.T) {
 	}
 	opt := PipelineOptions{Depths: []int{1, 4}, Inflights: []int{1, 4}}
 
-	run := func(b rt.Backend) []PipelineChoice {
-		choices := TunePipeline(b, sys, m, n, k, cand, opt)
-		if len(choices) != 4 {
-			t.Fatalf("%s: expected 4 choices, got %d", b.Name(), len(choices))
-		}
-		for i, c := range choices {
-			if c.Seconds <= 0 {
-				t.Fatalf("%s: choice %v has non-positive runtime", b.Name(), c)
-			}
-			if i > 0 && c.Seconds < choices[i-1].Seconds {
-				t.Fatalf("%s: choices not sorted best-first at %d", b.Name(), i)
-			}
-		}
-		return choices
+	choices := TunePipeline(sys, m, n, k, cand, opt)
+	if len(choices) != 4 {
+		t.Fatalf("expected 4 choices, got %d", len(choices))
 	}
-
-	simChoices := run(simbackend.New(sys.Topo, sys.Dev))
-	for _, c := range simChoices {
-		if c.QueueDelaySeconds != 0 {
-			t.Fatalf("single-clock backend reported queue delay %g", c.QueueDelaySeconds)
-		}
-	}
-	gpuChoices := run(gpubackend.New(sys.Topo, sys.Dev))
 	sawQueue := false
-	for _, c := range gpuChoices {
+	for i, c := range choices {
+		if c.Seconds <= 0 {
+			t.Fatalf("choice %v has non-positive runtime", c)
+		}
+		if i > 0 && c.Seconds < choices[i-1].Seconds {
+			t.Fatalf("choices not sorted best-first at %d", i)
+		}
 		if c.QueueDelaySeconds > 0 {
 			sawQueue = true
 		}
 	}
 	if !sawQueue {
-		t.Fatal("stream/event backend observed no queue delay in any swept config")
+		t.Fatal("timed backend observed no queue delay in any swept config")
 	}
 }
 
@@ -239,7 +224,7 @@ func TestTunePipelineConcurrentSweepCoversGridSorted(t *testing.T) {
 	c := Best(sys, 256, 256, 256, Options{})
 	opt := PipelineOptions{Depths: []int{1, 4}, Inflights: []int{1, 2, 4}}
 	for trial := 0; trial < 3; trial++ {
-		got := TunePipeline(simbackend.New(sys.Topo, sys.Dev), sys, 256, 256, 256, c, opt)
+		got := TunePipeline(sys, 256, 256, 256, c, opt)
 		if len(got) != len(opt.Depths)*len(opt.Inflights) {
 			t.Fatalf("trial %d: %d choices, want %d", trial, len(got), len(opt.Depths)*len(opt.Inflights))
 		}

@@ -14,10 +14,9 @@ import (
 	"slicing/internal/cosma"
 	"slicing/internal/distmat"
 	"slicing/internal/dtensor"
-	"slicing/internal/gpusim"
+	"slicing/internal/gpubackend"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/universal"
 )
 
@@ -195,38 +194,17 @@ func RunUA(sys universal.SimSystem, m, n, k int, pk Partitioning, cAB, cC int, s
 }
 
 // RunUATimed executes one universal-algorithm configuration for real on
-// the simnet-timed backend and reports the modeled wall-clock of the
-// execution the runtime actually performed (dynamic prefetch, bounded
-// chains, port contention), as opposed to RunUA's plan-replay estimate.
-// Real arithmetic makes this far more expensive than RunUA, so the figure
-// sweeps use it selectively for validation points.
-func RunUATimed(sys universal.SimSystem, m, n, k int, pk Partitioning, cAB, cC int, stat universal.Stationary) universal.SimResult {
-	cfg := universal.DefaultConfig()
-	cfg.Stationary = stat
-	return RunUATimedOn(simbackend.New(sys.Topo, sys.Dev), sys, m, n, k, pk, cAB, cC, cfg)
-}
-
-// RunUATimedOn is RunUATimed over any timed backend (simbackend or
-// gpubackend) with a caller-supplied execution config, which is what lets
-// the autotuner sweep PrefetchDepth/MaxInflight per backend. sys must be
-// the system the backend was built over (it sizes the world and prices
-// PercentOfPeak); the mismatch is caught when the backend's world exposes
-// its device. The backend's worlds must implement runtime.TimedWorld; it
-// panics otherwise. When the backend also implements the stream/event
-// hooks (gpubackend), the result carries the run's queue-delay and
-// interference seconds.
-func RunUATimedOn(b rt.Backend, sys universal.SimSystem, m, n, k int, pk Partitioning, cAB, cC int, cfg universal.Config) universal.SimResult {
+// the timed backend built over sys (gpubackend) and reports the modeled
+// wall-clock of the execution the runtime actually performed (dynamic
+// prefetch, bounded chains, engine and port contention), as opposed to
+// RunUA's plan-replay estimate, together with the run's queue-delay and
+// interference seconds. cfg is the full execution config, which is what
+// lets the autotuner sweep PrefetchDepth/MaxInflight. Real arithmetic
+// makes this far more expensive than RunUA, so the figure sweeps use it
+// selectively for validation points.
+func RunUATimed(sys universal.SimSystem, m, n, k int, pk Partitioning, cAB, cC int, cfg universal.Config) universal.SimResult {
 	p := sys.Topo.NumPE()
-	world := b.NewWorld(p)
-	w, ok := world.(rt.TimedWorld)
-	if !ok {
-		panic(fmt.Sprintf("bench: backend %q is not timed", b.Name()))
-	}
-	if dw, hasDev := world.(interface{ Device() gpusim.Device }); hasDev {
-		if dev := dw.Device(); dev.PeakFlops != sys.Dev.PeakFlops {
-			panic(fmt.Sprintf("bench: backend %q models %s but sys prices %s", b.Name(), dev.Name, sys.Dev.Name))
-		}
-	}
+	w := gpubackend.New(sys.Topo, sys.Dev).NewWorld(p).(*gpubackend.World)
 	pa, pb, pc := pk.Parts()
 	a := distmat.New(w, m, k, pa, cAB)
 	bm := distmat.New(w, k, n, pb, cAB)
@@ -240,16 +218,14 @@ func RunUATimedOn(b rt.Backend, sys universal.SimSystem, m, n, k int, pk Partiti
 			resolved = s
 		}
 	})
-	stats := w.Stats()
+	stats, ss := w.Stats(), w.StreamStats()
 	res := universal.SimResult{
-		Makespan:         w.PredictedSeconds(),
-		Stationary:       resolved,
-		RemoteGetBytes:   int(stats.RemoteGetBytes),
-		RemoteAccumBytes: int(stats.RemoteAccumBytes),
-	}
-	if ss, streamed := rt.StreamStatsOf(w); streamed {
-		res.QueueDelaySeconds = ss.QueueDelaySeconds
-		res.AccumInterferenceSeconds = ss.AccumInterferenceSeconds
+		Makespan:                 w.PredictedSeconds(),
+		Stationary:               resolved,
+		RemoteGetBytes:           int(stats.RemoteGetBytes),
+		RemoteAccumBytes:         int(stats.RemoteAccumBytes),
+		QueueDelaySeconds:        ss.QueueDelaySeconds,
+		AccumInterferenceSeconds: ss.AccumInterferenceSeconds,
 	}
 	if res.Makespan > 0 {
 		flops := 2 * float64(m) * float64(n) * float64(k)

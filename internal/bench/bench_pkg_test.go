@@ -230,7 +230,9 @@ func TestRunUATimedAgreesWithEstimate(t *testing.T) {
 	// within an order of magnitude (they price the same plans over the same
 	// topology/device, but the estimator idealizes scheduling).
 	sys := universal.H100System()
-	timed := RunUATimed(sys, 128, 96, 64, PartBlock, 1, 1, universal.StationaryC)
+	cfg := universal.DefaultConfig()
+	cfg.Stationary = universal.StationaryC
+	timed := RunUATimed(sys, 128, 96, 64, PartBlock, 1, 1, cfg)
 	est := RunUA(sys, 128, 96, 64, PartBlock, 1, 1, universal.StationaryC)
 	if timed.Makespan <= 0 || est.Makespan <= 0 {
 		t.Fatalf("non-positive makespans: timed %g, estimate %g", timed.Makespan, est.Makespan)

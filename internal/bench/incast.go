@@ -3,14 +3,14 @@ package bench
 import (
 	"fmt"
 
+	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 )
 
-// IncastStorm prices the canonical incast scenario on a simnet-timed
-// world over topo: one sender GPU per node pushes elems float32 into a
+// IncastStorm prices the canonical incast scenario on a timed world over
+// topo: one sender GPU per node pushes elems float32 into a
 // distinct GPU of node 0. Node i (1 ≤ i ≤ sending nodes) sends from its
 // GPU senderGPU(i) to GPU i-1 of node 0, at offset 0 of the target's
 // segment, so the symmetric heap stays one transfer wide per PE.
@@ -32,7 +32,7 @@ func IncastStorm(topo simnet.Topology, dev gpusim.Device, perNode, elems int, se
 	if p%perNode != 0 || senders < 1 || senders > perNode {
 		panic(fmt.Sprintf("bench: incast needs 2..%d nodes of %d PEs, topology has %d PEs", perNode+1, perNode, p))
 	}
-	w := simbackend.New(topo, dev).NewWorld(p).(rt.TimedWorld)
+	w := gpubackend.New(topo, dev).NewWorld(p).(*gpubackend.World)
 	seg := w.AllocSymmetric(elems)
 	w.Run(func(pe rt.PE) {
 		node := pe.Rank() / perNode

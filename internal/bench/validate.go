@@ -4,61 +4,47 @@ import (
 	"fmt"
 
 	"slicing/internal/distmat"
-	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 	"slicing/internal/universal"
 )
 
 // ValidationPoint pairs the plan-replay estimate of one figure
-// configuration with timed-execution measurements of the same
+// configuration with a timed-execution measurement of the same
 // configuration, run at a reduced scale (real arithmetic at full MLP
-// dimensions is prohibitive on a development machine). The three numbers
+// dimensions is prohibitive on a development machine). The two numbers
 // answer the question the figures beg: how far is the estimator from what
 // the executor actually does?
 //
-// All three percentages are percent-of-peak at the validation scale, so
-// they are directly comparable with each other; their spread is the error
-// bar annotated onto the full-scale estimator curve.
+// Both percentages are percent-of-peak at the validation scale, so they
+// are directly comparable; their difference (Err) is the error annotated
+// onto the full-scale estimator curve.
 type ValidationPoint struct {
 	Series string // "UA - <partitioning>"
 	Batch  int    // the figure point's batch (full scale)
 	Scale  int    // dimensions were divided by this factor for validation
 	// EstimatorPct is universal.SimulateMultiply's plan-replay estimate.
 	EstimatorPct float64
-	// SimbackendPct is the real execution timed by the single-clock
-	// simnet backend; GpubackendPct by the stream/event backend.
-	SimbackendPct float64
-	GpubackendPct float64
-}
-
-// ErrBar returns the signed estimator error against the two timed
-// backends, as percent-of-peak deltas (timed − estimator): lo is the most
-// negative, hi the most positive. A tight [lo, hi] straddling zero means
-// the estimator curve is trustworthy at that point.
-func (v ValidationPoint) ErrBar() (lo, hi float64) {
-	dSim := v.SimbackendPct - v.EstimatorPct
-	dGpu := v.GpubackendPct - v.EstimatorPct
-	if dSim < dGpu {
-		return dSim, dGpu
-	}
-	return dGpu, dSim
+	// TimedPct is the real execution timed by the timed backend.
+	TimedPct float64
+	// Err is the signed estimator error, TimedPct − EstimatorPct, in
+	// percent-of-peak points: near zero means the estimator curve is
+	// trustworthy at that point.
+	Err float64
 }
 
 func (v ValidationPoint) String() string {
-	lo, hi := v.ErrBar()
-	return fmt.Sprintf("%s @%d (1/%d scale): est %.1f%% [%+.1f, %+.1f] (sim %.1f%%, gpu %.1f%%)",
-		v.Series, v.Batch, v.Scale, v.EstimatorPct, lo, hi, v.SimbackendPct, v.GpubackendPct)
+	return fmt.Sprintf("%s @%d (1/%d scale): est %.1f%%, timed %.1f%% (%+.1f)",
+		v.Series, v.Batch, v.Scale, v.EstimatorPct, v.TimedPct, v.Err)
 }
 
 // ValidatePoint runs one figure point's configuration — partitioning,
 // replication factors, stationary strategy — through the estimator and
-// both timed backends at dimensions divided by scale, and returns the
-// three percent-of-peak numbers. The MLP dimensions are multiples of 16,
-// so scale 16 keeps every dimension whole while shrinking the arithmetic
-// by 4096×.
+// the timed backend at dimensions divided by scale, and returns the two
+// percent-of-peak numbers. The MLP dimensions are multiples of 16, so
+// scale 16 keeps every dimension whole while shrinking the arithmetic by
+// 4096×.
 func ValidatePoint(sys universal.SimSystem, layer Layer, pk Partitioning, pt Point, scale int) ValidationPoint {
 	if scale <= 0 {
 		scale = 16
@@ -69,10 +55,10 @@ func ValidatePoint(sys universal.SimSystem, layer Layer, pk Partitioning, pt Poi
 	stat := pt.Stationary
 
 	v.EstimatorPct = RunUA(sys, m, n, k, pk, pt.ReplAB, pt.ReplC, stat).PercentOfPeak
-	v.SimbackendPct = RunUATimed(sys, m, n, k, pk, pt.ReplAB, pt.ReplC, stat).PercentOfPeak
 	cfg := universal.DefaultConfig()
 	cfg.Stationary = stat
-	v.GpubackendPct = RunUATimedOn(gpubackend.New(sys.Topo, sys.Dev), sys, m, n, k, pk, pt.ReplAB, pt.ReplC, cfg).PercentOfPeak
+	v.TimedPct = RunUATimed(sys, m, n, k, pk, pt.ReplAB, pt.ReplC, cfg).PercentOfPeak
+	v.Err = v.TimedPct - v.EstimatorPct
 	return v
 }
 
@@ -147,7 +133,7 @@ func FatTree64SchedulerDAG() (*gpusim.Engine, universal.SimResult) {
 }
 
 // TimedIncastReduce executes the same reduce-storm configuration for real
-// on the simnet-timed backend over a topology, so tests can check that the
+// on the timed backend over sys, so tests can check that the
 // fabric-aware estimator lands in the timed backend's regime exactly where
 // the scalar estimator diverges. Real arithmetic: call with the smallest
 // cluster that exhibits the storm.
@@ -155,5 +141,5 @@ func TimedIncastReduce(sys universal.SimSystem, nodes int) universal.SimResult {
 	const m, n, k = 4096, 4096, 64
 	cfg := universal.DefaultConfig()
 	cfg.Stationary = universal.StationaryC
-	return RunUATimedOn(simbackend.New(sys.Topo, sys.Dev), sys, m, n, k, PartBlock, 1, nodes, cfg)
+	return RunUATimed(sys, m, n, k, PartBlock, 1, nodes, cfg)
 }

@@ -28,11 +28,11 @@ func (b wrappedBackend) NewWorld(p int) rt.World {
 }
 
 // WrapWorld decorates one world with fault injection under plan. The
-// returned world preserves the inner world's optional capabilities
-// (TimedWorld, StreamTimer, FabricTimer) by selecting a wrapper flavour
-// that forwards them, so harness code probing capabilities sees the same
-// answers it would from the bare world. Use Of to reach the chaos state
-// (fire log, injection counters) behind the returned value.
+// returned world preserves the inner world's TimedWorld capability by
+// selecting a wrapper flavour that forwards it, so harness code probing
+// capabilities sees the same answers it would from the bare world. Use Of
+// to reach the chaos state (fire log, injection counters) behind the
+// returned value.
 func WrapWorld(inner rt.World, plan *Plan) rt.World {
 	p := inner.NumPE()
 	w := &World{
@@ -46,21 +46,13 @@ func WrapWorld(inner rt.World, plan *Plan) rt.World {
 		capped:   make([]atomic.Int64, len(plan.Rules)*p),
 		once:     make([]atomic.Bool, len(plan.Rules)),
 	}
-	_, timed := inner.(rt.TimedWorld)
-	_, stream := inner.(rt.StreamTimer)
-	// Every flavour is a pointer, so the world's identity is one heap
+	// Both flavours are pointers, so the world's identity is one heap
 	// object, which universal.PlansOf holds weakly.
-	var out rt.World
-	switch {
-	case timed && stream:
-		out = &streamWorld{timedWorld{w}}
-	case timed:
-		out = &timedWorld{w}
-	default:
-		out = w
+	w.self = w
+	if _, timed := inner.(rt.TimedWorld); timed {
+		w.self = &timedWorld{w}
 	}
-	w.self = out
-	return out
+	return w.self
 }
 
 // Of returns the chaos state behind a world produced by Wrap/WrapWorld,
@@ -70,8 +62,6 @@ func Of(w rt.World) (*World, bool) {
 	case *World:
 		return v, true
 	case *timedWorld:
-		return v.base, true
-	case *streamWorld:
 		return v.base, true
 	}
 	return nil, false
@@ -286,32 +276,19 @@ func (w *World) fire(idx int, r *Rule, class OpClass, rank, seq int, op string) 
 // field name colliding with the World() method of the runtime contract.
 type base = World
 
-// timedWorld forwards the TimedWorld and FabricTimer capabilities of a
-// timed inner world.
+// timedWorld forwards the TimedWorld capability of a timed inner world.
 type timedWorld struct{ *base }
 
-func (w timedWorld) PredictedSeconds() float64 { return w.inner.(rt.TimedWorld).PredictedSeconds() }
-func (w timedWorld) ResetTime()                { w.inner.(rt.TimedWorld).ResetTime() }
-
-func (w timedWorld) FabricLinkStats() []rt.LinkStats {
-	if ft, ok := w.inner.(rt.FabricTimer); ok {
-		return ft.FabricLinkStats()
-	}
-	return nil
-}
-
-// streamWorld additionally forwards StreamTimer for stream/event-timed
-// inner worlds.
-type streamWorld struct{ timedWorld }
-
-func (w streamWorld) StreamStats() rt.StreamStats { return w.inner.(rt.StreamTimer).StreamStats() }
+func (w timedWorld) timed() rt.TimedWorld            { return w.inner.(rt.TimedWorld) }
+func (w timedWorld) PredictedSeconds() float64       { return w.timed().PredictedSeconds() }
+func (w timedWorld) ResetTime()                      { w.timed().ResetTime() }
+func (w timedWorld) StreamStats() rt.StreamStats     { return w.timed().StreamStats() }
+func (w timedWorld) FabricLinkStats() []rt.LinkStats { return w.timed().FabricLinkStats() }
 
 var (
 	_ rt.World        = (*World)(nil)
 	_ rt.LinkDegrader = (*World)(nil)
 	_ rt.TimedWorld   = timedWorld{}
-	_ rt.FabricTimer  = timedWorld{}
-	_ rt.StreamTimer  = streamWorld{}
 )
 
 // pe is the fault-injecting PE decorator. Every one-sided primitive
@@ -325,10 +302,8 @@ type pe struct {
 
 func (w *World) wrapPE(inner rt.PE) rt.PE {
 	p := &pe{inner: inner, cw: w, rank: inner.Rank()}
-	c, hasClock := inner.(rt.Clock)
-	g, hasGemm := inner.(rt.GemmTimer)
-	if hasClock && hasGemm {
-		return &timedPE{pe: p, clock: c, gemm: g}
+	if g, ok := inner.(rt.GemmTimer); ok {
+		return &timedPE{pe: p, gemm: g}
 	}
 	return p
 }
@@ -401,22 +376,18 @@ func (p *pe) AccumulateAddAsync(src []float32, seg rt.SegmentID, remote, offset 
 	return p.inner.AccumulateAddAsync(src, seg, remote, offset)
 }
 
-// timedPE additionally forwards the Clock and GemmTimer capabilities of a
-// timed inner PE.
+// timedPE additionally forwards the GemmTimer capability of a timed inner
+// PE.
 type timedPE struct {
 	*pe
-	clock rt.Clock
-	gemm  rt.GemmTimer
+	gemm rt.GemmTimer
 }
 
-func (p *timedPE) Now() float64           { return p.clock.Now() }
-func (p *timedPE) Elapse(seconds float64) { p.clock.Elapse(seconds) }
 func (p *timedPE) ElapseGemm(m, n, k int) { p.gemm.ElapseGemm(m, n, k) }
 
 var (
 	_ rt.PE          = (*pe)(nil)
 	_ rt.FaultScoper = (*pe)(nil)
 	_ rt.OpDeadliner = (*pe)(nil)
-	_ rt.Clock       = (*timedPE)(nil)
 	_ rt.GemmTimer   = (*timedPE)(nil)
 )

@@ -16,7 +16,6 @@ import (
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 )
 
@@ -306,21 +305,14 @@ func TestWrapPreservesCapabilities(t *testing.T) {
 	if _, ok := plain.(rt.TimedWorld); ok {
 		t.Fatal("wrapped shmem world claims TimedWorld")
 	}
-	timed := WrapWorld(simbackend.New(topo, dev).NewWorld(4), plan)
+	timed := WrapWorld(gpubackend.New(topo, dev).NewWorld(4), plan)
 	if _, ok := timed.(rt.TimedWorld); !ok {
-		t.Fatal("wrapped simbackend world lost TimedWorld")
-	}
-	if _, ok := timed.(rt.StreamTimer); ok {
-		t.Fatal("wrapped simbackend world claims StreamTimer")
-	}
-	stream := WrapWorld(gpubackend.New(topo, dev).NewWorld(4), plan)
-	if _, ok := stream.(rt.TimedWorld); !ok {
 		t.Fatal("wrapped gpubackend world lost TimedWorld")
 	}
-	if _, ok := stream.(rt.StreamTimer); !ok {
-		t.Fatal("wrapped gpubackend world lost StreamTimer")
+	if _, ok := rt.StreamStatsOf(timed); !ok {
+		t.Fatal("wrapped gpubackend world lost its stream stats")
 	}
-	for _, w := range []rt.World{plain, timed, stream} {
+	for _, w := range []rt.World{plain, timed} {
 		cw, ok := Of(w)
 		if !ok || cw == nil {
 			t.Fatalf("Of failed for %T", w)

@@ -24,7 +24,6 @@ import (
 	rt "slicing/internal/runtime"
 	"slicing/internal/serve"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 	"slicing/internal/tile"
 	"slicing/internal/universal"
@@ -35,7 +34,6 @@ func chaosBackends() []rt.Backend {
 	dev := gpusim.PresetPVCDevice()
 	return []rt.Backend{
 		shmem.Backend{},
-		simbackend.New(topo, dev),
 		gpubackend.New(topo, dev),
 	}
 }
@@ -96,7 +94,7 @@ func runChaosMultiply(t *testing.T, b rt.Backend, plan *chaos.Plan, pool *gpusim
 }
 
 // TestChaosConformanceAcrossBackends is the headline acceptance test:
-// under a seeded transient-only storm, all three backends produce C
+// under a seeded transient-only storm, both backends produce C
 // within 1e-4 of GemmNaive, the retry counter shows the storm was real,
 // and the executor's pooled buffers balance to zero.
 func TestChaosConformanceAcrossBackends(t *testing.T) {
@@ -157,7 +155,7 @@ func TestChaosScheduleReproducibleAcrossRuns(t *testing.T) {
 	for _, mk := range []func() rt.Backend{
 		func() rt.Backend { return shmem.Backend{} },
 		func() rt.Backend {
-			return simbackend.New(simnet.NewUniform(4, 100e9, 1e12, 1e-6, "chaos"), gpusim.PresetPVCDevice())
+			return gpubackend.New(simnet.NewUniform(4, 100e9, 1e12, 1e-6, "chaos"), gpusim.PresetPVCDevice())
 		},
 	} {
 		plan := stormPlan(777)

@@ -10,7 +10,7 @@ import "slicing/internal/simnet"
 //     bandwidth and Latency(src,dst) its total latency, so costmodel, the
 //     plan-replay estimators, autotune, and bench see exactly the numbers
 //     the link model charges for an uncontended transfer.
-//   - simnet.Routed: timed backends (simbackend, gpubackend) read the
+//   - simnet.Routed: the timed backend (gpubackend) reads the
 //     per-pair link routes and reserve individual links instead of the
 //     legacy per-PE ports, which is where per-link contention comes from.
 //   - simnet.NodeMapper: multi-machine fabrics expose the PE→machine

@@ -15,7 +15,6 @@ import (
 	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 )
 
@@ -50,7 +49,7 @@ func driveDeterministic(w rt.TimedWorld) float64 {
 }
 
 // TestDegenerateFabricReproducesScalarBackends pins the acceptance bar:
-// for both timed backends and several scalar topologies, running over
+// for the timed backend and several scalar topologies, running over
 // fabric.Degenerate(topo) predicts the same wall-clock as running over
 // topo itself, within 1e-9.
 func TestDegenerateFabricReproducesScalarBackends(t *testing.T) {
@@ -64,9 +63,6 @@ func TestDegenerateFabricReproducesScalarBackends(t *testing.T) {
 		name  string
 		build func(topo simnet.Topology) rt.TimedWorld
 	}{
-		{"simbackend", func(topo simnet.Topology) rt.TimedWorld {
-			return simbackend.New(topo, dev).NewWorld(topo.NumPE()).(rt.TimedWorld)
-		}},
 		{"gpubackend", func(topo simnet.Topology) rt.TimedWorld {
 			return gpubackend.New(topo, dev).NewWorld(topo.NumPE()).(rt.TimedWorld)
 		}},
@@ -167,7 +163,7 @@ func accumTraffic(t *testing.T, b rt.Backend, p, src, dst, n int, strided bool) 
 }
 
 // TestAccumulateSwitchesToGetPutAtNodeBoundary pins the §3 routing rule
-// on both timed backends and both multi-node topology flavours (scalar
+// on the timed backend and both multi-node topology flavours (scalar
 // MultiNode and fabric fat-tree): an accumulate whose source and target
 // share a node uses the atomic path (accumulate traffic only), while one
 // that crosses the boundary — even between adjacent ranks 7 and 8 —
@@ -180,29 +176,25 @@ func TestAccumulateSwitchesToGetPutAtNodeBoundary(t *testing.T) {
 		fabric.H100FatTree(2, 8, 1).Topology(),
 	}
 	for _, topo := range topos {
-		for _, b := range []rt.Backend{
-			simbackend.New(topo, dev),
-			gpubackend.New(topo, dev),
-		} {
-			p := topo.NumPE()
-			for _, strided := range []bool{false, true} {
-				intra := accumTraffic(t, b, p, 7, 0, n, strided) // same node: ranks 0..7
-				if intra.RemoteAccumBytes != 4*n || intra.RemoteGetBytes != 0 {
-					t.Fatalf("%s/%s intra-node accumulate (strided=%v): stats %+v, want pure accumulate",
-						b.Name(), topo.Name(), strided, intra)
-				}
-				cross := accumTraffic(t, b, p, 7, 8, n, strided) // ranks 7|8 straddle the boundary
-				if cross.RemoteGetBytes != 4*n || cross.RemoteAccumBytes != 4*n {
-					t.Fatalf("%s/%s cross-node accumulate (strided=%v): stats %+v, want get+put round trip",
-						b.Name(), topo.Name(), strided, cross)
-				}
+		b := gpubackend.New(topo, dev)
+		p := topo.NumPE()
+		for _, strided := range []bool{false, true} {
+			intra := accumTraffic(t, b, p, 7, 0, n, strided) // same node: ranks 0..7
+			if intra.RemoteAccumBytes != 4*n || intra.RemoteGetBytes != 0 {
+				t.Fatalf("%s/%s intra-node accumulate (strided=%v): stats %+v, want pure accumulate",
+					b.Name(), topo.Name(), strided, intra)
+			}
+			cross := accumTraffic(t, b, p, 7, 8, n, strided) // ranks 7|8 straddle the boundary
+			if cross.RemoteGetBytes != 4*n || cross.RemoteAccumBytes != 4*n {
+				t.Fatalf("%s/%s cross-node accumulate (strided=%v): stats %+v, want get+put round trip",
+					b.Name(), topo.Name(), strided, cross)
 			}
 		}
 	}
 }
 
 // TestCrossNodeAccumulatePricedAsRoundTrip checks the timing half of the
-// §3 switch on the simbackend: a cross-node AccumulateAdd (sync and
+// §3 switch on the timed backend: a cross-node AccumulateAdd (sync and
 // async) costs exactly the get+put round trip, not the accumulate-kernel
 // price.
 func TestCrossNodeAccumulatePricedAsRoundTrip(t *testing.T) {
@@ -210,7 +202,7 @@ func TestCrossNodeAccumulatePricedAsRoundTrip(t *testing.T) {
 	topo := simnet.PresetH100Cluster(2)
 	dev := gpusim.PresetH100Device()
 	cost := func(drive func(pe rt.PE, seg rt.SegmentID)) float64 {
-		w := simbackend.New(topo, dev).NewWorld(topo.NumPE()).(rt.TimedWorld)
+		w := gpubackend.New(topo, dev).NewWorld(topo.NumPE()).(rt.TimedWorld)
 		seg := w.AllocSymmetric(n)
 		w.Run(func(pe rt.PE) {
 			if pe.Rank() == 0 {

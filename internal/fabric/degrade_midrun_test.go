@@ -15,17 +15,12 @@ import (
 	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
-	"slicing/internal/simbackend"
 )
 
-// degradeBackends builds a fresh 2-node fat-tree fabric per call (Degrade
-// mutates it) and the timed backends routed over it.
+// degradeWorlds builds a fresh 2-node fat-tree fabric per call (Degrade
+// mutates it) and the timed backend routed over it.
 func degradeWorlds() map[string]func() rt.TimedWorld {
 	return map[string]func() rt.TimedWorld{
-		"simbackend": func() rt.TimedWorld {
-			f := fabric.H100FatTree(2, 2, 1)
-			return simbackend.New(f.Topology(), gpusim.PresetH100Device()).NewWorld(16).(rt.TimedWorld)
-		},
 		"gpubackend": func() rt.TimedWorld {
 			f := fabric.H100FatTree(2, 2, 1)
 			return gpubackend.New(f.Topology(), gpusim.PresetH100Device()).NewWorld(16).(rt.TimedWorld)

@@ -6,7 +6,7 @@ package fabric
 // models time over it owns a Queues.
 //
 // The queue discipline matches the repo's port and stream models
-// (simbackend's ports, gpusim's Timeline): a transfer occupies every link
+// (gpubackend's ports, gpusim's Timeline): a transfer occupies every link
 // of its route exclusively from its start to its end, its start is the
 // earliest instant its initiator is ready and every link on the route is
 // free, and the gap between ready and start is queue delay attributed to

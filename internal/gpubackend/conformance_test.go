@@ -1,13 +1,13 @@
-package simbackend_test
+package gpubackend_test
 
 // The backend conformance suite: the universal algorithm must run
 // unmodified on every runtime.Backend and produce the same C (within 1e-4
-// relative tolerance), the timed backends must emit modeled wall-clocks
+// relative tolerance), the timed backend must emit modeled wall-clocks
 // comparable with the §4.3 cost model's estimate for the same problem, and
-// the stream/event-timed gpubackend must observe queue-depth and
-// accumulate/GEMM interference delays that the single-clock simbackend
-// structurally cannot. docs/BACKENDS.md points new backends at this file:
-// add the backend to conformanceBackends and the whole matrix applies.
+// it must observe the queue-depth and accumulate/GEMM interference delays
+// of a deep, accumulate-heavy pipeline. docs/BACKENDS.md points new
+// backends at this file: add the backend to conformanceBackends and the
+// whole matrix applies.
 
 import (
 	"math"
@@ -19,18 +19,16 @@ import (
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 	"slicing/internal/tile"
 	"slicing/internal/universal"
 )
 
 // conformanceBackends lists every backend the suite runs for a system: the
-// untimed reference plus both timed flavours.
+// untimed reference plus the timed backend.
 func conformanceBackends(sys universal.SimSystem) []rt.Backend {
 	return []rt.Backend{
 		shmem.Backend{},
-		simbackend.New(sys.Topo, sys.Dev),
 		gpubackend.New(sys.Topo, sys.Dev),
 	}
 }
@@ -99,10 +97,9 @@ func maxRelDiff(x, y *tile.Matrix) float64 {
 	return worst
 }
 
-// TestUniversalConformanceAcrossBackends runs the same problems on all
-// three backends — shmem, simnet-timed, gpusim stream/event-timed — for
-// both Table 2 systems and requires identical results within 1e-4 relative
-// tolerance.
+// TestUniversalConformanceAcrossBackends runs the same problems on both
+// backends — shmem and the timed gpubackend — for both Table 2 systems and
+// requires identical results within 1e-4 relative tolerance.
 func TestUniversalConformanceAcrossBackends(t *testing.T) {
 	systems := []struct {
 		name string
@@ -111,12 +108,12 @@ func TestUniversalConformanceAcrossBackends(t *testing.T) {
 		{"pvc", universal.PVCSystem()},
 		{"h100", universal.H100System()},
 		// The same systems with the link-routed fabric installed: the timed
-		// backends reserve individual links instead of per-PE ports, and the
+		// backend reserves individual links instead of per-PE ports, and the
 		// numeric results must not move at all.
 		{"pvc-fabric", universal.PVCFabricSystem()},
 		{"h100-fabric", universal.H100FabricSystem()},
 		// A 2-node rail-optimized fat-tree: cross-node accumulates take the
-		// §3 get+put path on the timed backends, which must stay numerically
+		// §3 get+put path on the timed backend, which must stay numerically
 		// identical to the shmem reference's atomic accumulates.
 		{"h100-fattree", universal.H100FatTreeSystem(2, 8, 1)},
 	}
@@ -138,47 +135,12 @@ func TestUniversalConformanceAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestTimedBackendsPredictRuntimeComparableToEachOther pins the two timed
-// backends to the same order of magnitude for an identical run: they share
-// the §4.3 cost tables, so the stream model's extra contention may slow
-// (never accelerate by more than overlap allows) the single-clock
-// estimate, within a small factor.
-func TestTimedBackendsPredictRuntimeComparableToEachOther(t *testing.T) {
-	sys := universal.H100System()
-	p := sys.Topo.NumPE()
-	sc := scenarios(p)[0]
-
-	predicted := func(b rt.Backend) float64 {
-		w := b.NewWorld(p)
-		cfg := universal.DefaultConfig()
-		cfg.SyncReplicas = true
-		runScenario(w, sc, cfg)
-		sec, ok := rt.PredictedTimeOf(w)
-		if !ok {
-			t.Fatalf("backend %s did not report a predicted time", b.Name())
-		}
-		return sec
-	}
-	simT := predicted(simbackend.New(sys.Topo, sys.Dev))
-	gpuT := predicted(gpubackend.New(sys.Topo, sys.Dev))
-	if simT <= 0 || gpuT <= 0 {
-		t.Fatalf("timed backends predicted nonpositive runtimes: simnet %g, gpusim %g", simT, gpuT)
-	}
-	ratio := gpuT / simT
-	t.Logf("simnet %.3gs, gpusim %.3gs (ratio %.2f)", simT, gpuT, ratio)
-	if ratio < 0.5 || ratio > 10 {
-		t.Fatalf("timed backends disagree beyond modeling differences: ratio %.2f", ratio)
-	}
-}
-
-// TestGpuBackendObservesDelaysSimbackendCannot is the acceptance test for
-// the stream/event backend: on a workload with deep prefetch and remote
-// accumulates (outer-product partitioning on the H100 system, whose device
-// models accumulate/GEMM interference), the gpubackend reports nonzero
-// queue-depth and interference delay, while the simbackend — asked through
-// the same runtime.StreamStatsOf hook — reports none, because a
-// single-clock model cannot represent either effect.
-func TestGpuBackendObservesDelaysSimbackendCannot(t *testing.T) {
+// TestGpuBackendObservesQueueAndInterference is the acceptance test for
+// the timed backend's stream model: on a workload with deep prefetch and
+// remote accumulates (outer-product partitioning on the H100 system, whose
+// device models accumulate/GEMM interference), it reports nonzero
+// queue-depth and interference delay through runtime.StreamStatsOf.
+func TestGpuBackendObservesQueueAndInterference(t *testing.T) {
 	sys := universal.H100System()
 	p := sys.Topo.NumPE()
 	// Column-block A times row-block B: every rank's GEMM results land in
@@ -187,22 +149,15 @@ func TestGpuBackendObservesDelaysSimbackendCannot(t *testing.T) {
 	sc := scenario{"outer-product", 128, 128, 128,
 		distmat.ColBlock{}, distmat.RowBlock{}, distmat.Block2D{}, 1, 1, 1}
 
-	stats := func(b rt.Backend) (rt.StreamStats, bool) {
-		w := b.NewWorld(p)
-		cfg := universal.DefaultConfig()
-		cfg.PrefetchDepth = 4
-		cfg.MaxInflight = 4
-		// Stationary A keeps A in place, so every rank pushes its partial C
-		// results to their owners — remote accumulates into busy devices.
-		cfg.Stationary = universal.StationaryA
-		runScenario(w, sc, cfg)
-		return rt.StreamStatsOf(w)
-	}
-
-	if ss, ok := stats(simbackend.New(sys.Topo, sys.Dev)); ok {
-		t.Fatalf("single-clock simbackend claims stream stats %+v; it cannot observe them", ss)
-	}
-	ss, ok := stats(gpubackend.New(sys.Topo, sys.Dev))
+	w := gpubackend.New(sys.Topo, sys.Dev).NewWorld(p)
+	cfg := universal.DefaultConfig()
+	cfg.PrefetchDepth = 4
+	cfg.MaxInflight = 4
+	// Stationary A keeps A in place, so every rank pushes its partial C
+	// results to their owners — remote accumulates into busy devices.
+	cfg.Stationary = universal.StationaryA
+	runScenario(w, sc, cfg)
+	ss, ok := rt.StreamStatsOf(w)
 	if !ok {
 		t.Fatal("gpubackend did not report stream stats")
 	}
@@ -219,18 +174,18 @@ func TestGpuBackendObservesDelaysSimbackendCannot(t *testing.T) {
 	}
 }
 
-// TestSimnetBackendPredictsRuntimeComparableToCostModel checks the timed
+// TestTimedBackendPredictsRuntimeComparableToCostModel checks the timed
 // backend's modeled wall-clock against the §4.3 cost model: both price the
 // same plans over the same topology and device, so they must land within a
 // small factor of each other (the cost model assumes perfect overlap and no
 // port contention; the timed run observes the executor's real schedule).
-func TestSimnetBackendPredictsRuntimeComparableToCostModel(t *testing.T) {
+func TestTimedBackendPredictsRuntimeComparableToCostModel(t *testing.T) {
 	sys := universal.PVCSystem()
 	p := sys.Topo.NumPE()
 	sc := scenarios(p)[0]
 
-	backend := simbackend.New(sys.Topo, sys.Dev)
-	w := backend.NewWorld(p).(*simbackend.World)
+	backend := gpubackend.New(sys.Topo, sys.Dev)
+	w := backend.NewWorld(p).(*gpubackend.World)
 	a := distmat.New(w, sc.m, sc.k, sc.partA, 1)
 	b := distmat.New(w, sc.k, sc.n, sc.partB, 1)
 	c := distmat.New(w, sc.m, sc.n, sc.partC, 1)
@@ -288,19 +243,20 @@ func TestTimedBackendCountsSameTrafficAsShmem(t *testing.T) {
 	}
 
 	s1 := traffic(shmem.Backend{})
-	s2 := traffic(simbackend.New(sys.Topo, sys.Dev))
+	s2 := traffic(gpubackend.New(sys.Topo, sys.Dev))
 	if s1.RemoteGetBytes != s2.RemoteGetBytes || s1.RemoteAccumBytes != s2.RemoteAccumBytes {
-		t.Fatalf("traffic differs: shmem %+v, simnet %+v", s1, s2)
+		t.Fatalf("traffic differs: shmem %+v, timed %+v", s1, s2)
 	}
 }
 
-// TestGemmChargeMatchesDeviceModel pins the executor's ChargeGemm path:
-// a 1-PE timed world multiplying two local tiles must spend exactly the
-// device model's GEMM time (plus launch overheads and local accumulates).
-func TestGemmChargeMatchesDeviceModel(t *testing.T) {
+// TestGemmChargeMatchesGranularDeviceModel pins the executor's ChargeGemm
+// path on a device with unit tile granularity: a 1-PE timed world
+// multiplying two local tiles must spend exactly the device model's GEMM
+// time (plus launch overheads and local accumulates).
+func TestGemmChargeMatchesGranularDeviceModel(t *testing.T) {
 	topo := simnet.NewUniform(1, 1e9, 1e12, 0, "single")
 	dev := gpusim.Device{PeakFlops: 1e12, MemBW: 1e12, AccumBWFactor: 1, GranM: 1, GranN: 1, GranK: 1}
-	w := simbackend.New(topo, dev).NewWorld(1).(*simbackend.World)
+	w := gpubackend.New(topo, dev).NewWorld(1).(*gpubackend.World)
 	a := distmat.New(w, 32, 32, distmat.RowBlock{}, 1)
 	b := distmat.New(w, 32, 32, distmat.RowBlock{}, 1)
 	c := distmat.New(w, 32, 32, distmat.RowBlock{}, 1)

@@ -1,12 +1,10 @@
-// Package gpubackend is the gpusim stream/event-timed execution backend:
-// a runtime.Backend that performs the same real data movement as the
-// in-process shmem backend while scheduling every operation on modeled
-// per-device engines — a compute stream and directional copy engines per
-// PE, plus the network ports of the simnet topology — on one shared
-// gpusim.Timeline.
+// Package gpubackend is the timed execution backend: a runtime.Backend
+// that performs the same real data movement as the in-process shmem
+// backend while scheduling every operation on modeled per-device engines —
+// a compute stream and directional copy engines per PE, plus the network
+// ports of the simnet topology — on one shared gpusim.Timeline.
 //
-// Where internal/simbackend advances a single virtual clock per PE, this
-// backend gives each device the engine structure of a real GPU runtime:
+// Each device gets the engine structure of a real GPU runtime:
 //
 //   - one compute stream, which serializes the device's GEMMs (reported by
 //     executors through runtime.ChargeGemm), its local accumulate kernels,
@@ -19,13 +17,12 @@
 //     on the other);
 //   - Device.CopyOutEngines copy-out engines, which carry puts and the
 //     egress half of accumulates this PE issues;
-//   - the network: per-PE egress/ingress ports on scalar topologies (the
-//     same contention simbackend models), or — when the topology is
-//     link-routed (internal/fabric via simnet.Routed) — one resource per
-//     fabric link, with every transfer occupying its whole static route,
-//     so transfers with different endpoints contend on shared switch
-//     uplinks, NICs, and rails, and per-link accounting is reported
-//     through runtime.FabricStatsOf.
+//   - the network: per-PE egress/ingress ports on scalar topologies, or —
+//     when the topology is link-routed (internal/fabric via simnet.Routed)
+//     — one resource per fabric link, with every transfer occupying its
+//     whole static route, so transfers with different endpoints contend on
+//     shared switch uplinks, NICs, and rails, and per-link accounting is
+//     reported through runtime.FabricStatsOf.
 //
 // On multi-node topologies (simnet.NodeMapper), AccumulateAdd between PEs
 // on different machines is automatically rerouted through the §3 get+put
@@ -37,18 +34,17 @@
 // have fired, or while any engine or port it occupies is busy. The gap
 // between "ready" and "started" is queue delay, and the time remote
 // accumulates occupy victim compute streams is interference — the two
-// signals the paper's H100 results hinge on and a single-clock model is
-// structurally blind to. Worlds report both through runtime.StreamStatsOf.
+// signals the paper's H100 results hinge on. Worlds report both through
+// runtime.StreamStatsOf.
 //
 // Synchronous operations advance the caller's host clock to the op's
 // completion; asynchronous operations enqueue at issue and advance the
 // clock only when the future is waited on, so PrefetchDepth and MaxInflight
-// shape the modeled pipeline exactly as they shape the real one — and,
-// unlike simbackend, issuing more in-flight work than the engines can
-// absorb shows up as measured queue delay rather than disappearing into a
-// serialized clock. Durations come from the shared §4.3 cost tables
-// (internal/costmodel), so the three timed estimators price identical work
-// identically and differ only in contention structure.
+// shape the modeled pipeline exactly as they shape the real one, and
+// issuing more in-flight work than the engines can absorb shows up as
+// measured queue delay. Durations come from the shared §4.3 cost tables
+// (internal/costmodel), so the timed backend and the estimators price
+// identical work identically and differ only in contention structure.
 package gpubackend
 
 import (
@@ -168,11 +164,8 @@ var (
 	_ rt.Backend      = Backend{}
 	_ rt.World        = (*World)(nil)
 	_ rt.TimedWorld   = (*World)(nil)
-	_ rt.StreamTimer  = (*World)(nil)
-	_ rt.FabricTimer  = (*World)(nil)
 	_ rt.LinkDegrader = (*World)(nil)
 	_ rt.PE           = (*pe)(nil)
-	_ rt.Clock        = (*pe)(nil)
 	_ rt.GemmTimer    = (*pe)(nil)
 )
 
@@ -251,8 +244,8 @@ func (w *World) ResetTime() {
 }
 
 // FabricLinkStats reports per-link busy/queue/byte accounting from the
-// timeline's link resources (runtime.FabricTimer). It returns nil on
-// scalar topologies — absence is information, like StreamStatsOf.
+// timeline's link resources (runtime.TimedWorld). It returns nil on scalar
+// topologies — absence is information.
 func (w *World) FabricLinkStats() []rt.LinkStats {
 	if w.routed == nil {
 		return nil
@@ -345,7 +338,7 @@ func leastLoaded(streams []*gpusim.Stream) *gpusim.Stream {
 }
 
 // StreamStats reports the run's stream-level delay signals
-// (runtime.StreamTimer).
+// (runtime.TimedWorld).
 func (w *World) StreamStats() rt.StreamStats {
 	w.mu.Lock()
 	interference := w.interference
@@ -360,19 +353,6 @@ func (w *World) StreamStats() rt.StreamStats {
 // Timeline exposes the underlying schedule for tests and trace rendering.
 func (w *World) Timeline() *gpusim.Timeline { return w.tl }
 
-// Topology returns the modeled interconnect.
-func (w *World) Topology() simnet.Topology { return w.topo }
-
-// Device returns the modeled device.
-func (w *World) Device() gpusim.Device { return w.dev }
-
-// hostNow reads rank's host clock.
-func (w *World) hostNow(rank int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.host[rank]
-}
-
 // hostAdvanceTo raises rank's host clock to at least t (sync-op completion
 // and future waits).
 func (w *World) hostAdvanceTo(rank int, t float64) {
@@ -380,14 +360,6 @@ func (w *World) hostAdvanceTo(rank int, t float64) {
 	if t > w.host[rank] {
 		w.host[rank] = t
 	}
-	w.mu.Unlock()
-}
-
-// hostElapse charges rank's host clock with busy time that bypasses the
-// engines (runtime.Clock's Elapse).
-func (w *World) hostElapse(rank int, dur float64) {
-	w.mu.Lock()
-	w.host[rank] += dur
 	w.mu.Unlock()
 }
 

@@ -34,7 +34,7 @@ func approx(got, want float64) bool {
 // TestAsyncGetsQueueOnCopyEngine pins the queue-depth effect: two
 // back-to-back async gets issued by one PE serialize on its copy-in engine,
 // so the second completes a full transfer later and its wait is recorded as
-// queue delay — the contention a single-clock backend cannot represent.
+// queue delay.
 func TestAsyncGetsQueueOnCopyEngine(t *testing.T) {
 	w := gpubackend.New(pairTopo(), flatDevice(false)).NewWorld(2).(*gpubackend.World)
 	const n = 250 // 1000 bytes over 1 GB/s = 1 µs per get
@@ -157,9 +157,10 @@ func TestCopyEngineCountFromDeviceModel(t *testing.T) {
 	}
 }
 
-// TestGemmChargeMatchesDeviceModel mirrors the simbackend test: a 1-PE
-// world multiplying two local tiles must spend at least the device model's
-// GEMM time and no more than GEMM + local accumulate + launch overheads.
+// TestGemmChargeMatchesDeviceModel pins the executor's ChargeGemm path: a
+// 1-PE world multiplying two local tiles must spend at least the device
+// model's GEMM time and no more than GEMM + local accumulate + launch
+// overheads.
 func TestGemmChargeMatchesDeviceModel(t *testing.T) {
 	topo := simnet.NewUniform(1, 1e9, 1e12, 0, "single")
 	dev := flatDevice(false)
@@ -210,8 +211,8 @@ func TestResetTimeRewindsModelOnly(t *testing.T) {
 	}
 }
 
-// TestWorldSizeMustMatchTopology pins the constructor contract shared with
-// simbackend.
+// TestWorldSizeMustMatchTopology pins the constructor contract: a world
+// is sized to its topology.
 func TestWorldSizeMustMatchTopology(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -219,4 +220,218 @@ func TestWorldSizeMustMatchTopology(t *testing.T) {
 		}
 	}()
 	gpubackend.New(pairTopo(), flatDevice(false)).NewWorld(3)
+}
+
+// testWorld returns a timed world over a p-PE uniform fabric of 1 GB/s
+// links with zero latency and a flat device: moving n float32 remotely
+// takes 4n nanoseconds.
+func testWorld(p int) *gpubackend.World {
+	topo := simnet.NewUniform(p, 1e9, 1e12, 0, "test-fabric")
+	return gpubackend.New(topo, flatDevice(false)).NewWorld(p).(*gpubackend.World)
+}
+
+const secPerFloat = 4e-9 // 4 bytes over 1 GB/s
+
+func TestSyncGetAdvancesClock(t *testing.T) {
+	w := testWorld(2)
+	seg := w.AllocSymmetric(1000)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			dst := make([]float32, 1000)
+			pe.Get(dst, seg, 1, 0)
+		}
+	})
+	want := 1000 * secPerFloat
+	if got := w.PETime(0); math.Abs(got-want) > want*1e-9 {
+		t.Fatalf("clock after sync get = %g, want %g", got, want)
+	}
+	if got := w.PETime(1); got != 0 {
+		t.Fatalf("target clock moved to %g; one-sided ops must not consume target time", got)
+	}
+}
+
+func TestRemoteOpsMoveRealData(t *testing.T) {
+	w := testWorld(2)
+	seg := w.AllocSymmetric(4)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			pe.Put([]float32{1, 2, 3, 4}, seg, 1, 0)
+			pe.AccumulateAdd([]float32{10, 10, 10, 10}, seg, 1, 0)
+		}
+		pe.Barrier()
+		got := make([]float32, 4)
+		pe.Get(got, seg, 1, 0)
+		if got[0] != 11 || got[3] != 14 {
+			t.Errorf("rank %d read %v, want [11 12 13 14]", pe.Rank(), got)
+		}
+	})
+}
+
+func TestEgressPortContentionSerializes(t *testing.T) {
+	// Ranks 1 and 2 both pull 1000 floats from rank 0: the two transfers
+	// share rank 0's egress port, so one of them finishes at 2× the
+	// contention-free time.
+	w := testWorld(3)
+	seg := w.AllocSymmetric(1000)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() != 0 {
+			dst := make([]float32, 1000)
+			pe.Get(dst, seg, 0, 0)
+		}
+	})
+	one := 1000 * secPerFloat
+	if got, want := w.PredictedSeconds(), 2*one; math.Abs(got-want) > want*1e-9 {
+		t.Fatalf("contended makespan = %g, want %g (two serialized transfers)", got, want)
+	}
+	first, second := w.PETime(1), w.PETime(2)
+	if first > second {
+		first, second = second, first
+	}
+	if math.Abs(first-one) > one*1e-9 || math.Abs(second-2*one) > one*1e-9 {
+		t.Fatalf("per-PE completion times %g, %g; want %g and %g", first, second, one, 2*one)
+	}
+}
+
+func TestLocalOpsBypassPorts(t *testing.T) {
+	// A local get is priced on device memory bandwidth (1 TB/s here) and
+	// must not reserve network ports.
+	w := testWorld(2)
+	seg := w.AllocSymmetric(1000)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			dst := make([]float32, 1000)
+			pe.Get(dst, seg, 0, 0)
+		}
+	})
+	want := 4000 / 1e12
+	if got := w.PETime(0); math.Abs(got-want) > want*1e-6 {
+		t.Fatalf("local get time = %g, want %g", got, want)
+	}
+}
+
+func TestAsyncGetDefersClockToWait(t *testing.T) {
+	w := testWorld(2)
+	seg := w.AllocSymmetric(1000)
+	var atIssue, afterWait float64
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() != 0 {
+			return
+		}
+		dst := make([]float32, 1000)
+		f := pe.GetAsync(dst, seg, 1, 0)
+		atIssue = w.PETime(0)
+		f.Wait()
+		afterWait = w.PETime(0)
+	})
+	if atIssue != 0 {
+		t.Fatalf("clock advanced to %g at issue; async ops must charge at Wait", atIssue)
+	}
+	want := 1000 * secPerFloat
+	if math.Abs(afterWait-want) > want*1e-9 {
+		t.Fatalf("clock after Wait = %g, want %g", afterWait, want)
+	}
+}
+
+func TestAsyncOverlapsWithCompute(t *testing.T) {
+	// Issue a 1000-float fetch, do 1 ms of modeled compute, then wait: the
+	// transfer (4 µs) hides entirely under the compute.
+	w := testWorld(2)
+	seg := w.AllocSymmetric(1000)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() != 0 {
+			return
+		}
+		dst := make([]float32, 1000)
+		f := pe.GetAsync(dst, seg, 1, 0)
+		rt.ChargeGemm(pe, 1000, 1000, 500) // 1e9 flops at 1 TFLOP/s
+		f.Wait()
+	})
+	if got := w.PETime(0); math.Abs(got-1e-3) > 1e-12 {
+		t.Fatalf("overlapped time = %g, want 1e-3 (transfer hidden)", got)
+	}
+}
+
+func TestBarrierSyncsClocks(t *testing.T) {
+	w := testWorld(4)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 2 {
+			rt.ChargeGemm(pe, 1000, 1000, 250000) // 5e11 flops at 1 TFLOP/s
+		}
+		pe.Barrier()
+		if now := w.PETime(pe.Rank()); now < 0.5 {
+			t.Errorf("rank %d clock %g after barrier, want >= 0.5", pe.Rank(), now)
+		}
+	})
+	if got := w.PredictedSeconds(); got != 0.5 {
+		t.Fatalf("makespan = %g, want 0.5", got)
+	}
+}
+
+func TestAccumulateGetPutPricedAsRoundTrip(t *testing.T) {
+	w := testWorld(2)
+	seg := w.AllocSymmetric(1000)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			pe.AccumulateAddGetPut(make([]float32, 1000), seg, 1, 0)
+		}
+	})
+	want := 2 * 1000 * secPerFloat
+	if got := w.PETime(0); math.Abs(got-want) > want*1e-9 {
+		t.Fatalf("get+put accumulate = %g, want %g (full round trip)", got, want)
+	}
+}
+
+func TestChargeGemmUsesDeviceRoofline(t *testing.T) {
+	w := testWorld(1)
+	dev := flatDevice(false)
+	w.Run(func(pe rt.PE) {
+		rt.ChargeGemm(pe, 64, 64, 64)
+	})
+	want := dev.GemmTime(64, 64, 64) + dev.LaunchOverhead
+	if got := w.PETime(0); math.Abs(got-want) > want*1e-9 {
+		t.Fatalf("gemm charge = %g, want %g", got, want)
+	}
+}
+
+func TestResetTime(t *testing.T) {
+	w := testWorld(2)
+	seg := w.AllocSymmetric(100)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			pe.Get(make([]float32, 100), seg, 1, 0)
+		}
+	})
+	if w.PredictedSeconds() == 0 {
+		t.Fatal("expected nonzero time before reset")
+	}
+	w.ResetTime()
+	if got := w.PredictedSeconds(); got != 0 {
+		t.Fatalf("time after reset = %g", got)
+	}
+}
+
+func TestStatsDelegateToRealTraffic(t *testing.T) {
+	w := testWorld(2)
+	seg := w.AllocSymmetric(8)
+	w.Run(func(pe rt.PE) {
+		if pe.Rank() == 0 {
+			pe.Get(make([]float32, 8), seg, 1, 0)
+			pe.AccumulateAdd(make([]float32, 4), seg, 1, 0)
+		}
+	})
+	s := w.Stats()
+	if s.RemoteGetBytes != 32 || s.RemoteAccumBytes != 16 {
+		t.Fatalf("stats = %+v, want 32 get / 16 accum bytes", s)
+	}
+}
+
+// TestPresetWorldSizeMustMatchTopology pins the constructor contract on a
+// paper preset: a 12-PE world over the 8-GPU H100 node panics.
+func TestPresetWorldSizeMustMatchTopology(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched world size should panic")
+		}
+	}()
+	gpubackend.New(simnet.PresetH100(), gpusim.PresetH100Device()).NewWorld(12)
 }

@@ -37,7 +37,7 @@ func (p *pe) enqueueGet(remote, n int, waits ...gpusim.Event) gpusim.Event {
 	w := p.w
 	op := gpusim.StreamOp{
 		Label: "get", Kind: gpusim.OpComm,
-		NotBefore: w.hostNow(p.rank),
+		NotBefore: w.PETime(p.rank),
 		Duration:  w.cost.FetchCost(remote, p.rank, 4*n),
 		Waits:     waits,
 		Resources: w.netResources(remote, p.rank, 4*n),
@@ -51,7 +51,7 @@ func (p *pe) enqueuePut(remote, n int, waits ...gpusim.Event) gpusim.Event {
 	w := p.w
 	op := gpusim.StreamOp{
 		Label: "put", Kind: gpusim.OpComm,
-		NotBefore: w.hostNow(p.rank),
+		NotBefore: w.PETime(p.rank),
 		Duration:  w.cost.FetchCost(p.rank, remote, 4*n),
 		Waits:     waits,
 		Resources: w.netResources(p.rank, remote, 4*n),
@@ -71,7 +71,7 @@ func (p *pe) enqueueAccum(remote, n int) float64 {
 	dur := w.cost.AccumCost(p.rank, remote, 4*n)
 	op := gpusim.StreamOp{
 		Label: "accum", Kind: gpusim.OpAccum,
-		NotBefore: w.hostNow(p.rank),
+		NotBefore: w.PETime(p.rank),
 		Duration:  dur,
 	}
 	if remote == p.rank {
@@ -204,17 +204,6 @@ func (p *pe) Barrier() {
 	p.inner.Barrier() // all clocks synced before anyone re-publishes
 }
 
-// Now returns this PE's host-clock time (runtime.Clock).
-func (p *pe) Now() float64 { return p.w.hostNow(p.rank) }
-
-// Elapse charges host-side busy time that bypasses the device engines
-// (runtime.Clock).
-func (p *pe) Elapse(seconds float64) {
-	if seconds > 0 {
-		p.w.hostElapse(p.rank, seconds)
-	}
-}
-
 // ElapseGemm enqueues a roofline-priced m×n×k GEMM on this device's compute
 // stream (runtime.GemmTimer). The kernel serializes behind whatever else
 // occupies the compute engine — earlier GEMMs, local accumulate kernels,
@@ -224,7 +213,7 @@ func (p *pe) ElapseGemm(m, n, k int) {
 	w := p.w
 	end := w.compute[p.rank].Enqueue(gpusim.StreamOp{
 		Label: "gemm", Kind: gpusim.OpCompute,
-		NotBefore: w.hostNow(p.rank),
+		NotBefore: w.PETime(p.rank),
 		Duration:  w.cost.GemmCost(m, n, k),
 	}).Time()
 	w.hostAdvanceTo(p.rank, end)

@@ -20,8 +20,8 @@ import (
 
 // Backend constructs model-only worlds. It satisfies runtime.Backend so
 // harness code that is generic over backends (autotune, the sweep
-// subsystem) can treat "model" as a fourth execution mode next to shmem,
-// simbackend, and gpubackend.
+// subsystem) can treat "model" as a third execution mode next to shmem
+// and gpubackend.
 type Backend struct{}
 
 // Name identifies the backend.

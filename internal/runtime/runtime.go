@@ -9,25 +9,21 @@
 //
 //   - internal/shmem: the in-process PGAS backend (goroutine PEs, striped
 //     atomic accumulates), the stand-in for Intel SHMEM / NVSHMEM.
-//   - internal/simbackend: the simnet-timed backend, which performs the
-//     same real data movement while weaving link-level discrete-event
-//     timing (Xe Link / NVLink topologies, port contention) into every
-//     operation, so one run yields both a numeric result and a modeled
-//     wall-clock. Each PE carries a single virtual clock.
-//   - internal/gpubackend: the gpusim stream/event-timed backend, which
-//     refines simbackend's single clock per PE into per-device engines
-//     (a compute stream, copy engines) scheduled on a gpusim.Timeline, so
-//     timed runs additionally expose queue-depth contention and
+//   - internal/gpubackend: the timed backend, which performs the same real
+//     data movement while scheduling every operation on modeled per-device
+//     engines (a compute stream, copy engines) and the interconnect's ports
+//     or links on one gpusim.Timeline, so one run yields both a numeric
+//     result and a modeled wall-clock, including queue-depth contention and
 //     accumulate/GEMM interference (paper §5.2).
 //
 // The contract has a small mandatory core (Backend, World, PE, Future) and
-// optional capability interfaces timed backends add on top: Clock and
-// GemmTimer (any timed backend), TimedWorld (worlds with a modeled
-// wall-clock), and StreamTimer (stream/event-timed backends that can report
-// queue-depth and interference delay). Helpers in this package (ChargeGemm,
-// Elapse, PredictedTimeOf, StreamStatsOf) let algorithm and harness code
-// use the hooks unconditionally; they no-op or report absence on backends
-// that do not implement them.
+// optional capability interfaces backends add on top: GemmTimer (PEs that
+// price local GEMMs), TimedWorld (worlds with a modeled wall-clock and its
+// stream and link accounting), and the fault hooks in faults.go and
+// membership.go. Helpers in this package (ChargeGemm, PredictedTimeOf,
+// StreamStatsOf, FabricStatsOf) let algorithm and harness code use the
+// hooks unconditionally; they no-op or report absence on backends that do
+// not implement them.
 //
 // docs/BACKENDS.md is the authoritative prose version of this contract —
 // per-method semantics, completion and memory-ordering guarantees, and the
@@ -136,19 +132,10 @@ type PE interface {
 // benchmark harness and conformance tests run the same algorithm over
 // different execution substrates.
 type Backend interface {
-	// Name identifies the backend ("shmem", "simnet", ...).
+	// Name identifies the backend ("shmem", "gpusim:8xH100 NVLink", ...).
 	Name() string
 	// NewWorld creates a world of p processing elements.
 	NewWorld(p int) World
-}
-
-// Clock is implemented by timed backends whose PEs carry a modeled
-// wall-clock. Untimed backends simply don't implement it.
-type Clock interface {
-	// Now returns the PE's current modeled time in seconds.
-	Now() float64
-	// Elapse advances the PE's modeled time by charging local busy work.
-	Elapse(seconds float64)
 }
 
 // GemmTimer is implemented by timed backends that price local GEMM compute
@@ -168,17 +155,10 @@ func ChargeGemm(pe PE, m, n, k int) {
 	}
 }
 
-// Elapse charges modeled busy time to pe when its backend is timed; no-op
-// otherwise.
-func Elapse(pe PE, seconds float64) {
-	if c, ok := pe.(Clock); ok {
-		c.Elapse(seconds)
-	}
-}
-
 // TimedWorld is implemented by worlds of timed backends: they carry a
-// modeled wall-clock alongside the real execution. Harness code uses it to
-// run the same benchmark over any timed backend without naming one.
+// modeled wall-clock alongside the real execution, with the stream and link
+// accounting behind it. Harness code uses it to time the same benchmark
+// without naming a backend.
 type TimedWorld interface {
 	World
 	// PredictedSeconds returns the modeled wall-clock so far: the furthest
@@ -188,6 +168,12 @@ type TimedWorld interface {
 	// touching data, so one world can time successive independent
 	// measurements.
 	ResetTime()
+	// StreamStats returns a snapshot of the run's stream-level delay
+	// signals. Call it after Run.
+	StreamStats() StreamStats
+	// FabricLinkStats returns one entry per fabric link, in link order, or
+	// nil when the world's topology has no link model. Call it after Run.
+	FabricLinkStats() []LinkStats
 }
 
 // PredictedTimeOf returns w's modeled wall-clock, and ok=false when w's
@@ -199,13 +185,9 @@ func PredictedTimeOf(w World) (seconds float64, ok bool) {
 	return 0, false
 }
 
-// StreamStats reports the delay signals only a stream/event-timed backend
-// can observe. A single-clock timed backend (simbackend) serializes each
-// PE's operations onto one virtual clock, so operations never queue behind
-// one another on a device engine and remote accumulates never occupy the
-// target's compute timeline — both fields are structurally zero there,
-// which is why StreamStatsOf reports absence rather than zeros for such
-// backends.
+// StreamStats reports the delay signals of a timed run's per-device
+// streams: how long operations queued behind busy engines, and how long
+// remote accumulates occupied victim compute engines.
 type StreamStats struct {
 	// QueueDelaySeconds totals the time ops sat queued behind a busy
 	// engine or port after their dependencies were already satisfied —
@@ -220,26 +202,18 @@ type StreamStats struct {
 	StreamOps int
 }
 
-// StreamTimer is implemented by worlds of stream/event-timed backends.
-type StreamTimer interface {
-	// StreamStats returns a snapshot of the run's stream-level delay
-	// signals. Call it after Run.
-	StreamStats() StreamStats
-}
-
 // StreamStatsOf returns w's stream-level delay signals, and ok=false when
-// w's backend does not model per-device streams (untimed backends and
-// single-clock timed backends alike).
+// w's backend is untimed.
 func StreamStatsOf(w World) (StreamStats, bool) {
-	if st, ok := w.(StreamTimer); ok {
-		return st.StreamStats(), true
+	if tw, ok := w.(TimedWorld); ok {
+		return tw.StreamStats(), true
 	}
 	return StreamStats{}, false
 }
 
 // LinkStats reports one fabric link's share of a timed run: how long it
 // was occupied, how long transfers queued behind it, and the payload it
-// carried. Only backends running over a link-routed topology
+// carried. Only worlds running over a link-routed topology
 // (internal/fabric via simnet.Routed) can report these — the legacy
 // scalar topologies have ports, not links.
 type LinkStats struct {
@@ -254,21 +228,12 @@ type LinkStats struct {
 	Bytes int64
 }
 
-// FabricTimer is implemented by worlds of timed backends that can report
-// per-link fabric accounting. Worlds built over a scalar (non-routed)
-// topology return nil — absence of a link model is information, mirroring
-// the StreamTimer convention.
-type FabricTimer interface {
-	// FabricLinkStats returns one entry per fabric link, in link order, or
-	// nil when the world's topology has no link model. Call it after Run.
-	FabricLinkStats() []LinkStats
-}
-
 // FabricStatsOf returns w's per-link fabric accounting, and ok=false when
-// w's backend is untimed or its topology has no link model.
+// w's backend is untimed or its topology has no link model (a timed world
+// over a scalar topology returns nil: absence is information).
 func FabricStatsOf(w World) ([]LinkStats, bool) {
-	if ft, ok := w.(FabricTimer); ok {
-		if ls := ft.FabricLinkStats(); ls != nil {
+	if tw, ok := w.(TimedWorld); ok {
+		if ls := tw.FabricLinkStats(); ls != nil {
 			return ls, true
 		}
 	}

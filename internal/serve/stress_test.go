@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"slicing/internal/distmat"
+	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/simnet"
 	"slicing/internal/universal"
 )
@@ -81,11 +81,11 @@ func TestServeHammerShmem(t *testing.T) {
 	hammer(t, shmem.NewWorld(4), tenants, perTenant)
 }
 
-func TestServeHammerSimbackend(t *testing.T) {
+func TestServeHammerTimedBackend(t *testing.T) {
 	const p = 4
 	tenants, perTenant := hammerScale()
 	topo := simnet.NewUniform(p, 100e9, 1e12, 1e-6, "stress")
-	w := simbackend.New(topo, gpusim.PresetPVCDevice()).NewWorld(p)
+	w := gpubackend.New(topo, gpusim.PresetPVCDevice()).NewWorld(p)
 	hammer(t, w, tenants, perTenant)
 }
 

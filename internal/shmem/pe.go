@@ -164,7 +164,7 @@ func (pe *PE) AccumulateAddStrided(src []float32, srcStride int, seg SegmentID, 
 // memcpy, so performing it at issue time and returning the shared completed
 // future is both legal under the contract (any moment between issue and
 // Wait) and cheaper than a goroutine-and-channel future per fetch — the
-// same choice the simbackend and gpubackend PEs make.
+// same choice the gpubackend PEs make.
 func (pe *PE) GetAsync(dst []float32, seg SegmentID, remote, offset int) rt.Future {
 	pe.Get(dst, seg, remote, offset)
 	return rt.CompletedFuture()

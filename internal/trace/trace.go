@@ -87,21 +87,21 @@ func WriteFigureChart(w io.Writer, fig bench.Figure, height int) {
 }
 
 // WriteValidationTable renders estimator-vs-timed validation points as a
-// table: the plan-replay estimate per UA series with its error bar (the
-// spread of the two timed backends around it, in percent-of-peak points),
-// the annotation the figure harness attaches under each estimator curve.
+// table: the plan-replay estimate per UA series, the timed backend's
+// measurement of the same configuration, and the signed error between
+// them in percent-of-peak points — the annotation the figure harness
+// attaches under each estimator curve.
 func WriteValidationTable(w io.Writer, pts []bench.ValidationPoint) {
 	if len(pts) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "validation points (timed runs at 1/%d scale; error bar = timed - estimator, %%-of-peak points)\n",
+	fmt.Fprintf(w, "validation points (timed runs at 1/%d scale; err = timed - estimator, %%-of-peak points)\n",
 		pts[0].Scale)
-	fmt.Fprintf(w, "%-20s %6s %8s %15s %8s %8s\n", "series", "batch", "est", "err bar", "simbknd", "gpubknd")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 70))
+	fmt.Fprintf(w, "%-20s %6s %8s %8s %7s\n", "series", "batch", "est", "timed", "err")
+	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 53))
 	for _, v := range pts {
-		lo, hi := v.ErrBar()
-		fmt.Fprintf(w, "%-20s %6d %7.1f%% [%+5.1f,%+5.1f] %7.1f%% %7.1f%%\n",
-			v.Series, v.Batch, v.EstimatorPct, lo, hi, v.SimbackendPct, v.GpubackendPct)
+		fmt.Fprintf(w, "%-20s %6d %7.1f%% %7.1f%% %+7.1f\n",
+			v.Series, v.Batch, v.EstimatorPct, v.TimedPct, v.Err)
 	}
 }
 

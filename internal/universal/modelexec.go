@@ -6,8 +6,8 @@ import (
 	"slicing/internal/gpusim"
 )
 
-// ModelExecutor is the model-only execution mode — the fourth next to
-// shmem, simbackend, and gpubackend: it replays a CompiledPlan's
+// ModelExecutor is the model-only execution mode — the third next to
+// shmem and gpubackend: it replays a CompiledPlan's
 // fetch/evict/accumulate schedule through the discrete-event engine and
 // the system's fabric pricing with no real arithmetic and no tile
 // allocation, so validation points run at full MLP scale (thousands of

@@ -66,8 +66,8 @@ type SimResult struct {
 	// AvgComputeUtil is the mean per-PE compute engine utilization.
 	AvgComputeUtil float64
 	// QueueDelaySeconds and AccumInterferenceSeconds carry the stream-level
-	// delay signals when the run came from a stream/event-timed backend
-	// (bench.RunUATimedOn on gpubackend); zero elsewhere.
+	// delay signals when the run came from the timed backend
+	// (bench.RunUATimed); zero elsewhere.
 	QueueDelaySeconds        float64
 	AccumInterferenceSeconds float64
 }
@@ -91,7 +91,7 @@ func SimulateMultiply(prob Problem, cfg Config, sys SimSystem) SimResult {
 // uplink contend even when their endpoints differ. Across a node boundary
 // (simnet.NodeMapper) accumulates decompose into the §3 get+put round
 // trip — two chained transfers, each claiming its own route — matching
-// both timed backends and costmodel.AccumCost.
+// the timed backend and costmodel.AccumCost.
 type simBuilder struct {
 	eng     *gpusim.Engine
 	sys     SimSystem

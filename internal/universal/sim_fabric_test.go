@@ -17,7 +17,7 @@ import (
 )
 
 // estimatorSystems mirrors the 5-system backend conformance suite
-// (internal/simbackend/conformance_test.go): the two scalar Table 2 nodes,
+// (internal/gpubackend/conformance_test.go): the two scalar Table 2 nodes,
 // their link-routed fabric forms, and a 2-node rail-optimized fat-tree.
 func estimatorSystems() []struct {
 	name string

@@ -37,7 +37,6 @@ import (
 	"slicing/internal/runtime"
 	"slicing/internal/serve"
 	"slicing/internal/shmem"
-	"slicing/internal/simbackend"
 	"slicing/internal/sweep"
 	"slicing/internal/tile"
 	"slicing/internal/universal"
@@ -46,7 +45,7 @@ import (
 // World is a collection of processing elements sharing a symmetric heap.
 // It is the backend-independent world interface of internal/runtime;
 // NewWorld returns the in-process shmem implementation and NewTimedWorld
-// the simnet-timed one.
+// the timed one.
 type World = runtime.World
 
 // PE is one processing element's handle, valid inside World.Run: the
@@ -73,46 +72,33 @@ func NewWorld(p int) World { return shmem.NewWorld(p) }
 // ShmemBackend returns the in-process PGAS backend.
 func ShmemBackend() Backend { return shmem.Backend{} }
 
-// SimnetBackend returns the simnet-timed backend for sys: its worlds
-// perform the same real computation while modeling wall-clock over sys's
-// interconnect and device (port contention, roofline GEMMs) with one
-// virtual clock per PE.
-func SimnetBackend(sys SimSystem) Backend { return simbackend.New(sys.Topo, sys.Dev) }
-
-// GpuSimBackend returns the gpusim stream/event-timed backend for sys: its
-// worlds schedule every operation on modeled per-device engines (a compute
-// stream and copy engines per PE, plus fabric ports), so timed runs expose
-// queue-depth contention and accumulate/GEMM interference (§5.2) that the
-// single-clock simnet backend cannot see. Read the extra signals with
-// StreamStatsOf.
+// GpuSimBackend returns the timed backend for sys: its worlds perform the
+// same real computation while scheduling every operation on modeled
+// per-device engines (a compute stream and copy engines per PE, plus
+// fabric ports or links), so timed runs report a modeled wall-clock
+// together with queue-depth contention and accumulate/GEMM interference
+// (§5.2). Read the extra signals with StreamStatsOf.
 func GpuSimBackend(sys SimSystem) Backend { return gpubackend.New(sys.Topo, sys.Dev) }
 
-// NewTimedWorld creates a world on the simnet-timed backend for sys. The
-// world computes real results; PredictedTime reports its modeled runtime.
+// NewTimedWorld creates a world on the timed backend for sys. The world
+// computes real results; PredictedTime reports its modeled runtime.
 func NewTimedWorld(sys SimSystem) World {
-	return SimnetBackend(sys).NewWorld(sys.Topo.NumPE())
-}
-
-// NewStreamTimedWorld creates a world on the gpusim stream/event-timed
-// backend for sys.
-func NewStreamTimedWorld(sys SimSystem) World {
 	return GpuSimBackend(sys).NewWorld(sys.Topo.NumPE())
 }
 
-// PredictedTime returns the modeled wall-clock of a world created on any
-// timed backend (simnet or gpusim), and ok=false for untimed backends.
+// PredictedTime returns the modeled wall-clock of a world created on the
+// timed backend, and ok=false for untimed backends.
 func PredictedTime(w World) (seconds float64, ok bool) {
 	return runtime.PredictedTimeOf(w)
 }
 
-// StreamStats reports the delay signals only a stream/event-timed backend
-// can observe: queue delay behind busy engines and the time remote
-// accumulates occupied victim compute engines.
+// StreamStats reports a timed run's stream-level delay signals: queue
+// delay behind busy engines and the time remote accumulates occupied
+// victim compute engines.
 type StreamStats = runtime.StreamStats
 
 // StreamStatsOf returns w's stream-level delay signals, and ok=false when
-// w's backend does not model per-device streams (the shmem backend and the
-// single-clock simnet backend alike).
+// w's backend is untimed.
 func StreamStatsOf(w World) (StreamStats, bool) {
 	return runtime.StreamStatsOf(w)
 }

@@ -114,11 +114,10 @@ func TestPublicAPICyclicPartitions(t *testing.T) {
 	}
 }
 
-// TestPublicAPITimedBackends runs the quickstart multiply on all three
-// backend constructors the façade exposes and checks the capability
-// hooks: both timed backends report a predicted time, only the
-// stream/event backend reports stream stats, and the untimed backend
-// reports neither.
+// TestPublicAPITimedBackends runs the quickstart multiply on both world
+// constructors the façade exposes and checks the capability hooks: the
+// timed world reports a predicted time and stream stats, and the untimed
+// world reports neither.
 func TestPublicAPITimedBackends(t *testing.T) {
 	sys := slicing.H100System()
 	run := func(world slicing.World) {
@@ -144,19 +143,10 @@ func TestPublicAPITimedBackends(t *testing.T) {
 	timed := slicing.NewTimedWorld(sys)
 	run(timed)
 	if sec, ok := slicing.PredictedTime(timed); !ok || sec <= 0 {
-		t.Fatalf("simnet-timed world predicted (%g, %v)", sec, ok)
+		t.Fatalf("timed world predicted (%g, %v)", sec, ok)
 	}
-	if _, ok := slicing.StreamStatsOf(timed); ok {
-		t.Fatal("single-clock world reported stream stats")
-	}
-
-	streamed := slicing.NewStreamTimedWorld(sys)
-	run(streamed)
-	if sec, ok := slicing.PredictedTime(streamed); !ok || sec <= 0 {
-		t.Fatalf("stream-timed world predicted (%g, %v)", sec, ok)
-	}
-	if ss, ok := slicing.StreamStatsOf(streamed); !ok || ss.StreamOps == 0 {
-		t.Fatalf("stream-timed world reported stats (%+v, %v)", ss, ok)
+	if ss, ok := slicing.StreamStatsOf(timed); !ok || ss.StreamOps == 0 {
+		t.Fatalf("timed world reported stats (%+v, %v)", ss, ok)
 	}
 }
 
