@@ -3,9 +3,13 @@
 // sweeps every universal-algorithm partitioning with all replication
 // factors and stationary strategies on the selected system, adds the
 // DTensor (and, on H100, COSMA) comparison series, and prints the data
-// behind Figures 2 and 3 as an aligned table.
+// behind Figures 2 and 3 as an aligned table — or, with -plot, renders
+// them as an ASCII percent-of-peak-versus-batch chart instead (the
+// artifact's plot_mlp1.py / plot_mlp2.py, task T4), one marker per series
+// and the legend below.
 //
-// Two annotations ground the estimator curves in real (timed) execution:
+// In table mode, two annotations ground the estimator curves in real
+// (timed) execution:
 //
 //   - validation points: each UA series' winning configuration re-runs at
 //     1/scale dimensions through the timed backend, and its signed error
@@ -20,6 +24,7 @@
 //     mlp_experiments -system h100 -layer mlp2
 //     mlp_experiments -quick           # smaller sweep for smoke testing
 //     mlp_experiments -validate=false -tune=false   # estimator table only
+//     mlp_experiments -plot -system h100 -layer mlp2  # ASCII figure
 package main
 
 import (
@@ -33,6 +38,9 @@ import (
 	"slicing/internal/universal"
 )
 
+// chartHeight is the -plot chart's height in rows.
+const chartHeight = 24
+
 func main() {
 	var (
 		sysID    = flag.String("system", "pvc", "pvc | h100")
@@ -41,6 +49,7 @@ func main() {
 		validate = flag.Bool("validate", true, "annotate UA series with timed-backend validation points")
 		tune     = flag.Bool("tune", true, "sweep the headline point's pipeline depth on the timed backend")
 		scale    = flag.Int("scale", 16, "divide dimensions by this factor for timed validation runs")
+		plot     = flag.Bool("plot", false, "render the figure as an ASCII chart instead of the table")
 	)
 	flag.Parse()
 
@@ -75,6 +84,10 @@ func main() {
 	}
 
 	fig := bench.RunFigure(sys, l, withCOSMA, opt)
+	if *plot {
+		trace.WriteFigureChart(os.Stdout, fig, chartHeight)
+		return
+	}
 	trace.WriteFigureTable(os.Stdout, fig)
 	sum := trace.Summarize(fig)
 	fmt.Printf("\nheadline: %s = %.1f%% vs %s = %.1f%% (UA competitive: %v)\n",

@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"math"
 
-	"slicing/internal/cosma"
 	"slicing/internal/distmat"
-	"slicing/internal/dtensor"
 	"slicing/internal/gpubackend"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
@@ -285,10 +283,10 @@ func DTensorSeries(sys universal.SimSystem, layer Layer, opt Options) []Series {
 	col := Series{Name: "DT - Column"}
 	for _, batch := range opt.Batches {
 		m, n, k := layer.Dims(batch)
-		r := dtensor.SimulateRowPartitioning(sys, m, n, k)
-		c := dtensor.SimulateColPartitioning(sys, m, n, k)
-		row.Points = append(row.Points, Point{Batch: batch, PercentOfPeak: r.PercentOfPeak, ReplAB: 1, ReplC: 1, Makespan: r.Seconds})
-		col.Points = append(col.Points, Point{Batch: batch, PercentOfPeak: c.PercentOfPeak, ReplAB: 1, ReplC: 1, Makespan: c.Seconds})
+		r := dtensorRow(sys, m, n, k)
+		c := dtensorColumn(sys, m, n, k)
+		row.Points = append(row.Points, Point{Batch: batch, PercentOfPeak: r.PercentOfPeak, ReplAB: 1, ReplC: 1, Makespan: r.Makespan})
+		col.Points = append(col.Points, Point{Batch: batch, PercentOfPeak: c.PercentOfPeak, ReplAB: 1, ReplC: 1, Makespan: c.Makespan})
 	}
 	return []Series{row, col}
 }
@@ -299,7 +297,7 @@ func COSMASeries(sys universal.SimSystem, layer Layer, opt Options) Series {
 	s := Series{Name: "COSMA-NCCL"}
 	for _, batch := range opt.Batches {
 		m, n, k := layer.Dims(batch)
-		_, res := cosma.Simulate(sys, m, n, k)
+		_, res := simulateCOSMA(sys, m, n, k)
 		s.Points = append(s.Points, Point{Batch: batch, PercentOfPeak: res.PercentOfPeak, ReplAB: 1, ReplC: 1, Makespan: res.Makespan})
 	}
 	return s

@@ -360,7 +360,8 @@ func TestAllReduceReplicas(t *testing.T) {
 		for _, idx := range m.OwnedTiles(pe.Rank()) {
 			m.Tile(pe, idx, LocalReplica).Fill(1)
 		}
-		m.AllReduceReplicas(pe, 0)
+		m.ReduceReplicas(pe, 0)
+		m.BroadcastReplica(pe, 0)
 		for rep := 0; rep < 2; rep++ {
 			got := m.Gather(pe, rep)
 			if got.At(3, 3) != 2 {

@@ -133,11 +133,6 @@ func (m *Matrix) OwnerRank(idx index.TileIdx, replica, callerRank int) int {
 	return m.RankFor(m.OwnerSlot(idx), rep)
 }
 
-// Owns reports whether rank holds tile idx within its own replica.
-func (m *Matrix) Owns(rank int, idx index.TileIdx) bool {
-	return m.SlotOf(rank) == m.OwnerSlot(idx)
-}
-
 // OwnedTiles returns, in row-major order, the tiles rank holds in its own
 // replica.
 func (m *Matrix) OwnedTiles(rank int) []index.TileIdx {
@@ -267,9 +262,8 @@ func (m *Matrix) GetTileIntoAsync(pe rt.PE, f *TileFuture, dst *tile.Matrix, idx
 }
 
 // GetSubTileIntoAsync starts an asynchronous copy of the sub-rectangle sub
-// (global coordinates) of tile idx into dst, the caller-owned counterpart
-// of GetSubTileAsync (see GetTileIntoAsync). dst must be dense with sub's
-// exact shape.
+// (global coordinates) of tile idx into dst, a caller-owned buffer (see
+// GetTileIntoAsync). dst must be dense with sub's exact shape.
 func (m *Matrix) GetSubTileIntoAsync(pe rt.PE, f *TileFuture, dst *tile.Matrix, idx index.TileIdx, replica int, sub index.Rect) {
 	b := m.grid.TileBounds(idx)
 	if !b.ContainsRect(sub) {
@@ -347,27 +341,6 @@ func (m *Matrix) GetSubTile(pe rt.PE, idx index.TileIdx, replica int, sub index.
 	off := m.tileOffset[idx.Row][idx.Col] + local.Rows.Begin*tileCols + local.Cols.Begin
 	pe.GetStrided(dst.Data, cols, m.seg, owner, off, tileCols, rows, cols)
 	return dst
-}
-
-// GetSubTileAsync starts an asynchronous copy of the sub-rectangle sub
-// (global coordinates) of tile idx and returns a future. Local tiles
-// return an immediate strided view-copy.
-func (m *Matrix) GetSubTileAsync(pe rt.PE, idx index.TileIdx, replica int, sub index.Rect) *TileFuture {
-	b := m.grid.TileBounds(idx)
-	if !b.ContainsRect(sub) {
-		panic(fmt.Sprintf("distmat: sub-rect %v outside tile %v bounds %v", sub, idx, b))
-	}
-	rows, cols := sub.Shape()
-	dst := tile.New(rows, cols)
-	if rows == 0 || cols == 0 {
-		return &TileFuture{Tile: dst, future: rt.CompletedFuture()}
-	}
-	_, tileCols := b.Shape()
-	local := sub.Localize(b.Rows.Begin, b.Cols.Begin)
-	owner := m.OwnerRank(idx, replica, pe.Rank())
-	off := m.tileOffset[idx.Row][idx.Col] + local.Rows.Begin*tileCols + local.Cols.Begin
-	f := pe.GetStridedAsync(dst.Data, cols, m.seg, owner, off, tileCols, rows, cols)
-	return &TileFuture{Tile: dst, future: f}
 }
 
 func (m *Matrix) resolveReplica(replica, callerRank int) int {

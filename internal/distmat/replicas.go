@@ -41,10 +41,3 @@ func (m *Matrix) ReduceReplicas(pe rt.PE, origin int) {
 	}
 	pe.Barrier()
 }
-
-// AllReduceReplicas reduces into the origin replica and re-broadcasts so
-// every replica ends with the summed result. Collective.
-func (m *Matrix) AllReduceReplicas(pe rt.PE, origin int) {
-	m.ReduceReplicas(pe, origin)
-	m.BroadcastReplica(pe, origin)
-}

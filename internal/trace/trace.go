@@ -1,7 +1,7 @@
 // Package trace renders benchmark results as text: aligned tables (the
 // rows the paper's tables report) and ASCII approximations of the
-// percent-of-peak figures, playing the role of the artifact's
-// plot_mlp{1,2}.py scripts.
+// percent-of-peak figures (mlp_experiments -plot), playing the role of the
+// artifact's plot_mlp{1,2}.py scripts.
 package trace
 
 import (

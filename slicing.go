@@ -24,7 +24,7 @@
 // The package is a façade: the implementation lives in internal/ packages
 // (index arithmetic, local GEMM kernels, the PGAS runtime, the distributed
 // matrix data structure, the universal algorithm, IR lowering, cost model,
-// baselines, and the benchmark harness that regenerates the paper's
+// serving, and the benchmark harness that regenerates the paper's
 // figures).
 package slicing
 
