@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"slicing/internal/bench"
-	"slicing/internal/costmodel"
 	"slicing/internal/distmat"
 	"slicing/internal/gpusim"
 	"slicing/internal/ir"
@@ -101,7 +100,6 @@ func BenchmarkFigure3MLP2(b *testing.B) { benchFigure(b, universal.H100System(),
 func BenchmarkScheduleAblation(b *testing.B) {
 	b.ReportAllocs()
 	sys := universal.H100System()
-	md := costmodel.New(sys.Topo, sys.Dev)
 	mk := func() universal.Problem {
 		w := shmem.NewWorld(8)
 		a := distmat.New(w, 2048, 2048, distmat.Custom{TileRows: 300, TileCols: 700, ProcRows: 2, ProcCols: 4}, 1)
@@ -117,7 +115,7 @@ func BenchmarkScheduleAblation(b *testing.B) {
 		prob := mk()
 		direct = x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)
 		greedy = x.Simulate(prob, ir.Compile(prob, cfg, func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) }), cfg, sys)
-		costG = x.Simulate(prob, ir.Compile(prob, cfg, func(pl universal.Plan) ir.Program { return ir.CostGreedy(md, pl, ir.DefaultLimits()) }), cfg, sys)
+		costG = x.Simulate(prob, ir.Compile(prob, cfg, func(pl universal.Plan) ir.Program { return ir.CostGreedy(sys, pl, ir.DefaultLimits()) }), cfg, sys)
 	}
 	b.ReportMetric(direct.Makespan*1e3, "direct_ms")
 	b.ReportMetric(greedy.Makespan*1e3, "greedy_ms")

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"slicing/internal/autotune"
-	"slicing/internal/costmodel"
 	"slicing/internal/distmat"
 	"slicing/internal/ir"
 	rt "slicing/internal/runtime"
@@ -118,7 +117,7 @@ func main() {
 		if pes != sys.Topo.NumPE() {
 			fatalf("gantt mode needs -p to match the system preset (%d PEs)", sys.Topo.NumPE())
 		}
-		res, eng, run := universal.SimulateMultiplyTrace(prob, cfg, sys)
+		res, eng, run := universal.SimulateCompiledTrace(prob, universal.CompilePlans(prob, cfg), cfg, sys)
 		fmt.Printf("stationary=%v percent_of_peak=%.1f%%\n", res.Stationary, res.PercentOfPeak)
 		trace.WriteGantt(os.Stdout, eng, run, 100)
 	default:
@@ -162,7 +161,6 @@ func runIRCompare(prob universal.Problem, cfg universal.Config, sys universal.Si
 	if pes != sys.Topo.NumPE() {
 		fatalf("ir-compare needs -p to match the system preset (%d PEs)", sys.Topo.NumPE())
 	}
-	md := costmodel.New(sys.Topo, sys.Dev)
 	x := universal.NewModelExecutor()
 	lowered := func(gen func(universal.Plan) ir.Program) universal.SimResult {
 		return x.Simulate(prob, ir.Compile(prob, cfg, gen), cfg, sys)
@@ -174,8 +172,8 @@ func runIRCompare(prob universal.Problem, cfg universal.Config, sys universal.Si
 	}{
 		{"direct", x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)},
 		{"greedy", lowered(func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) })},
-		{"cost-greedy", lowered(func(pl universal.Plan) ir.Program { return ir.CostGreedy(md, pl, ir.DefaultLimits()) })},
-		{"exhaustive*", lowered(func(pl universal.Plan) ir.Program { return ir.Exhaustive(md, pl, ir.DefaultLimits()) })},
+		{"cost-greedy", lowered(func(pl universal.Plan) ir.Program { return ir.CostGreedy(sys, pl, ir.DefaultLimits()) })},
+		{"exhaustive*", lowered(func(pl universal.Plan) ir.Program { return ir.Exhaustive(sys, pl, ir.DefaultLimits()) })},
 	} {
 		fmt.Printf("%-12s %10.6fs %13.1f%% %10.1f\n", row.name, row.res.Makespan, row.res.PercentOfPeak, float64(row.res.RemoteGetBytes)/1e6)
 	}

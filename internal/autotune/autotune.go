@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"slicing/internal/bench"
-	"slicing/internal/costmodel"
 	"slicing/internal/distmat"
 	"slicing/internal/modelworld"
 	rt "slicing/internal/runtime"
@@ -127,17 +126,13 @@ func Search(sys universal.SimSystem, m, n, k int, opt Options) []Candidate {
 	rt.ForEachIndex(len(specs), func(i int) {
 		sp := &specs[i]
 		prob := buildProblem(sys, m, n, k, sp.part, sp.cAB, sp.cC)
-		// Specs are priced concurrently and the memo is unsynchronized, so
-		// each spec memoizes on its own: it prices 2 stationaries × ranks ×
-		// steps over a handful of tile shapes, which is where the hits are.
-		md := costmodel.New(sys.Topo, sys.Dev).Memoize()
 		for si, stat := range stats {
 			if !opt.AllowZeroComm && zeroComm(prob, stat) {
 				continue
 			}
 			sp.cands[si] = Candidate{
 				Part: sp.part, ReplAB: sp.cAB, ReplC: sp.cC, Stationary: stat,
-				CostSeconds: md.ProblemCost(prob, stat), MemElems: sp.mem,
+				CostSeconds: universal.ProblemCost(prob, stat, sys), MemElems: sp.mem,
 			}
 			sp.eligible[si] = true
 		}

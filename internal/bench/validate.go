@@ -128,7 +128,8 @@ func FatTree64SchedulerDAG() (*gpusim.Engine, universal.SimResult) {
 	c := distmat.New(w, 2048, 2048, cpart, 8)
 	cfg := universal.DefaultConfig()
 	cfg.Stationary = universal.StationaryC
-	res, eng, _ := universal.SimulateMultiplyTrace(universal.NewProblem(c, a, b), cfg, sys)
+	prob := universal.NewProblem(c, a, b)
+	res, eng, _ := universal.SimulateCompiledTrace(prob, universal.CompilePlans(prob, cfg), cfg, sys)
 	return eng, res
 }
 

@@ -7,9 +7,11 @@ import "slicing/internal/simnet"
 // knowing it exists:
 //
 //   - simnet.Topology: Bandwidth(src,dst) is the route's bottleneck-link
-//     bandwidth and Latency(src,dst) its total latency, so costmodel, the
-//     plan-replay estimators, autotune, and bench see exactly the numbers
-//     the link model charges for an uncontended transfer.
+//     bandwidth and Latency(src,dst) its total latency, so the op prices
+//     of simnet.System — which the plan replay, its closed-form
+//     estimator, the timed backend, autotune and bench all read — are
+//     exactly the numbers the link model charges for an uncontended
+//     transfer.
 //   - simnet.Routed: the timed backend (gpubackend) reads the
 //     per-pair link routes and reserve individual links instead of the
 //     legacy per-PE ports, which is where per-link contention comes from.

@@ -13,7 +13,6 @@ import (
 	"math"
 	"testing"
 
-	"slicing/internal/costmodel"
 	"slicing/internal/distmat"
 	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
@@ -207,7 +206,7 @@ func TestTimedBackendPredictsRuntimeComparableToCostModel(t *testing.T) {
 	}
 
 	prob := universal.NewProblem(c, a, b)
-	est := costmodel.New(sys.Topo, sys.Dev).ProblemCost(prob, stat)
+	est := universal.ProblemCost(prob, stat, sys)
 	if est <= 0 {
 		t.Fatal("cost model priced the problem at zero")
 	}

@@ -42,16 +42,16 @@
 // clock only when the future is waited on, so PrefetchDepth and MaxInflight
 // shape the modeled pipeline exactly as they shape the real one, and
 // issuing more in-flight work than the engines can absorb shows up as
-// measured queue delay. Durations come from the shared §4.3 cost tables
-// (internal/costmodel), so the timed backend and the estimators price
-// identical work identically and differ only in contention structure.
+// measured queue delay. Durations are the §4.3 op prices of
+// simnet.System, the same price list the plan replay reads, so the timed
+// backend and the estimators price identical work identically and differ
+// only in contention structure.
 package gpubackend
 
 import (
 	"fmt"
 	"sync"
 
-	"slicing/internal/costmodel"
 	"slicing/internal/fabric"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
@@ -83,9 +83,7 @@ func (b Backend) NewWorld(p int) rt.World {
 	}
 	w := &World{
 		inner:    shmem.NewWorld(p),
-		topo:     b.Topo,
-		dev:      b.Dev,
-		cost:     costmodel.New(b.Topo, b.Dev),
+		sys:      simnet.System{Topo: b.Topo, Dev: b.Dev},
 		tl:       gpusim.NewTimeline(),
 		host:     make([]float64, p),
 		snapshot: make([]float64, p),
@@ -94,7 +92,6 @@ func (b Backend) NewWorld(p int) rt.World {
 		copyOut:  make([][]*gpusim.Stream, p),
 	}
 	w.routed, _ = b.Topo.(simnet.Routed)
-	w.nodes, _ = b.Topo.(simnet.NodeMapper)
 	nIn, nOut := b.Dev.NumCopyInEngines(), b.Dev.NumCopyOutEngines()
 	for i := 0; i < p; i++ {
 		w.compute[i] = w.tl.NewStream(fmt.Sprintf("pe%d.compute", i))
@@ -138,11 +135,8 @@ func engineStreams(tl *gpusim.Timeline, base string, n int) []*gpusim.Stream {
 // timeline and a host clock per PE.
 type World struct {
 	inner  *shmem.World
-	topo   simnet.Topology
-	dev    gpusim.Device
-	cost   *costmodel.Model
-	routed simnet.Routed     // non-nil when topo models individual links
-	nodes  simnet.NodeMapper // non-nil when topo spans machines
+	sys    simnet.System // the op prices
+	routed simnet.Routed // non-nil when sys.Topo models individual links
 
 	tl      *gpusim.Timeline
 	compute []*gpusim.Stream    // per-PE compute stream (GEMMs, accumulate kernels)
@@ -264,19 +258,12 @@ func (w *World) FabricLinkStats() []rt.LinkStats {
 	return out
 }
 
-// crossNode reports whether two PEs live on different machines of a
-// multi-node topology — the boundary past which remote atomics are
-// unavailable and AccumulateAdd must take the §3 get+put path.
-func (w *World) crossNode(a, b int) bool {
-	return w.nodes != nil && w.nodes.NodeOf(a) != w.nodes.NodeOf(b)
-}
-
 // DegradeLink downtrains the named fabric link mid-run
 // (runtime.LinkDegrader) via the race-safe fabric.DegradeAt path; ops
 // priced after the call see the degraded rail. Returns false on scalar
 // topologies or unknown link names.
 func (w *World) DegradeLink(name string, factor float64) bool {
-	ft, ok := w.topo.(interface{ Fabric() *fabric.Fabric })
+	ft, ok := w.sys.Topo.(interface{ Fabric() *fabric.Fabric })
 	if !ok {
 		return false
 	}

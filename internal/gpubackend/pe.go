@@ -38,7 +38,7 @@ func (p *pe) enqueueGet(remote, n int, waits ...gpusim.Event) gpusim.Event {
 	op := gpusim.StreamOp{
 		Label: "get", Kind: gpusim.OpComm,
 		NotBefore: w.PETime(p.rank),
-		Duration:  w.cost.FetchCost(remote, p.rank, 4*n),
+		Duration:  w.sys.Fetch(remote, p.rank, 4*n),
 		Waits:     waits,
 		Resources: w.netResources(remote, p.rank, 4*n),
 	}
@@ -52,7 +52,7 @@ func (p *pe) enqueuePut(remote, n int, waits ...gpusim.Event) gpusim.Event {
 	op := gpusim.StreamOp{
 		Label: "put", Kind: gpusim.OpComm,
 		NotBefore: w.PETime(p.rank),
-		Duration:  w.cost.FetchCost(p.rank, remote, 4*n),
+		Duration:  w.sys.Fetch(p.rank, remote, 4*n),
 		Waits:     waits,
 		Resources: w.netResources(p.rank, remote, 4*n),
 	}
@@ -68,7 +68,7 @@ func (p *pe) enqueuePut(remote, n int, waits ...gpusim.Event) gpusim.Event {
 // own GEMMs.
 func (p *pe) enqueueAccum(remote, n int) float64 {
 	w := p.w
-	dur := w.cost.AccumCost(p.rank, remote, 4*n)
+	dur := w.sys.Accum(p.rank, remote, 4*n)
 	op := gpusim.StreamOp{
 		Label: "accum", Kind: gpusim.OpAccum,
 		NotBefore: w.PETime(p.rank),
@@ -78,7 +78,7 @@ func (p *pe) enqueueAccum(remote, n int) float64 {
 		return w.compute[p.rank].Enqueue(op).Time()
 	}
 	op.Resources = w.netResources(p.rank, remote, 4*n)
-	if w.dev.AccumComputeInterference {
+	if w.sys.Dev.AccumComputeInterference {
 		op.Resources = append(op.Resources, w.compute[remote].Resource())
 		w.noteInterference(dur)
 	}
@@ -105,7 +105,7 @@ func (p *pe) Put(src []float32, seg rt.SegmentID, remote, offset int) {
 }
 
 func (p *pe) AccumulateAdd(src []float32, seg rt.SegmentID, remote, offset int) {
-	if p.w.crossNode(p.rank, remote) {
+	if p.w.sys.CrossNode(p.rank, remote) {
 		// §3: across a node boundary the RDMA fabric offers no remote
 		// atomics, so the accumulate is automatically rerouted through the
 		// coarse-lock get+put scheme and priced as the round trip it is.
@@ -135,7 +135,7 @@ func (p *pe) PutStrided(src []float32, srcStride int, seg rt.SegmentID, remote, 
 }
 
 func (p *pe) AccumulateAddStrided(src []float32, srcStride int, seg rt.SegmentID, remote, offset, dstStride, rows, cols int) {
-	if p.w.crossNode(p.rank, remote) {
+	if p.w.sys.CrossNode(p.rank, remote) {
 		// §3 applies to strided accumulates too: per-row get+put round
 		// trips on the data path (each destination row is contiguous),
 		// priced as one rows×cols round trip — and, unlike the atomic
@@ -167,7 +167,7 @@ func (p *pe) GetStridedAsync(dst []float32, dstStride int, seg rt.SegmentID, rem
 }
 
 func (p *pe) AccumulateAddAsync(src []float32, seg rt.SegmentID, remote, offset int) rt.Future {
-	if p.w.crossNode(p.rank, remote) {
+	if p.w.sys.CrossNode(p.rank, remote) {
 		// §3 inter-node path, asynchronous flavour: the get DMA is enqueued
 		// at issue and the put is event-gated on it; only Wait charges the
 		// round trip to the host clock.
@@ -214,7 +214,7 @@ func (p *pe) ElapseGemm(m, n, k int) {
 	end := w.compute[p.rank].Enqueue(gpusim.StreamOp{
 		Label: "gemm", Kind: gpusim.OpCompute,
 		NotBefore: w.PETime(p.rank),
-		Duration:  w.cost.GemmCost(m, n, k),
+		Duration:  w.sys.Gemm(m, n, k),
 	}).Time()
 	w.hostAdvanceTo(p.rank, end)
 }

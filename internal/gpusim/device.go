@@ -5,8 +5,8 @@
 //
 //   - Engine is the offline discrete-event simulator: build a whole DAG
 //     of ops with AddOp (dependencies are event edges by OpID), then Run
-//     list-schedules it. The plan-replay estimators
-//     (universal.SimulateMultiply, universal.ModelExecutor) use it.
+//     list-schedules it. The plan replay (universal.ModelExecutor, behind
+//     SimulateMultiply) uses it.
 //   - Timeline is the online stream/event layer: ops are scheduled the
 //     moment they are submitted, so real execution can interleave with
 //     the model. Stream gives in-order command queues bound to an engine
@@ -17,8 +17,10 @@
 //
 // The paper reports performance as percent of theoretical FP32 peak
 // (Figures 2-3). This package provides the device half of that model; the
-// link half lives in package simnet. Together they let the benchmark
-// harness regenerate the figures' shape without the authors' hardware.
+// link half lives in package simnet, whose System joins the two into the
+// §4.3 op prices every estimator and the timed backend read. Together they
+// let the benchmark harness regenerate the figures' shape without the
+// authors' hardware.
 package gpusim
 
 import "fmt"
@@ -117,7 +119,7 @@ func (d Device) GemmTime(m, n, k int) float64 {
 }
 
 // GemmEfficiency returns the fraction of peak the device achieves on an
-// m×n×k GEMM in isolation (used by the cost model and for reporting).
+// m×n×k GEMM in isolation (for reporting).
 func (d Device) GemmEfficiency(m, n, k int) float64 {
 	t := d.GemmTime(m, n, k)
 	if t == 0 {

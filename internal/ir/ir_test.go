@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"slicing/internal/costmodel"
 	"slicing/internal/distmat"
 	"slicing/internal/gpusim"
 	rt "slicing/internal/runtime"
@@ -23,8 +22,8 @@ func testProblem(p, m, n, k int, pa, pb, pc distmat.Partition, cA, cB, cC int) u
 	return universal.NewProblem(c, a, b)
 }
 
-func testModel(p int) *costmodel.Model {
-	return costmodel.New(simnet.NewUniform(p, 100e9, 1000e9, 1e-6, "test"), gpusim.PresetH100Device())
+func testSystem(p int) universal.SimSystem {
+	return universal.SimSystem{Topo: simnet.NewUniform(p, 100e9, 1000e9, 1e-6, "test"), Dev: gpusim.PresetH100Device()}
 }
 
 func TestBuildGraphDeps(t *testing.T) {
@@ -77,10 +76,10 @@ func progComputes(p Program) []int {
 
 func TestCostGreedyValidates(t *testing.T) {
 	prob := testProblem(6, 60, 54, 66, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, 1, 1)
-	md := testModel(6)
+	sys := testSystem(6)
 	for rank := 0; rank < 6; rank++ {
 		plan := universal.BuildPlan(rank, prob, universal.StationaryB, 0)
-		prog := CostGreedy(md, plan, DefaultLimits())
+		prog := CostGreedy(sys, plan, DefaultLimits())
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
@@ -90,20 +89,20 @@ func TestCostGreedyValidates(t *testing.T) {
 func TestExhaustiveValidatesAndBeatsOrEqualsGreedy(t *testing.T) {
 	// Small problem so the plan has <= ExhaustiveLimit steps.
 	prob := testProblem(4, 16, 16, 16, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, 1, 1)
-	md := testModel(4)
+	sys := testSystem(4)
 	for rank := 0; rank < 4; rank++ {
 		plan := universal.BuildPlan(rank, prob, universal.StationaryC, 0)
 		if len(plan.Steps) > ExhaustiveLimit {
 			t.Fatalf("test problem too large for exhaustive: %d steps", len(plan.Steps))
 		}
-		ex := Exhaustive(md, plan, DefaultLimits())
+		ex := Exhaustive(sys, plan, DefaultLimits())
 		if err := ex.Validate(); err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 		gr := Greedy(plan, DefaultLimits())
-		if Cost(md, ex) > Cost(md, gr)+1e-12 {
+		if Cost(sys, ex) > Cost(sys, gr)+1e-12 {
 			t.Fatalf("rank %d: exhaustive cost %g worse than greedy %g",
-				rank, Cost(md, ex), Cost(md, gr))
+				rank, Cost(sys, ex), Cost(sys, gr))
 		}
 	}
 }
@@ -111,12 +110,12 @@ func TestExhaustiveValidatesAndBeatsOrEqualsGreedy(t *testing.T) {
 func TestExhaustiveFallsBackOnLargePlans(t *testing.T) {
 	prob := testProblem(4, 128, 128, 128, distmat.Custom{TileRows: 16, TileCols: 16, ProcRows: 2, ProcCols: 2},
 		distmat.Custom{TileRows: 16, TileCols: 16, ProcRows: 2, ProcCols: 2}, distmat.Block2D{}, 1, 1, 1)
-	md := testModel(4)
+	sys := testSystem(4)
 	plan := universal.BuildPlan(0, prob, universal.StationaryC, 0)
 	if len(plan.Steps) <= ExhaustiveLimit {
 		t.Skip("plan unexpectedly small")
 	}
-	prog := Exhaustive(md, plan, DefaultLimits()) // must not hang
+	prog := Exhaustive(sys, plan, DefaultLimits()) // must not hang
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +123,11 @@ func TestExhaustiveFallsBackOnLargePlans(t *testing.T) {
 
 func TestCostPositiveAndMonotoneInLimits(t *testing.T) {
 	prob := testProblem(4, 64, 64, 64, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, 1, 1)
-	md := testModel(4)
+	sys := testSystem(4)
 	plan := universal.BuildPlan(0, prob, universal.StationaryC, 0)
 	tight := Greedy(plan, Limits{MaxCompute: 1, MaxComm: 1})
 	loose := Greedy(plan, Limits{MaxCompute: 8, MaxComm: 8})
-	if Cost(md, tight) <= 0 {
+	if Cost(sys, tight) <= 0 {
 		t.Fatal("cost must be positive")
 	}
 	if err := tight.Validate(); err != nil {
@@ -143,7 +142,7 @@ func TestCostPositiveAndMonotoneInLimits(t *testing.T) {
 // program scheduling all steps.
 func TestGeneratorsValidOnRandomProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	md := testModel(4)
+	sys := testSystem(4)
 	for trial := 0; trial < 25; trial++ {
 		parts := []distmat.Partition{distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{},
 			distmat.Custom{TileRows: 1 + rng.Intn(12), TileCols: 1 + rng.Intn(12), ProcRows: 2, ProcCols: 2}}
@@ -154,7 +153,7 @@ func TestGeneratorsValidOnRandomProblems(t *testing.T) {
 			plan := universal.BuildPlan(rank, prob, stat, 0)
 			for name, prog := range map[string]Program{
 				"greedy":      Greedy(plan, DefaultLimits()),
-				"cost-greedy": CostGreedy(md, plan, DefaultLimits()),
+				"cost-greedy": CostGreedy(sys, plan, DefaultLimits()),
 			} {
 				if err := prog.Validate(); err != nil {
 					t.Fatalf("trial %d rank %d %s: %v", trial, rank, name, err)
@@ -174,11 +173,11 @@ func TestGeneratorsValidOnRandomProblems(t *testing.T) {
 // replicated C.
 func TestCompiledProgramsExecuteCorrect(t *testing.T) {
 	const p, m, n, k = 4, 22, 26, 18
-	md := testModel(p)
+	sys := testSystem(p)
 	gens := map[string]func(universal.Plan) Program{
 		"greedy":      func(pl universal.Plan) Program { return Greedy(pl, DefaultLimits()) },
-		"cost-greedy": func(pl universal.Plan) Program { return CostGreedy(md, pl, DefaultLimits()) },
-		"exhaustive":  func(pl universal.Plan) Program { return Exhaustive(md, pl, DefaultLimits()) },
+		"cost-greedy": func(pl universal.Plan) Program { return CostGreedy(sys, pl, DefaultLimits()) },
+		"exhaustive":  func(pl universal.Plan) Program { return Exhaustive(sys, pl, DefaultLimits()) },
 	}
 	for name, gen := range gens {
 		t.Run(name, func(t *testing.T) {
@@ -228,13 +227,12 @@ func TestDirectCompetitiveWithLoweredSchedules(t *testing.T) {
 		distmat.Custom{TileRows: 300, TileCols: 700, ProcRows: 2, ProcCols: 4}, // misaligned
 		distmat.ColBlock{}, distmat.Block2D{}, 1, 1, 1)
 	sys := universal.H100System()
-	md := costmodel.New(sys.Topo, sys.Dev)
 	cfg := universal.DefaultConfig()
 	cfg.Stationary = universal.StationaryC
 	x := universal.NewModelExecutor()
 	direct := x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)
 	greedy := x.Simulate(prob, Compile(prob, cfg, func(pl universal.Plan) Program { return Greedy(pl, DefaultLimits()) }), cfg, sys)
-	costG := x.Simulate(prob, Compile(prob, cfg, func(pl universal.Plan) Program { return CostGreedy(md, pl, DefaultLimits()) }), cfg, sys)
+	costG := x.Simulate(prob, Compile(prob, cfg, func(pl universal.Plan) Program { return CostGreedy(sys, pl, DefaultLimits()) }), cfg, sys)
 
 	best := greedy.Makespan
 	if costG.Makespan < best {

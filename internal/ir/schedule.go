@@ -3,30 +3,29 @@ package ir
 import (
 	"sort"
 
-	"slicing/internal/costmodel"
 	"slicing/internal/universal"
 )
 
-// Cost prices a program under the cost model: each output IR op costs the
+// Cost prices a program with sys's §4.3 op prices: each output IR op costs the
 // maximum of its total communication time and total computation time (§4.3
 // — overlapped execution within an op), and ops run back to back. It is the
 // generators' score for an order that has not been lowered yet, so it
 // prices one accumulate per op: which steps chain (universal.Step.Chained)
 // is decided when the order is lowered, not before.
-func Cost(md *costmodel.Model, p Program) float64 {
+func Cost(sys universal.SimSystem, p Program) float64 {
 	var total float64
 	for _, op := range p.Ops {
 		var comm, compute float64
 		for _, c := range op.Comms {
-			comm += md.FetchCost(c.Src, p.PE, c.Bytes)
+			comm += sys.Fetch(c.Src, p.PE, c.Bytes)
 		}
 		for _, i := range op.Computes {
 			s := p.Plan.Steps[i]
-			compute += md.GemmCost(s.Op.M.Len(), s.Op.N.Len(), s.Op.K.Len())
+			compute += sys.Gemm(s.Op.M.Len(), s.Op.N.Len(), s.Op.K.Len())
 			if s.CLocal {
-				compute += md.AccumCost(p.PE, p.PE, s.AccumBytes)
+				compute += sys.Accum(p.PE, p.PE, s.AccumBytes)
 			} else {
-				comm += md.AccumCost(p.PE, s.CDst, s.AccumBytes)
+				comm += sys.Accum(p.PE, s.CDst, s.AccumBytes)
 			}
 		}
 		if comm > compute {
@@ -42,13 +41,13 @@ func Cost(md *costmodel.Model, p Program) float64 {
 // expensive eligible computes are scheduled first (so long poles overlap
 // with as much communication as possible), and communications that unblock
 // the most expensive pending computes are preferred.
-func CostGreedy(md *costmodel.Model, plan universal.Plan, lim Limits) Program {
+func CostGreedy(sys universal.SimSystem, plan universal.Plan, lim Limits) Program {
 	lim = lim.withDefaults()
 	g := buildGraph(plan)
 
 	stepCost := make([]float64, len(plan.Steps))
 	for i, s := range plan.Steps {
-		stepCost[i] = md.GemmCost(s.Op.M.Len(), s.Op.N.Len(), s.Op.K.Len())
+		stepCost[i] = sys.Gemm(s.Op.M.Len(), s.Op.N.Len(), s.Op.K.Len())
 	}
 	// unblockValue[d] is the cost of the most expensive compute needing d.
 	unblockValue := map[DataKey]float64{}
@@ -86,10 +85,10 @@ const ExhaustiveLimit = 8
 // Exhaustive searches every schedulable ordering of the plan's steps (up
 // to ExhaustiveLimit steps), greedily packing each ordering into IR ops and
 // scoring with the cost model; it returns the cheapest program found.
-func Exhaustive(md *costmodel.Model, plan universal.Plan, lim Limits) Program {
+func Exhaustive(sys universal.SimSystem, plan universal.Plan, lim Limits) Program {
 	lim = lim.withDefaults()
 	if len(plan.Steps) > ExhaustiveLimit {
-		return CostGreedy(md, plan, lim)
+		return CostGreedy(sys, plan, lim)
 	}
 	n := len(plan.Steps)
 	perm := make([]int, n)
@@ -102,7 +101,7 @@ func Exhaustive(md *costmodel.Model, plan universal.Plan, lim Limits) Program {
 	recurse = func(k int) {
 		if k == n {
 			prog := packOrdering(plan, perm, lim)
-			if c := Cost(md, prog); bestCost < 0 || c < bestCost {
+			if c := Cost(sys, prog); bestCost < 0 || c < bestCost {
 				bestCost = c
 				best = prog
 			}

@@ -2,7 +2,7 @@
 // runtime.Backend whose worlds carry the full one-sided contract's
 // *metadata* — world size and symmetric-segment lengths — but allocate no
 // storage and execute nothing. It exists so the plan/estimate pipeline
-// (distmat construction, BuildPlan, PlanKeyOf, costmodel pricing,
+// (distmat construction, BuildPlan, PlanKeyOf, universal.ProblemCost,
 // universal.SimulateMultiply and the ModelExecutor) can run at full
 // cluster scale: a 1024-PE MLP layer's matrices would need gigabytes of
 // float32 under shmem, but every consumer on that pipeline reads only

@@ -33,8 +33,8 @@ type Topology interface {
 // NIC, or a rail contend with each other even when their endpoints differ.
 // For a Routed topology, Bandwidth(src,dst) must return the route's
 // bottleneck-link bandwidth and Latency(src,dst) the route's total latency,
-// so the scalar consumers (costmodel, the plan-replay estimators) price the
-// same numbers the link model charges.
+// so System's op prices, which every estimator reads, are the same numbers
+// the link model charges.
 type Routed interface {
 	Topology
 	// NumLinks returns the number of directed links in the fabric.

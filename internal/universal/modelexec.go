@@ -11,10 +11,9 @@ import (
 // fetch/evict/accumulate schedule through the discrete-event engine and
 // the system's fabric pricing with no real arithmetic and no tile
 // allocation, so validation points run at full MLP scale (thousands of
-// PEs) instead of 1/16. It shares the planReplayer with
-// SimulateMultiplyTrace, so for matching (problem, config) the two paths
-// produce bit-for-bit identical predictions — the agreement the sweep
-// subsystem's tests pin at 1/16 scale before trusting full-scale numbers.
+// PEs) instead of 1/16. It is the one plan replay: SimulateMultiply and
+// SimulateCompiledTrace are spellings of it, and every duration it
+// schedules is a SimSystem price.
 //
 // The executor owns one engine and one replayer and reuses both across
 // Simulate calls (Engine.Reset keeps all storage), so a sweep evaluating
@@ -55,9 +54,8 @@ func (x *ModelExecutor) simulate(prob Problem, cp *CompiledPlan, cfg Config, sys
 }
 
 // SimulateCompiledTrace is the one-shot form of ModelExecutor.Simulate
-// that additionally returns the engine and raw schedule, mirroring
-// SimulateMultiplyTrace, so callers can render a full-scale timeline
-// (trace.WriteGantt) from a compiled plan. The returned Result's slices
+// that additionally returns the engine and raw schedule, so callers can
+// render the timeline (trace.WriteGantt) or inspect per-op timings. The returned Result's slices
 // are owned by the engine (see gpusim.Result).
 func SimulateCompiledTrace(prob Problem, cp *CompiledPlan, cfg Config, sys SimSystem) (SimResult, *gpusim.Engine, gpusim.Result) {
 	x := NewModelExecutor()

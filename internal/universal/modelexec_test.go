@@ -25,26 +25,27 @@ func modelProblem(p, m, n, k int, pa, pb, pc distmat.Partition, cAB, cC int) Pro
 func requireSimResultsEqual(t *testing.T, got, want SimResult) {
 	t.Helper()
 	if got.Makespan != want.Makespan {
-		t.Fatalf("makespan: model %v, trace %v", got.Makespan, want.Makespan)
+		t.Fatalf("makespan: got %v, want %v", got.Makespan, want.Makespan)
 	}
 	if got.PercentOfPeak != want.PercentOfPeak {
-		t.Fatalf("percent of peak: model %v, trace %v", got.PercentOfPeak, want.PercentOfPeak)
+		t.Fatalf("percent of peak: got %v, want %v", got.PercentOfPeak, want.PercentOfPeak)
 	}
 	if got.RemoteGetBytes != want.RemoteGetBytes || got.RemoteAccumBytes != want.RemoteAccumBytes {
-		t.Fatalf("traffic: model (%d,%d), trace (%d,%d)",
+		t.Fatalf("traffic: got (%d,%d), want (%d,%d)",
 			got.RemoteGetBytes, got.RemoteAccumBytes, want.RemoteGetBytes, want.RemoteAccumBytes)
 	}
 	if got.Ops != want.Ops || got.Stationary != want.Stationary {
-		t.Fatalf("ops/stationary: model (%d,%v), trace (%d,%v)", got.Ops, got.Stationary, want.Ops, want.Stationary)
+		t.Fatalf("ops/stationary: got (%d,%v), want (%d,%v)", got.Ops, got.Stationary, want.Ops, want.Stationary)
 	}
 	if got.AvgComputeUtil != want.AvgComputeUtil {
-		t.Fatalf("compute util: model %v, trace %v", got.AvgComputeUtil, want.AvgComputeUtil)
+		t.Fatalf("compute util: got %v, want %v", got.AvgComputeUtil, want.AvgComputeUtil)
 	}
 }
 
-// On a degenerate fabric (scalar port model re-expressed as links) the
-// model-only executor must reproduce SimulateMultiplyTrace bit for bit:
-// both run the same planReplayer over the same plans.
+// On a degenerate fabric (scalar port model re-expressed as links) an
+// executor that already replayed another system's plan must reproduce a
+// fresh executor bit for bit over the same compiled plan: Engine.Reset
+// leaves nothing of the earlier DAG behind.
 func TestModelExecutorMatchesTraceDegenerate(t *testing.T) {
 	sys := SimSystem{
 		Topo: fabric.Degenerate(simnet.PresetH100()).Topology(),
@@ -52,25 +53,29 @@ func TestModelExecutorMatchesTraceDegenerate(t *testing.T) {
 	}
 	prob := modelProblem(8, 1024, 12288, 3072, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, 1)
 	cfg := DefaultConfig()
-
-	want := SimulateMultiply(prob, cfg, sys)
 	cp := CompilePlans(prob, cfg)
-	got := NewModelExecutor().Simulate(prob, cp, cfg, sys)
+
+	x := NewModelExecutor()
+	x.Simulate(prob, cp, cfg, H100System())
+	want := NewModelExecutor().Simulate(prob, cp, cfg, sys)
+	got := x.Simulate(prob, cp, cfg, sys)
 	requireSimResultsEqual(t, got, want)
 }
 
-// On a routed fat-tree at 1/16 scale the predictions must agree within
-// 1e-9 relative — and in fact bit for bit, which the equality helper pins.
-// Includes a replicated C so the reduce_replicas path replays too.
+// On a routed fat-tree at 1/16 scale a reused executor must agree with a
+// fresh one within 1e-9 relative — and in fact bit for bit, which the
+// equality helper pins. Includes a replicated C so the reduce_replicas
+// path replays too; the executor carries over from the previous point.
 func TestModelExecutorMatchesTraceRoutedFatTree(t *testing.T) {
 	sys := H100FatTreeSystem(2, 4, 2.0) // 16 PEs
-	for _, cC := range []int{1, 2} {
+	x := NewModelExecutor()
+	for _, cC := range []int{2, 1, 2} {
 		prob := modelProblem(16, 1024, 12288, 3072, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{}, 1, cC)
 		cfg := DefaultConfig()
-
-		want := SimulateMultiply(prob, cfg, sys)
 		cp := CompilePlans(prob, cfg)
-		got := NewModelExecutor().Simulate(prob, cp, cfg, sys)
+
+		want := NewModelExecutor().Simulate(prob, cp, cfg, sys)
+		got := x.Simulate(prob, cp, cfg, sys)
 
 		if rel := math.Abs(got.Makespan-want.Makespan) / want.Makespan; rel > 1e-9 {
 			t.Fatalf("cC=%d: relative makespan error %g > 1e-9", cC, rel)

@@ -7,11 +7,8 @@ import (
 )
 
 // SimSystem bundles the interconnect and device models of one evaluation
-// system (Table 2).
-type SimSystem struct {
-	Topo simnet.Topology
-	Dev  gpusim.Device
-}
+// system (Table 2); its methods are the §4.3 op prices (simnet.System).
+type SimSystem = simnet.System
 
 // PVCSystem returns the 12-tile Intel PVC node of Table 2.
 func PVCSystem() SimSystem {
@@ -77,10 +74,11 @@ type SimResult struct {
 // the same per-rank plans (iteration offset, tile cache, prefetch depth,
 // bounded GEMM/accumulate concurrency) drive a schedule over compute
 // engines and the network, reproducing the overlap behaviour that
-// determines percent-of-peak in Figures 2-3.
+// determines percent-of-peak in Figures 2-3. It is ModelExecutor.Simulate
+// over freshly compiled plans; SimulateCompiledTrace also returns the
+// engine and schedule.
 func SimulateMultiply(prob Problem, cfg Config, sys SimSystem) SimResult {
-	res, _, _ := SimulateMultiplyTrace(prob, cfg, sys)
-	return res
+	return NewModelExecutor().Simulate(prob, CompilePlans(prob, cfg), cfg, sys)
 }
 
 // simBuilder maps the estimator's transfers onto engine resources the same
@@ -89,9 +87,9 @@ func SimulateMultiply(prob Problem, cfg Config, sys SimSystem) SimResult {
 // a link-routed topology (simnet.Routed) it occupies every link of the
 // static src→dst route, so transfers that share a NIC, a rail, or a spine
 // uplink contend even when their endpoints differ. Across a node boundary
-// (simnet.NodeMapper) accumulates decompose into the §3 get+put round
-// trip — two chained transfers, each claiming its own route — matching
-// the timed backend and costmodel.AccumCost.
+// (SimSystem.CrossNode) accumulates decompose into the §3 get+put round
+// trip — two chained transfers, each claiming its own route — as in the
+// timed backend. Every duration is a SimSystem price.
 type simBuilder struct {
 	eng     *gpusim.Engine
 	sys     SimSystem
@@ -101,16 +99,9 @@ type simBuilder struct {
 	// Link-routed model.
 	routed  simnet.Routed
 	linkRes []gpusim.ResourceID
-	nodes   simnet.NodeMapper
 
 	scratch []gpusim.ResourceID // reused per-op resource list (AddOp copies)
 	getDep  [1]gpusim.OpID      // reused dep list for the §3 put-after-get edge
-}
-
-func newSimBuilder(eng *gpusim.Engine, sys SimSystem, p int) *simBuilder {
-	b := &simBuilder{}
-	b.reset(eng, sys, p)
-	return b
 }
 
 // reset rebinds the builder to an engine/system pair and registers the
@@ -120,7 +111,6 @@ func newSimBuilder(eng *gpusim.Engine, sys SimSystem, p int) *simBuilder {
 func (b *simBuilder) reset(eng *gpusim.Engine, sys SimSystem, p int) {
 	b.eng, b.sys = eng, sys
 	b.routed, _ = sys.Topo.(simnet.Routed)
-	b.nodes, _ = sys.Topo.(simnet.NodeMapper)
 	b.compute = b.compute[:0]
 	b.egress = b.egress[:0]
 	b.ingress = b.ingress[:0]
@@ -157,18 +147,6 @@ func (b *simBuilder) netRes(src, dst int) []gpusim.ResourceID {
 	return b.scratch
 }
 
-// crossNode reports whether two PEs live on different machines, past which
-// the RDMA fabric offers no remote atomics (§3).
-func (b *simBuilder) crossNode(x, y int) bool {
-	return b.nodes != nil && b.nodes.NodeOf(x) != b.nodes.NodeOf(y)
-}
-
-// transferDur prices a src→dst copy of bytes, matching the timed backends'
-// costmodel.FetchCost for remote transfers.
-func (b *simBuilder) transferDur(src, dst, bytes int) float64 {
-	return simnet.TransferTime(b.sys.Topo, src, dst, float64(bytes)) + b.sys.Dev.LaunchOverhead
-}
-
 // addAccum appends the engine ops for an accumulate of bytes from rank
 // into dst's memory, gated on deps, and returns the op that completes it.
 // Within a node it is a single accumulate at the measured fraction of copy
@@ -178,43 +156,23 @@ func (b *simBuilder) transferDur(src, dst, bytes int) float64 {
 // cross-node labels are passed in pre-concatenated ("accum_get", ...) so
 // the hot replay path builds no strings.
 func (b *simBuilder) addAccum(label, getLabel, putLabel string, rank, dst, bytes int, deps []gpusim.OpID) gpusim.OpID {
-	if b.crossNode(rank, dst) {
-		get := b.eng.AddOp(getLabel, gpusim.OpAccum, b.transferDur(dst, rank, bytes),
+	if b.sys.CrossNode(rank, dst) {
+		get := b.eng.AddOp(getLabel, gpusim.OpAccum, b.sys.Fetch(dst, rank, bytes),
 			deps, b.netRes(dst, rank))
 		b.getDep[0] = get
-		return b.eng.AddOp(putLabel, gpusim.OpAccum, b.transferDur(rank, dst, bytes),
+		return b.eng.AddOp(putLabel, gpusim.OpAccum, b.sys.Fetch(rank, dst, bytes),
 			b.getDep[:], b.netRes(rank, dst))
 	}
-	bw := b.sys.Topo.Bandwidth(rank, dst)
-	dur := b.sys.Dev.AccumTime(float64(bytes), bw) + b.sys.Topo.Latency(rank, dst) + b.sys.Dev.LaunchOverhead
 	res := b.netRes(rank, dst)
 	if b.sys.Dev.AccumComputeInterference {
 		res = append(res, b.compute[rank])
 	}
-	return b.eng.AddOp(label, gpusim.OpAccum, dur, deps, res)
-}
-
-// SimulateMultiplyTrace is SimulateMultiply but additionally returns the
-// discrete-event engine and raw schedule, so callers can render the
-// timeline (trace.WriteGantt) or inspect per-op timings. The returned
-// Result's slices are owned by the engine (see gpusim.Result).
-func SimulateMultiplyTrace(prob Problem, cfg Config, sys SimSystem) (SimResult, *gpusim.Engine, gpusim.Result) {
-	cfg = cfg.withDefaults()
-	p := prob.A.World().NumPE()
-	if p != sys.Topo.NumPE() {
-		panic("universal: world size does not match topology")
-	}
-	eng := gpusim.NewEngine()
-	var r planReplayer
-	res, run := r.replay(prob, cfg, sys, CompilePlans(prob, cfg).Plans, eng)
-	return res, eng, run
+	return b.eng.AddOp(label, gpusim.OpAccum, b.sys.Accum(rank, dst, bytes), deps, res)
 }
 
 // planReplayer maps per-rank plans onto a discrete-event DAG and runs it.
-// It is the single replay implementation behind both SimulateMultiplyTrace
-// (fresh plans, fresh engine) and ModelExecutor (compiled plans, reused
-// engine), so the two paths agree bit for bit by construction: same op
-// insertion order, same resources, same durations, same scheduler.
+// It is the one replay implementation, behind ModelExecutor and so behind
+// SimulateMultiply and SimulateCompiledTrace.
 //
 // All scratch lives on the replayer and is grown once, so a reused
 // replayer performs zero steady-state allocations per replay.
@@ -253,7 +211,7 @@ func (r *planReplayer) addFetch(cfg Config, rank, i, src, bytes int) gpusim.OpID
 	if gate := i - 1 - cfg.PrefetchDepth; gate >= 0 {
 		r.deps = append(r.deps, r.gemmIDs[gate])
 	}
-	return r.b.eng.AddOp("get", gpusim.OpComm, r.b.transferDur(src, rank, bytes),
+	return r.b.eng.AddOp("get", gpusim.OpComm, r.b.sys.Fetch(src, rank, bytes),
 		r.deps, r.b.netRes(src, rank))
 }
 
@@ -306,8 +264,7 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 				r.deps = append(r.deps, r.chainEnd[gate])
 			}
 			op := s.Op
-			gemmDur := sys.Dev.GemmTime(op.M.Len(), op.N.Len(), op.K.Len()) + sys.Dev.LaunchOverhead
-			r.gemmIDs[i] = eng.AddOp("gemm", gpusim.OpCompute, gemmDur, r.deps,
+			r.gemmIDs[i] = eng.AddOp("gemm", gpusim.OpCompute, sys.Gemm(op.M.Len(), op.N.Len(), op.K.Len()), r.deps,
 				r.b.compute[rank:rank+1])
 			r.chainEnd[i] = r.gemmIDs[i]
 
@@ -318,8 +275,7 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 				r.deps = append(r.deps[:0], r.gemmIDs[i])
 				if s.CLocal {
 					// Local accumulate: read-modify-write in HBM.
-					accDur := 2*float64(s.AccumBytes)/sys.Dev.MemBW + sys.Dev.LaunchOverhead
-					r.chainEnd[i] = eng.AddOp("accum", gpusim.OpAccum, accDur, r.deps, nil)
+					r.chainEnd[i] = eng.AddOp("accum", gpusim.OpAccum, sys.Accum(rank, rank, s.AccumBytes), r.deps, nil)
 				} else {
 					r.chainEnd[i] = r.b.addAccum("accum", "accum_get", "accum_put", rank, s.CDst, s.AccumBytes, r.deps)
 				}

@@ -58,7 +58,8 @@ func TestSchedulerEquivalenceAcrossConformanceSystems(t *testing.T) {
 	for _, system := range estimatorSystems() {
 		p := system.sys.Topo.NumPE()
 		for pi, prob := range estimatorProblems(p) {
-			_, eng, run := SimulateMultiplyTrace(prob, DefaultConfig(), system.sys)
+			cfg := DefaultConfig()
+			_, eng, run := SimulateCompiledTrace(prob, CompilePlans(prob, cfg), cfg, system.sys)
 			oracle := eng.RunListOracle()
 			if oracle.Makespan != run.Makespan {
 				t.Fatalf("%s/problem%d: oracle makespan %g, heap %g",
@@ -145,7 +146,8 @@ func TestFabricEstimatorSeesIncast(t *testing.T) {
 // allocate — the engine's run scratch is reused in place.
 func TestSimulateRunReuseAllocFree(t *testing.T) {
 	prob := simProblem(8, 512, 512, 512, distmat.Block2D{}, distmat.Block2D{}, distmat.Block2D{}, 1, 1, 1)
-	_, eng, _ := SimulateMultiplyTrace(prob, DefaultConfig(), H100System())
+	cfg := DefaultConfig()
+	_, eng, _ := SimulateCompiledTrace(prob, CompilePlans(prob, cfg), cfg, H100System())
 	if allocs := testing.AllocsPerRun(10, func() { eng.Run() }); allocs != 0 {
 		t.Fatalf("steady-state re-Run of a built simulation allocates %.1f times, want 0", allocs)
 	}

@@ -29,7 +29,6 @@
 package slicing
 
 import (
-	"slicing/internal/costmodel"
 	"slicing/internal/distmat"
 	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
@@ -241,7 +240,7 @@ func NewPool() *Pool { return gpusim.NewPool() }
 // with its estimated runtime — the "straightforward to verify via a cost
 // model" selection the paper describes. Pass the result as Config.Stationary.
 func ChooseStationary(p Problem, sys SimSystem) (Stationary, float64) {
-	return costmodel.New(sys.Topo, sys.Dev).ChooseStationary(p)
+	return universal.ChooseStationary(p, sys)
 }
 
 // SparseMatrix is a distributed sparse (tiled CSR) matrix for the
