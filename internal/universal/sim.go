@@ -151,7 +151,9 @@ func (b *simBuilder) netRes(src, dst int) []gpusim.ResourceID {
 // into dst's memory, gated on deps, and returns the op that completes it.
 // Within a node it is a single accumulate at the measured fraction of copy
 // bandwidth (claiming the initiator's compute engine too on devices that
-// model accumulate/GEMM interference); across nodes it is the §3 get+put
+// model accumulate/GEMM interference — gpubackend claims the target's, a
+// recorded difference: docs/ARCHITECTURE.md, "Execution estimators");
+// across nodes it is the §3 get+put
 // round trip, the put gated on the get as the coarse lock requires. The
 // cross-node labels are passed in pre-concatenated ("accum_get", ...) so
 // the hot replay path builds no strings.
