@@ -43,8 +43,8 @@ func requireSimResultsEqual(t *testing.T, got, want SimResult) {
 }
 
 // On a degenerate fabric (scalar port model re-expressed as links) an
-// executor that already replayed another system's plan must reproduce a
-// fresh executor bit for bit over the same compiled plan: Engine.Reset
+// executor that already replayed the same plan on another system must
+// reproduce a fresh executor bit for bit over that plan: Engine.Reset
 // leaves nothing of the earlier DAG behind.
 func TestModelExecutorMatchesTraceDegenerate(t *testing.T) {
 	sys := SimSystem{
