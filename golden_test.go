@@ -33,6 +33,73 @@ var goldenModelLayouts = []goldenModelLayout{
 	{"row", slicing.RowBlock{}, slicing.RowBlock{}, slicing.RowBlock{}, 1, 1, slicing.StationaryAuto},
 }
 
+// goldenMMWorkload is one of the benchmark's mm-* workloads: one whole
+// distributed multiply per op. The shapes are copied from
+// benchmark/workloads.go (newWorkload); keep them in step with it.
+type goldenMMWorkload struct {
+	name                string
+	p, m, n, k          int
+	partA, partB, partC slicing.Partition
+	replA               int
+	stat                slicing.Stationary
+}
+
+var goldenFine = slicing.Custom{TileRows: 32, TileCols: 32, ProcRows: 2, ProcCols: 2}
+
+var goldenMMWorkloads = []goldenMMWorkload{
+	{"mm-block", 4, 1024, 1024, 1024, slicing.Block2D{}, slicing.Block2D{}, slicing.Block2D{}, 1, slicing.StationaryC},
+	{"mm-fine", 4, 256, 256, 256, goldenFine, goldenFine, goldenFine, 1, slicing.StationaryC},
+	{"mm-skew", 4, 512, 512, 512, slicing.ColBlock{},
+		slicing.Custom{TileRows: 96, TileCols: 80, ProcRows: 2, ProcCols: 2},
+		slicing.Custom{TileRows: 72, TileCols: 104, ProcRows: 2, ProcCols: 2},
+		2, slicing.StationaryA},
+}
+
+// mmCounts writes each mm-* workload's per-op counts, derived from its
+// compiled plan alone: steps and flops; fetches and their bytes (every
+// fetch is a remote get); accumulates (one per chain, issued by its last,
+// unchained step) and their bytes, split by whether the C tile is remote.
+func mmCounts(buf *bytes.Buffer) {
+	for _, wl := range goldenMMWorkloads {
+		w := slicing.NewModelWorld(wl.p)
+		a := slicing.NewMatrix(w, wl.m, wl.k, wl.partA, wl.replA)
+		b := slicing.NewMatrix(w, wl.k, wl.n, wl.partB, 1)
+		c := slicing.NewMatrix(w, wl.m, wl.n, wl.partC, 1)
+		cfg := slicing.DefaultConfig()
+		cfg.Stationary = wl.stat
+		cp := slicing.CompilePlans(slicing.NewProblem(c, a, b), cfg)
+		var flops float64
+		var fetches, getBytes, accums, remoteAccBytes, localAccBytes int
+		for _, pl := range cp.Plans {
+			flops += pl.TotalFlops()
+			getBytes += pl.RemoteFetchBytes()
+			remoteAccBytes += pl.RemoteAccumBytes()
+			for _, s := range pl.Steps {
+				if s.FetchA {
+					fetches++
+				}
+				if s.FetchB {
+					fetches++
+				}
+				if s.Chained {
+					continue
+				}
+				accums++
+				if s.CLocal {
+					localAccBytes += s.AccumBytes
+				}
+			}
+		}
+		fmt.Fprintf(buf, "%s steps %d\n", wl.name, cp.Steps())
+		fmt.Fprintf(buf, "%s flops %v\n", wl.name, flops)
+		fmt.Fprintf(buf, "%s fetches %d\n", wl.name, fetches)
+		fmt.Fprintf(buf, "%s remote_get_bytes %d\n", wl.name, getBytes)
+		fmt.Fprintf(buf, "%s accums %d\n", wl.name, accums)
+		fmt.Fprintf(buf, "%s remote_accum_bytes %d\n", wl.name, remoteAccBytes)
+		fmt.Fprintf(buf, "%s local_accum_bytes %d\n", wl.name, localAccBytes)
+	}
+}
+
 // modelReplayCounts replays the model-replay workload's 15 MLP-1 points
 // (batch 8192 on 2, 8 and 16 H100 fat-tree nodes × five layouts) in
 // listing order and writes the model executor's total op count and each
@@ -75,6 +142,7 @@ func modelReplayCounts(buf *bytes.Buffer) {
 func TestWorkloadCountsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	modelReplayCounts(&buf)
+	mmCounts(&buf)
 
 	path := filepath.Join("testdata", "workload_counts.golden")
 	if *updateGolden {
