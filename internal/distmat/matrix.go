@@ -111,6 +111,12 @@ func (m *Matrix) OverlappingTiles(slice index.Rect) []index.TileIdx {
 	return m.grid.OverlappingTiles(slice)
 }
 
+// AppendOverlappingTiles appends the tiles intersecting slice to dst
+// (index.Grid.AppendOverlappingTiles), for callers that reuse dst.
+func (m *Matrix) AppendOverlappingTiles(dst []index.TileIdx, slice index.Rect) []index.TileIdx {
+	return m.grid.AppendOverlappingTiles(dst, slice)
+}
+
 // ReplicaOf returns the replica group a rank belongs to.
 func (m *Matrix) ReplicaOf(rank int) int { return rank / m.slots }
 

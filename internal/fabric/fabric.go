@@ -79,7 +79,8 @@ type Fabric struct {
 	nodes    []Node
 	links    []Link
 	peNodes  []int           // rank -> node id
-	out      [][]int         // node id -> outgoing link indices
+	outStart []int           // node u's outgoing links are outLinks[outStart[u]:outStart[u+1]]
+	outLinks []int           // outgoing link indices grouped by node, in link order
 	routes   [][]int         // [src*P+dst] -> link indices; non-nil once frozen
 	routeLat []float64       // [src*P+dst] -> summed route latency, frozen with routes
 	bw       []atomic.Uint64 // effective per-link bandwidth, math.Float64bits
@@ -152,9 +153,19 @@ func (f *Fabric) Freeze() *Fabric {
 	if p == 0 {
 		panic("fabric: no PEs")
 	}
-	f.out = make([][]int, len(f.nodes))
-	for li, l := range f.links {
-		f.out[l.From] = append(f.out[l.From], li)
+	f.outStart = make([]int, len(f.nodes)+1)
+	for li := range f.links {
+		f.outStart[f.links[li].From+1]++
+	}
+	for u := range f.nodes {
+		f.outStart[u+1] += f.outStart[u]
+	}
+	f.outLinks = make([]int, len(f.links))
+	next := append([]int(nil), f.outStart[:len(f.nodes)]...)
+	for li := range f.links {
+		u := f.links[li].From
+		f.outLinks[next[u]] = li
+		next[u]++
 	}
 	f.routes = make([][]int, p*p)
 	f.routeLat = make([]float64, p*p)
@@ -213,8 +224,10 @@ func (f *Fabric) LinkID(name string) int {
 func (f *Fabric) MachineOf(pe int) int { return f.nodes[f.peNodes[pe]].Machine }
 
 // Route returns the static route from src to dst as link indices in
-// traversal order (empty for src == dst). The slice is shared; callers
-// must not modify it.
+// traversal order (empty for src == dst). All routes from one source are
+// windows of one shared array, so callers must not modify a route's
+// elements; its capacity ends at its length, so appending to it copies
+// instead of overwriting the next route.
 func (f *Fabric) Route(src, dst int) []int {
 	f.mustBeFrozen()
 	p := len(f.peNodes)

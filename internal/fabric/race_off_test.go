@@ -1,0 +1,8 @@
+//go:build !race
+
+package fabric_test
+
+// raceEnabled reports whether the race detector instruments this build;
+// allocation-count assertions are skipped under -race because the
+// instrumentation itself allocates.
+const raceEnabled = false

@@ -92,7 +92,10 @@ type routeScratch struct {
 	// preds[v] lists the incoming link of every shortest path to v.
 	preds [][]int
 	heap  routeHeap
-	rev   []int
+	// rev holds one source's routes back to back, each reversed (dst
+	// first); ends[dst] is where dst's route ends in it.
+	rev  []int
+	ends []int
 }
 
 func newRouteScratch(nodes int) *routeScratch {
@@ -139,8 +142,8 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) {
 		if u != start && f.nodes[u].Kind == KindPE {
 			continue
 		}
-		for _, li := range f.out[u] {
-			l := f.links[li]
+		for _, li := range f.outLinks[f.outStart[u]:f.outStart[u+1]] {
+			l := &f.links[li]
 			if done[l.To] {
 				// A finalized node's distance cannot improve; appending an
 				// equal-cost predecessor here could only be a zero-latency
@@ -161,27 +164,44 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) {
 	}
 	s.heap = heap
 
+	// Walk predecessors back from every dst into rev, breaking ECMP ties
+	// by hash. Only a junction with several equal-cost predecessors
+	// hashes: with one candidate every hash picks it.
+	rev, ends := s.rev[:0], s.ends[:0]
 	for dst := 0; dst < p; dst++ {
+		if dst != src {
+			end := f.peNodes[dst]
+			if !reached[end] {
+				panic(fmt.Sprintf("fabric %s: PE %d cannot reach PE %d", f.name, src, dst))
+			}
+			flow := fnvInt(fnvInt(fnvOffset, src), dst)
+			for v := end; v != start; {
+				cands := preds[v]
+				li := cands[0]
+				if len(cands) > 1 {
+					li = cands[int(fnvInt(flow, v)%uint32(len(cands)))]
+				}
+				rev = append(rev, li)
+				v = f.links[li].From
+			}
+		}
+		ends = append(ends, len(rev))
+	}
+	s.rev, s.ends = rev, ends
+
+	// Copy the routes forward into one array for the source; each pair's
+	// route is a window of it whose capacity ends at its length.
+	all := make([]int, len(rev))
+	lo := 0
+	for dst, hi := range ends {
 		if dst == src {
 			f.routes[src*p+dst] = nil
 			continue
 		}
-		end := f.peNodes[dst]
-		if !reached[end] {
-			panic(fmt.Sprintf("fabric %s: PE %d cannot reach PE %d", f.name, src, dst))
-		}
-		// Walk predecessors back from dst, breaking ECMP ties by hash.
-		rev := s.rev[:0]
-		for v := end; v != start; {
-			cands := preds[v]
-			li := cands[int(ecmpHash(src, dst, v)%uint32(len(cands)))]
-			rev = append(rev, li)
-			v = f.links[li].From
-		}
-		route := make([]int, len(rev))
+		route := all[lo:hi:hi]
 		lat := 0.0
-		for i, li := range rev {
-			route[len(rev)-1-i] = li
+		for i, li := range rev[lo:hi] {
+			route[len(route)-1-i] = li
 			lat += f.links[li].Lat
 		}
 		f.routes[src*p+dst] = route
@@ -190,19 +210,20 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) {
 		// Latency query — the cost model asks millions of times per
 		// cluster-scale autotune pass.
 		f.routeLat[src*p+dst] = lat
-		s.rev = rev[:0]
+		lo = hi
 	}
 }
 
-// ecmpHash is FNV-1a over the flow identity and the junction node, the
-// static per-flow spreading of hash-based ECMP.
-func ecmpHash(src, dst, node int) uint32 {
-	h := uint32(2166136261)
-	for _, v := range [3]int{src, dst, node} {
-		for i := 0; i < 4; i++ {
-			h ^= uint32(v>>(8*i)) & 0xff
-			h *= 16777619
-		}
+// fnvOffset and fnvInt are 32-bit FNV-1a over little-endian 4-byte ints.
+// A route's ECMP hash is FNV-1a over (src, dst, junction), the static
+// per-flow spreading of hash-based ECMP; the (src, dst) prefix is hashed
+// once per pair and continued over each junction that has a tie.
+const fnvOffset = uint32(2166136261)
+
+func fnvInt(h uint32, v int) uint32 {
+	for i := 0; i < 4; i++ {
+		h ^= uint32(v>>(8*i)) & 0xff
+		h *= 16777619
 	}
 	return h
 }

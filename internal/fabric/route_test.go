@@ -57,3 +57,35 @@ func TestRouteFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// TestFatTreeFreezeAllocFreePerPair bounds building a 128-GPU fat-tree:
+// Freeze allocates per source and per node, never per PE pair (16 384
+// pairs here), so the count stays far below one allocation a route.
+func TestFatTreeFreezeAllocFreePerPair(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const limit = 3000
+	if got := testing.AllocsPerRun(3, func() { fabric.H100FatTree(16, 8, 2) }); got > limit {
+		t.Errorf("H100FatTree(16,8,2) allocates %v objects, want at most %d", got, limit)
+	}
+}
+
+// Routes from one source share one array, so a route's capacity must end
+// at its length: appending to Route(0,1) copies it and leaves its
+// neighbour Route(0,2) intact.
+func TestRouteAppendDoesNotAlias(t *testing.T) {
+	f := fabric.H100FatTree(2, 8, 2)
+	want := append([]int(nil), f.Route(0, 2)...)
+	grown := append(f.Route(0, 1), -1)
+	grown[len(grown)-1] = -2
+	got := f.Route(0, 2)
+	if len(got) != len(want) {
+		t.Fatalf("Route(0,2) has %d links after appending to Route(0,1), want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Route(0,2)[%d] = %d after appending to Route(0,1), want %d", i, got[i], want[i])
+		}
+	}
+}

@@ -6,7 +6,10 @@
 // matching the bound() arithmetic of Algorithm 1/2 in the paper.
 package index
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Interval is a half-open range [Begin, End) of global indices.
 type Interval struct {
@@ -189,21 +192,29 @@ func (g Grid) TileAt(row, col int) TileIdx {
 // primitive). The slice is clipped to the matrix shape first; an empty
 // clipped slice yields no tiles.
 func (g Grid) OverlappingTiles(slice Rect) []TileIdx {
+	return g.AppendOverlappingTiles(nil, slice)
+}
+
+// AppendOverlappingTiles appends OverlappingTiles(slice) to dst and returns
+// the extended slice. It grows dst at most once, to the exact count, so a
+// caller that reuses dst across queries allocates only while its capacity
+// climbs to the largest answer.
+func (g Grid) AppendOverlappingTiles(dst []TileIdx, slice Rect) []TileIdx {
 	clipped := slice.Intersect(NewRect(0, g.Rows, 0, g.Cols))
 	if clipped.Empty() {
-		return nil
+		return dst
 	}
 	rBegin := clipped.Rows.Begin / g.TileRows
 	rEnd := (clipped.Rows.End-1)/g.TileRows + 1
 	cBegin := clipped.Cols.Begin / g.TileCols
 	cEnd := (clipped.Cols.End-1)/g.TileCols + 1
-	out := make([]TileIdx, 0, (rEnd-rBegin)*(cEnd-cBegin))
+	dst = slices.Grow(dst, (rEnd-rBegin)*(cEnd-cBegin))
 	for r := rBegin; r < rEnd; r++ {
 		for c := cBegin; c < cEnd; c++ {
-			out = append(out, TileIdx{Row: r, Col: c})
+			dst = append(dst, TileIdx{Row: r, Col: c})
 		}
 	}
-	return out
+	return dst
 }
 
 // RowPanel returns the full-width slice covering the given row interval,

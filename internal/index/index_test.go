@@ -320,3 +320,33 @@ func TestRowColPanels(t *testing.T) {
 		t.Fatalf("ColPanel = %v", cp)
 	}
 }
+
+// AppendOverlappingTiles into a reused buffer allocates only while the
+// buffer's capacity grows; OverlappingTiles allocates its answer once.
+func TestAppendOverlappingTilesAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	g := NewGrid(100, 90, 7, 11)
+	slice := NewRect(5, 60, 3, 80)
+	want := g.OverlappingTiles(slice)
+	buf := make([]TileIdx, 0, len(want))
+	if got := testing.AllocsPerRun(100, func() { buf = g.AppendOverlappingTiles(buf[:0], slice) }); got != 0 {
+		t.Errorf("AppendOverlappingTiles into a large enough buffer allocates %v objects, want 0", got)
+	}
+	if len(buf) != len(want) {
+		t.Fatalf("appended %d tiles, want %d", len(buf), len(want))
+	}
+	for i := range want {
+		if buf[i] != want[i] {
+			t.Fatalf("tile %d: %v, want %v", i, buf[i], want[i])
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { g.OverlappingTiles(slice) }); got != 1 {
+		t.Errorf("OverlappingTiles allocates %v objects, want 1", got)
+	}
+	prefix := []TileIdx{{Row: -1, Col: -1}}
+	if got := g.AppendOverlappingTiles(prefix, slice); len(got) != 1+len(want) || got[0] != prefix[0] {
+		t.Errorf("AppendOverlappingTiles dropped or overwrote dst's elements")
+	}
+}

@@ -134,6 +134,14 @@ func GenerateOps(rank int, p Problem, stat Stationary) []LocalOp {
 	}
 }
 
+// opScratch is a generator's working storage, reused across its
+// stationary tiles: the overlap lists of the outer and inner loops and the
+// current tile's op run, which is appended to the result already rotated.
+type opScratch struct {
+	outer, inner []index.TileIdx
+	run          []LocalOp
+}
+
 // generateStationaryC implements Algorithm 1. The executing rank iterates
 // its stationary C tiles; for each, slicing identifies the A row panel and
 // B tiles that contribute. With C replicated, each replica covers only its
@@ -142,15 +150,18 @@ func generateStationaryC(rank int, p Problem) []LocalOp {
 	_, _, k := p.Dims()
 	kRange := replicaShare(k, p.C.Replication(), p.C.ReplicaOf(rank))
 	var ops []LocalOp
+	var s opScratch
 	for _, cIdx := range p.C.OwnedTiles(rank) {
 		cb := p.C.TileBounds(cIdx)
-		var tileOps []LocalOp
+		s.run = s.run[:0]
 		// Tiles of A overlapping A(c_rows, kRange).
-		for _, aIdx := range p.A.OverlappingTiles(index.Rect{Rows: cb.Rows, Cols: kRange}) {
+		s.outer = p.A.AppendOverlappingTiles(s.outer[:0], index.Rect{Rows: cb.Rows, Cols: kRange})
+		for _, aIdx := range s.outer {
 			ab := p.A.TileBounds(aIdx)
 			kb := ab.Cols.Intersect(kRange)
 			// Tiles of B overlapping B(kb, c_cols).
-			for _, bIdx := range p.B.OverlappingTiles(index.Rect{Rows: kb, Cols: cb.Cols}) {
+			s.inner = p.B.AppendOverlappingTiles(s.inner[:0], index.Rect{Rows: kb, Cols: cb.Cols})
+			for _, bIdx := range s.inner {
 				bb := p.B.TileBounds(bIdx)
 				op := LocalOp{
 					AIdx: aIdx, BIdx: bIdx, CIdx: cIdx,
@@ -161,10 +172,10 @@ func generateStationaryC(rank int, p Problem) []LocalOp {
 				if op.M.Empty() || op.K.Empty() || op.N.Empty() {
 					continue
 				}
-				tileOps = append(tileOps, op)
+				s.run = append(s.run, op)
 			}
 		}
-		ops = append(ops, rotate(tileOps, iterOffset(cIdx))...)
+		ops = appendRotated(ops, s.run, iterOffset(cIdx))
 	}
 	return ops
 }
@@ -175,15 +186,18 @@ func generateStationaryB(rank int, p Problem) []LocalOp {
 	m, _, _ := p.Dims()
 	mRange := replicaShare(m, p.B.Replication(), p.B.ReplicaOf(rank))
 	var ops []LocalOp
+	var s opScratch
 	for _, bIdx := range p.B.OwnedTiles(rank) {
 		bb := p.B.TileBounds(bIdx)
-		var tileOps []LocalOp
+		s.run = s.run[:0]
 		// Tiles of A overlapping A(mRange, b_rows).
-		for _, aIdx := range p.A.OverlappingTiles(index.Rect{Rows: mRange, Cols: bb.Rows}) {
+		s.outer = p.A.AppendOverlappingTiles(s.outer[:0], index.Rect{Rows: mRange, Cols: bb.Rows})
+		for _, aIdx := range s.outer {
 			ab := p.A.TileBounds(aIdx)
 			mb := ab.Rows.Intersect(mRange)
 			// Updates to C overlapping C(mb, b_cols).
-			for _, cIdx := range p.C.OverlappingTiles(index.Rect{Rows: mb, Cols: bb.Cols}) {
+			s.inner = p.C.AppendOverlappingTiles(s.inner[:0], index.Rect{Rows: mb, Cols: bb.Cols})
+			for _, cIdx := range s.inner {
 				cb := p.C.TileBounds(cIdx)
 				op := LocalOp{
 					AIdx: aIdx, BIdx: bIdx, CIdx: cIdx,
@@ -194,10 +208,10 @@ func generateStationaryB(rank int, p Problem) []LocalOp {
 				if op.M.Empty() || op.K.Empty() || op.N.Empty() {
 					continue
 				}
-				tileOps = append(tileOps, op)
+				s.run = append(s.run, op)
 			}
 		}
-		ops = append(ops, rotate(tileOps, iterOffset(bIdx))...)
+		ops = appendRotated(ops, s.run, iterOffset(bIdx))
 	}
 	return ops
 }
@@ -209,15 +223,18 @@ func generateStationaryA(rank int, p Problem) []LocalOp {
 	_, n, _ := p.Dims()
 	nRange := replicaShare(n, p.A.Replication(), p.A.ReplicaOf(rank))
 	var ops []LocalOp
+	var s opScratch
 	for _, aIdx := range p.A.OwnedTiles(rank) {
 		ab := p.A.TileBounds(aIdx)
-		var tileOps []LocalOp
+		s.run = s.run[:0]
 		// Tiles of B overlapping B(a_cols, nRange).
-		for _, bIdx := range p.B.OverlappingTiles(index.Rect{Rows: ab.Cols, Cols: nRange}) {
+		s.outer = p.B.AppendOverlappingTiles(s.outer[:0], index.Rect{Rows: ab.Cols, Cols: nRange})
+		for _, bIdx := range s.outer {
 			bb := p.B.TileBounds(bIdx)
 			nb := bb.Cols.Intersect(nRange)
 			// Updates to C overlapping C(a_rows, nb).
-			for _, cIdx := range p.C.OverlappingTiles(index.Rect{Rows: ab.Rows, Cols: nb}) {
+			s.inner = p.C.AppendOverlappingTiles(s.inner[:0], index.Rect{Rows: ab.Rows, Cols: nb})
+			for _, cIdx := range s.inner {
 				cb := p.C.TileBounds(cIdx)
 				op := LocalOp{
 					AIdx: aIdx, BIdx: bIdx, CIdx: cIdx,
@@ -228,10 +245,10 @@ func generateStationaryA(rank int, p Problem) []LocalOp {
 				if op.M.Empty() || op.K.Empty() || op.N.Empty() {
 					continue
 				}
-				tileOps = append(tileOps, op)
+				s.run = append(s.run, op)
 			}
 		}
-		ops = append(ops, rotate(tileOps, iterOffset(aIdx))...)
+		ops = appendRotated(ops, s.run, iterOffset(aIdx))
 	}
 	return ops
 }
@@ -240,19 +257,13 @@ func generateStationaryA(rank int, p Problem) []LocalOp {
 // the sum of the tile's grid indices, taken mod the run's length.
 func iterOffset(t index.TileIdx) int { return t.Row + t.Col }
 
-// rotate returns ops shifted left by offset positions (mod len), the
-// iteration offset of §4.2.
-func rotate(ops []LocalOp, offset int) []LocalOp {
-	n := len(ops)
-	if n == 0 {
+// appendRotated appends run to ops shifted left by offset positions (mod
+// len(run)), the iteration offset of §4.2.
+func appendRotated(ops, run []LocalOp, offset int) []LocalOp {
+	if len(run) == 0 {
 		return ops
 	}
-	offset %= n
-	if offset == 0 {
-		return ops
-	}
-	out := make([]LocalOp, 0, n)
-	out = append(out, ops[offset:]...)
-	out = append(out, ops[:offset]...)
-	return out
+	offset %= len(run)
+	ops = append(ops, run[offset:]...)
+	return append(ops, run[:offset]...)
 }

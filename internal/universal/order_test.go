@@ -265,15 +265,17 @@ func TestCompileOrderedLowersOnce(t *testing.T) {
 }
 
 // The order pass costs nothing where it moves nothing, and little where it
-// does. The counts are CompilePlans' allocations before the pass (go1.24):
-// 993 on the mm-fine shape, whose every run is one C rectangle, and 157 on
-// the mm-skew shape, which the pass regroups at two allocations per rank
-// (the permutation scratch and the candidate's steps).
+// does. The counts are CompilePlans' allocations without the pass (go1.24),
+// with op generation on reused scratch: 104 on the mm-fine shape, whose
+// every run is one C rectangle, and 90 on the mm-skew shape, which the pass
+// regroups at two allocations per rank (the permutation scratch and the
+// candidate's steps). Before op generation reused its scratch they were
+// 993 and 157.
 func TestOrderPassAllocFreeWhenIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	const fineBefore, skewBefore, perRank = 993, 157, 4
+	const fineBefore, skewBefore, perRank = 104, 90, 4
 	fine := mmFine()
 	if got := testing.AllocsPerRun(10, func() { CompilePlans(fine, Config{}) }); got != fineBefore {
 		t.Errorf("mm-fine compile allocates %v objects, want %d", got, fineBefore)
@@ -281,5 +283,28 @@ func TestOrderPassAllocFreeWhenIdentity(t *testing.T) {
 	skew, cfg := mmSkew()
 	if got := testing.AllocsPerRun(10, func() { CompilePlans(skew, cfg) }); got > skewBefore+4*perRank {
 		t.Errorf("mm-skew compile allocates %v objects, want at most %d", got, skewBefore+4*perRank)
+	}
+}
+
+// Op generation reuses its overlap lists and op run across stationary
+// tiles, so its allocations are the growth of its result, its owned-tile
+// list and three scratches, not one per tile or overlap query. Each rank
+// of the mm-fine shape generates 128 ops over 16 stationary tiles in 16–17
+// allocations (230–234 when every overlap query and rotated run
+// allocated), and of the mm-skew shape 144 ops in 13–14 (24–29).
+func TestGenerateOpsAllocFreePerTile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const limit = 20
+	fine := mmFine()
+	skew, cfg := mmSkew()
+	for rank := 0; rank < 4; rank++ {
+		if got := testing.AllocsPerRun(10, func() { GenerateOps(rank, fine, StationaryC) }); got > limit {
+			t.Errorf("mm-fine rank %d: GenerateOps allocates %v objects, want at most %d", rank, got, limit)
+		}
+		if got := testing.AllocsPerRun(10, func() { GenerateOps(rank, skew, cfg.Stationary) }); got > limit {
+			t.Errorf("mm-skew rank %d: GenerateOps allocates %v objects, want at most %d", rank, got, limit)
+		}
 	}
 }

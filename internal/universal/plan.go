@@ -212,8 +212,19 @@ func resolveFetches(steps []Step, cacheTiles int, sched *fetchSchedule) (changed
 func (cache *tileLRU) walk(steps []Step, sched *fetchSchedule) (changed bool) {
 	n := len(steps)
 	if sched != nil {
+		// Each fetch is evicted exactly once, and a step fetches at most
+		// its non-local operands, so their count bounds the evictions.
+		reads := 0
+		for i := range steps {
+			if !steps[i].ALocal {
+				reads++
+			}
+			if !steps[i].BLocal {
+				reads++
+			}
+		}
 		src := make([]int, 2*n)
-		*sched = fetchSchedule{srcA: src[:n:n], srcB: src[n:]}
+		*sched = fetchSchedule{srcA: src[:n:n], srcB: src[n:], evictions: make([]fetchEvict, 0, reads)}
 	}
 	cache.ents = cache.ents[:0]
 	resolve := func(i int, local, subTile bool, key cacheKey) (src int, fetch bool) {

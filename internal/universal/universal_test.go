@@ -280,14 +280,15 @@ func TestRotatePreservesOps(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ops = append(ops, LocalOp{M: index.NewInterval(i, i+1)})
 	}
-	rot := rotate(append([]LocalOp(nil), ops...), 2)
-	if len(rot) != 5 {
-		t.Fatalf("rotate changed length: %d", len(rot))
+	prefix := []LocalOp{{K: index.NewInterval(7, 8)}}
+	rot := appendRotated(prefix, ops, 2)
+	if len(rot) != 6 || rot[0] != prefix[0] {
+		t.Fatalf("appendRotated changed length or prefix: %v", rot)
 	}
-	if rot[0] != ops[2] || rot[4] != ops[1] {
+	if rot[1] != ops[2] || rot[5] != ops[1] {
 		t.Fatalf("rotate order wrong: %v", rot)
 	}
-	if got := rotate(nil, 3); len(got) != 0 {
+	if got := appendRotated(nil, nil, 3); len(got) != 0 {
 		t.Fatal("rotate of empty should be empty")
 	}
 }
