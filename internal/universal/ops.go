@@ -134,14 +134,6 @@ func GenerateOps(rank int, p Problem, stat Stationary) []LocalOp {
 	}
 }
 
-// opScratch is a generator's working storage, reused across its
-// stationary tiles: the overlap lists of the outer and inner loops and the
-// current tile's op run, which is appended to the result already rotated.
-type opScratch struct {
-	outer, inner []index.TileIdx
-	run          []LocalOp
-}
-
 // generateStationaryC implements Algorithm 1. The executing rank iterates
 // its stationary C tiles; for each, slicing identifies the A row panel and
 // B tiles that contribute. With C replicated, each replica covers only its
@@ -149,19 +141,21 @@ type opScratch struct {
 func generateStationaryC(rank int, p Problem) []LocalOp {
 	_, _, k := p.Dims()
 	kRange := replicaShare(k, p.C.Replication(), p.C.ReplicaOf(rank))
-	var ops []LocalOp
-	var s opScratch
+	// run holds the current stationary tile's ops and outer/inner the
+	// loops' overlap lists, all reused across tiles.
+	var ops, run []LocalOp
+	var outer, inner []index.TileIdx
 	for _, cIdx := range p.C.OwnedTiles(rank) {
 		cb := p.C.TileBounds(cIdx)
-		s.run = s.run[:0]
+		run = run[:0]
 		// Tiles of A overlapping A(c_rows, kRange).
-		s.outer = p.A.AppendOverlappingTiles(s.outer[:0], index.Rect{Rows: cb.Rows, Cols: kRange})
-		for _, aIdx := range s.outer {
+		outer = p.A.AppendOverlappingTiles(outer[:0], index.Rect{Rows: cb.Rows, Cols: kRange})
+		for _, aIdx := range outer {
 			ab := p.A.TileBounds(aIdx)
 			kb := ab.Cols.Intersect(kRange)
 			// Tiles of B overlapping B(kb, c_cols).
-			s.inner = p.B.AppendOverlappingTiles(s.inner[:0], index.Rect{Rows: kb, Cols: cb.Cols})
-			for _, bIdx := range s.inner {
+			inner = p.B.AppendOverlappingTiles(inner[:0], index.Rect{Rows: kb, Cols: cb.Cols})
+			for _, bIdx := range inner {
 				bb := p.B.TileBounds(bIdx)
 				op := LocalOp{
 					AIdx: aIdx, BIdx: bIdx, CIdx: cIdx,
@@ -172,10 +166,10 @@ func generateStationaryC(rank int, p Problem) []LocalOp {
 				if op.M.Empty() || op.K.Empty() || op.N.Empty() {
 					continue
 				}
-				s.run = append(s.run, op)
+				run = append(run, op)
 			}
 		}
-		ops = appendRotated(ops, s.run, iterOffset(cIdx))
+		ops = appendRotated(ops, run, iterOffset(cIdx))
 	}
 	return ops
 }
@@ -185,19 +179,21 @@ func generateStationaryC(rank int, p Problem) []LocalOp {
 func generateStationaryB(rank int, p Problem) []LocalOp {
 	m, _, _ := p.Dims()
 	mRange := replicaShare(m, p.B.Replication(), p.B.ReplicaOf(rank))
-	var ops []LocalOp
-	var s opScratch
+	// run holds the current stationary tile's ops and outer/inner the
+	// loops' overlap lists, all reused across tiles.
+	var ops, run []LocalOp
+	var outer, inner []index.TileIdx
 	for _, bIdx := range p.B.OwnedTiles(rank) {
 		bb := p.B.TileBounds(bIdx)
-		s.run = s.run[:0]
+		run = run[:0]
 		// Tiles of A overlapping A(mRange, b_rows).
-		s.outer = p.A.AppendOverlappingTiles(s.outer[:0], index.Rect{Rows: mRange, Cols: bb.Rows})
-		for _, aIdx := range s.outer {
+		outer = p.A.AppendOverlappingTiles(outer[:0], index.Rect{Rows: mRange, Cols: bb.Rows})
+		for _, aIdx := range outer {
 			ab := p.A.TileBounds(aIdx)
 			mb := ab.Rows.Intersect(mRange)
 			// Updates to C overlapping C(mb, b_cols).
-			s.inner = p.C.AppendOverlappingTiles(s.inner[:0], index.Rect{Rows: mb, Cols: bb.Cols})
-			for _, cIdx := range s.inner {
+			inner = p.C.AppendOverlappingTiles(inner[:0], index.Rect{Rows: mb, Cols: bb.Cols})
+			for _, cIdx := range inner {
 				cb := p.C.TileBounds(cIdx)
 				op := LocalOp{
 					AIdx: aIdx, BIdx: bIdx, CIdx: cIdx,
@@ -208,10 +204,10 @@ func generateStationaryB(rank int, p Problem) []LocalOp {
 				if op.M.Empty() || op.K.Empty() || op.N.Empty() {
 					continue
 				}
-				s.run = append(s.run, op)
+				run = append(run, op)
 			}
 		}
-		ops = appendRotated(ops, s.run, iterOffset(bIdx))
+		ops = appendRotated(ops, run, iterOffset(bIdx))
 	}
 	return ops
 }
@@ -222,19 +218,21 @@ func generateStationaryB(rank int, p Problem) []LocalOp {
 func generateStationaryA(rank int, p Problem) []LocalOp {
 	_, n, _ := p.Dims()
 	nRange := replicaShare(n, p.A.Replication(), p.A.ReplicaOf(rank))
-	var ops []LocalOp
-	var s opScratch
+	// run holds the current stationary tile's ops and outer/inner the
+	// loops' overlap lists, all reused across tiles.
+	var ops, run []LocalOp
+	var outer, inner []index.TileIdx
 	for _, aIdx := range p.A.OwnedTiles(rank) {
 		ab := p.A.TileBounds(aIdx)
-		s.run = s.run[:0]
+		run = run[:0]
 		// Tiles of B overlapping B(a_cols, nRange).
-		s.outer = p.B.AppendOverlappingTiles(s.outer[:0], index.Rect{Rows: ab.Cols, Cols: nRange})
-		for _, bIdx := range s.outer {
+		outer = p.B.AppendOverlappingTiles(outer[:0], index.Rect{Rows: ab.Cols, Cols: nRange})
+		for _, bIdx := range outer {
 			bb := p.B.TileBounds(bIdx)
 			nb := bb.Cols.Intersect(nRange)
 			// Updates to C overlapping C(a_rows, nb).
-			s.inner = p.C.AppendOverlappingTiles(s.inner[:0], index.Rect{Rows: ab.Rows, Cols: nb})
-			for _, cIdx := range s.inner {
+			inner = p.C.AppendOverlappingTiles(inner[:0], index.Rect{Rows: ab.Rows, Cols: nb})
+			for _, cIdx := range inner {
 				cb := p.C.TileBounds(cIdx)
 				op := LocalOp{
 					AIdx: aIdx, BIdx: bIdx, CIdx: cIdx,
@@ -245,10 +243,10 @@ func generateStationaryA(rank int, p Problem) []LocalOp {
 				if op.M.Empty() || op.K.Empty() || op.N.Empty() {
 					continue
 				}
-				s.run = append(s.run, op)
+				run = append(run, op)
 			}
 		}
-		ops = appendRotated(ops, s.run, iterOffset(aIdx))
+		ops = appendRotated(ops, run, iterOffset(aIdx))
 	}
 	return ops
 }
