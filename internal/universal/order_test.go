@@ -265,12 +265,10 @@ func TestCompileOrderedLowersOnce(t *testing.T) {
 }
 
 // The order pass costs nothing where it moves nothing, and little where it
-// does. The counts are CompilePlans' allocations without the pass (go1.24),
-// with op generation on reused scratch: 104 on the mm-fine shape, whose
-// every run is one C rectangle, and 90 on the mm-skew shape, which the pass
-// regroups at two allocations per rank (the permutation scratch and the
-// candidate's steps). Before op generation reused its scratch they were
-// 993 and 157.
+// does. The counts are CompilePlans' allocations without the pass (go1.24):
+// 104 on the mm-fine shape, whose every run is one C rectangle, and 90 on
+// the mm-skew shape, which the pass regroups at two allocations per rank
+// (the permutation scratch and the candidate's steps).
 func TestOrderPassAllocFreeWhenIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -290,8 +288,7 @@ func TestOrderPassAllocFreeWhenIdentity(t *testing.T) {
 // tiles, so its allocations are the growth of its result, its owned-tile
 // list and three scratches, not one per tile or overlap query. Each rank
 // of the mm-fine shape generates 128 ops over 16 stationary tiles in 16–17
-// allocations (230–234 when every overlap query and rotated run
-// allocated), and of the mm-skew shape 144 ops in 13–14 (24–29).
+// allocations, and of the mm-skew shape 144 ops in 13–14.
 func TestGenerateOpsAllocFreePerTile(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
