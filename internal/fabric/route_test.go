@@ -2,6 +2,7 @@ package fabric_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -50,12 +51,77 @@ func TestRouteFingerprint(t *testing.T) {
 		{"PVCNode", fabric.PVCNode, 0x2e2ab4ac7fb162ad},
 		{"H100Node", fabric.H100Node, 0xec73aec40e2fd225},
 		{"Degenerate(H100)", func() *fabric.Fabric { return fabric.Degenerate(simnet.PresetH100()) }, 0x2968d2e98957ae0d},
+		{"H100FatTree(16,4,2)", func() *fabric.Fabric { return fabric.H100FatTree(16, 4, 2) }, 0x65bb43294064999d},
+		{"H100FatTree(8,8,1)", func() *fabric.Fabric { return fabric.H100FatTree(8, 8, 1) }, 0xdec614d1067616a5},
+		{"EqualDistanceSwitches", equalDistanceSwitches, 0xda8337c20432afd5},
+		{"ParallelZeroLatencyLinks", parallelZeroLatencyLinks, 0x74451c00797916eb},
+		{"ZeroLatencyDip", zeroLatencyDip, 0xbcc179504daea609},
 	}
 	for _, c := range cases {
 		if got := routeFingerprint(c.f()); got != c.want {
 			t.Errorf("%s: route fingerprint %#x, want %#x", c.name, got, c.want)
 		}
 	}
+}
+
+// The hand-built fabrics below put several equal-cost paths over
+// zero-latency links into one PE, the regime where whether a PE counts as
+// already finalized decides which equal-cost predecessors it keeps. Node
+// ids are assigned in call order, and they break exact distance ties.
+
+// equalDistanceSwitches: switches s1 and s3 sit at the same distance from
+// pe0 and both reach pe1 to pe5 over zero-latency links. pe1's id lies
+// between the switches' ids, the others' above both.
+func equalDistanceSwitches() *fabric.Fabric {
+	f := fabric.New("equal-distance switches", 1e12)
+	pe0 := f.AddPE("pe0", 0)
+	s1 := f.AddSwitch("s1")
+	pes := []int{f.AddPE("pe1", 0)}
+	s3 := f.AddSwitch("s3")
+	for i := 2; i <= 5; i++ {
+		pes = append(pes, f.AddPE(fmt.Sprintf("pe%d", i), 0))
+	}
+	f.BiConnect(pe0, s1, 1e9, 1e-6, "pe0.s1")
+	f.BiConnect(pe0, s3, 1e9, 1e-6, "pe0.s3")
+	for _, pe := range pes {
+		for _, sw := range []int{s1, s3} {
+			f.BiConnect(pe, sw, 1e9, 0, fmt.Sprintf("%d.%d", pe, sw))
+		}
+	}
+	return f.Freeze()
+}
+
+// parallelZeroLatencyLinks: one switch reaches a lower-id PE over two
+// parallel zero-latency links, so the second link meets the PE at the
+// switch's own distance while the switch is still being expanded.
+func parallelZeroLatencyLinks() *fabric.Fabric {
+	f := fabric.New("parallel zero-latency links", 1e12)
+	pe0 := f.AddPE("pe0", 0)
+	pe1 := f.AddPE("pe1", 0)
+	sw := f.AddSwitch("sw")
+	f.BiConnect(pe0, sw, 1e9, 1e-6, "pe0.sw")
+	f.BiConnect(sw, pe1, 1e9, 0, "sw.pe1.a")
+	f.BiConnect(sw, pe1, 1e9, 0, "sw.pe1.b")
+	return f.Freeze()
+}
+
+// zeroLatencyDip: w reaches u over a zero-latency link, and u has a
+// lower id than pe1, which s1 already reached at the same distance. u is
+// therefore expanded after pe1 would have left a heap that held both,
+// though u's (distance, id) key is the smaller one.
+func zeroLatencyDip() *fabric.Fabric {
+	f := fabric.New("zero-latency dip", 1e12)
+	pe0 := f.AddPE("pe0", 0)
+	s1 := f.AddSwitch("s1")
+	u := f.AddSwitch("u")
+	pe1 := f.AddPE("pe1", 0)
+	w := f.AddSwitch("w")
+	f.BiConnect(pe0, s1, 1e9, 1e-6, "pe0.s1")
+	f.BiConnect(pe0, w, 1e9, 1e-6, "pe0.w")
+	f.BiConnect(s1, pe1, 1e9, 0, "s1.pe1")
+	f.BiConnect(w, u, 1e9, 0, "w.u")
+	f.BiConnect(u, pe1, 1e9, 0, "u.pe1")
+	return f.Freeze()
 }
 
 // TestFatTreeFreezeAllocFreePerPair bounds building a 128-GPU fat-tree:
