@@ -17,7 +17,9 @@
 // and anchors the conformance suite.
 //
 // A Fabric is built once (AddPE/AddSwitch/AddNIC/Connect), frozen
-// (Freeze computes all routes), and then shared read-only: the mutable
+// (Freeze computes all routes: one Dijkstra pass per source PE, the
+// passes spread over up to GOMAXPROCS goroutines, with PEs kept off the
+// heap because they relay nothing), and then shared read-only: the mutable
 // queue occupancy lives in per-world Queues values. The simnet adapter is
 // Topology(), which implements simnet.Topology (scalar consumers price
 // the route's bottleneck bandwidth and total latency) and simnet.Routed
@@ -167,12 +169,18 @@ func (f *Fabric) Freeze() *Fabric {
 		f.outLinks[next[u]] = li
 		next[u]++
 	}
+	// The in-link CSR's offsets: node v's in-degree bounds its equal-cost
+	// predecessors, so each node gets that long a window of one flat array.
+	inStart := make([]int, len(f.nodes)+1)
+	for li := range f.links {
+		inStart[f.links[li].To+1]++
+	}
+	for v := range f.nodes {
+		inStart[v+1] += inStart[v]
+	}
 	f.routes = make([][]int, p*p)
 	f.routeLat = make([]float64, p*p)
-	scratch := newRouteScratch(len(f.nodes))
-	for src := 0; src < p; src++ {
-		f.routeFrom(src, scratch)
-	}
+	f.routeAll(inStart)
 	f.bw = make([]atomic.Uint64, len(f.links))
 	for li := range f.links {
 		f.bw[li].Store(math.Float64bits(f.links[li].BW))

@@ -1,6 +1,11 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Routing: latency-weighted shortest paths from every source PE, computed
 // once at Freeze. Transit is restricted to forwarding nodes (switches and
@@ -82,15 +87,25 @@ func (h *routeHeap) pop() heapEntry {
 	return top
 }
 
-// routeScratch holds one Freeze's Dijkstra working state, reused across
-// the per-source passes so a cluster-scale freeze (thousands of sources ×
-// thousands of nodes) does not churn the garbage collector.
+// routeScratch holds one worker's Dijkstra working state for one Freeze,
+// reused across the per-source passes the worker runs so a cluster-scale
+// freeze (thousands of sources × thousands of nodes) does not churn the
+// garbage collector.
 type routeScratch struct {
 	dist    []float64
-	done    []bool
+	done    []bool // expanded: the source and forwarding nodes
 	reached []bool
-	// preds[v] lists the incoming link of every shortest path to v.
-	preds [][]int
+	// Node v's equal-cost in-links are preds[inStart[v]:inStart[v]+npred[v]]:
+	// v's window of the in-link CSR, which is as long as v's in-degree,
+	// since each in-link is relaxed at most once per pass.
+	inStart []int // shared, read-only
+	preds   []int
+	npred   []int32
+	// PEs other than the source never enter the heap (see finalized);
+	// setAt[v] is the index in pops of the expansion that last set PE v's
+	// distance.
+	setAt []int32
+	pops  []int // expanded nodes in expansion order
 	heap  routeHeap
 	// rev holds one source's routes back to back, each reversed (dst
 	// first); ends[dst] is where dst's route ends in it.
@@ -98,35 +113,72 @@ type routeScratch struct {
 	ends []int
 }
 
-func newRouteScratch(nodes int) *routeScratch {
+func newRouteScratch(nodes int, inStart []int) *routeScratch {
 	return &routeScratch{
 		dist:    make([]float64, nodes),
 		done:    make([]bool, nodes),
 		reached: make([]bool, nodes),
-		preds:   make([][]int, nodes),
+		inStart: inStart,
+		preds:   make([]int, inStart[nodes]),
+		npred:   make([]int32, nodes),
+		setAt:   make([]int32, nodes),
 		heap:    make(routeHeap, 0, nodes),
 	}
 }
 
+// reset clears the per-pass state. preds, npred and setAt are written on
+// a node's first reach, so they need no clearing.
 func (s *routeScratch) reset() {
 	for i := range s.done {
 		s.done[i] = false
 		s.reached[i] = false
-		s.preds[i] = s.preds[i][:0]
 	}
 	s.heap = s.heap[:0]
+	s.pops = s.pops[:0]
+}
+
+// finalized reports whether PE v, already reached, would have left a heap
+// holding every node by the time the current node u (the last of pops) is
+// expanded. Such a heap pops in (dist, node) order, except that a
+// zero-latency link can push a node whose key is below the one being
+// expanded; so v, pushed during expansion setAt[v], is finalized exactly
+// when some later expansion up to u has a larger key than v's. A PE
+// relays nothing, so keeping it off the heap changes no other node's
+// expansion, and the answer decides, as the heap would have, whether an
+// equal-cost in-link of v is still kept.
+func (s *routeScratch) finalized(v, u int) bool {
+	cur := int32(len(s.pops) - 1)
+	if s.setAt[v] == cur {
+		return false
+	}
+	dv, du := s.dist[v], s.dist[u]
+	if dv != du {
+		return dv < du
+	}
+	if v < u {
+		return true
+	}
+	// Only a zero-latency chain reaches here: u was pushed after v at v's
+	// distance, below v's key.
+	for _, x := range s.pops[s.setAt[v]+1 : cur] {
+		if s.dist[x] == dv && x > v {
+			return true
+		}
+	}
+	return false
 }
 
 // routeFrom fills f.routes[src*P+dst] for all dst with a Dijkstra pass
-// from src's node, using a binary heap so cluster-scale fabrics
-// (thousands of nodes, one pass per PE) stay O(E log V) per source
-// rather than O(V²).
-func (f *Fabric) routeFrom(src int, s *routeScratch) {
+// from src's node, using a binary heap of forwarding nodes so
+// cluster-scale fabrics (thousands of nodes, one pass per PE) stay
+// O(E log V) per source rather than O(V²). It returns the first PE src
+// cannot reach, or -1.
+func (f *Fabric) routeFrom(src int, s *routeScratch) int {
 	p := len(f.peNodes)
 	start := f.peNodes[src]
 
 	s.reset()
-	dist, done, reached, preds := s.dist, s.done, s.reached, s.preds
+	dist, done, reached, preds, npred := s.dist, s.done, s.reached, s.preds, s.npred
 	dist[start] = 0
 	reached[start] = true
 
@@ -138,27 +190,41 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) {
 			continue
 		}
 		done[u] = true
-		// Only the source PE and forwarding nodes relay traffic onward.
-		if u != start && f.nodes[u].Kind == KindPE {
-			continue
-		}
+		s.pops = append(s.pops, u)
 		for _, li := range f.outLinks[f.outStart[u]:f.outStart[u+1]] {
 			l := &f.links[li]
-			if done[l.To] {
+			v := l.To
+			if done[v] {
 				// A finalized node's distance cannot improve; appending an
 				// equal-cost predecessor here could only be a zero-latency
 				// tie, which risks a predecessor cycle — skip it.
 				continue
 			}
 			d := dist[u] + l.Lat
-			switch {
-			case !reached[l.To] || d < dist[l.To] && !routeEq(d, dist[l.To]):
-				reached[l.To] = true
-				dist[l.To] = d
-				preds[l.To] = append(preds[l.To][:0], li)
-				heap.push(heapEntry{d, l.To})
-			case routeEq(d, dist[l.To]):
-				preds[l.To] = append(preds[l.To], li)
+			first := !reached[v] || d < dist[v] && !routeEq(d, dist[v])
+			if !first && !routeEq(d, dist[v]) {
+				continue
+			}
+			// Only the source PE and forwarding nodes relay traffic onward,
+			// so other PEs are leaves: never pushed, finalized by key.
+			leaf := f.nodes[v].Kind == KindPE
+			if leaf && reached[v] && s.finalized(v, u) {
+				continue
+			}
+			at := s.inStart[v]
+			if !first {
+				preds[at+int(npred[v])] = li
+				npred[v]++
+				continue
+			}
+			reached[v] = true
+			dist[v] = d
+			preds[at] = li
+			npred[v] = 1
+			if leaf {
+				s.setAt[v] = int32(len(s.pops) - 1)
+			} else {
+				heap.push(heapEntry{d, v})
 			}
 		}
 	}
@@ -172,11 +238,11 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) {
 		if dst != src {
 			end := f.peNodes[dst]
 			if !reached[end] {
-				panic(fmt.Sprintf("fabric %s: PE %d cannot reach PE %d", f.name, src, dst))
+				return dst
 			}
 			flow := fnvInt(fnvInt(fnvOffset, src), dst)
 			for v := end; v != start; {
-				cands := preds[v]
+				cands := preds[s.inStart[v] : s.inStart[v]+int(npred[v])]
 				li := cands[0]
 				if len(cands) > 1 {
 					li = cands[int(fnvInt(flow, v)%uint32(len(cands)))]
@@ -211,6 +277,51 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) {
 		// cluster-scale autotune pass.
 		f.routeLat[src*p+dst] = lat
 		lo = hi
+	}
+	return -1
+}
+
+// routeAll runs routeFrom for every source, fanned out over
+// min(GOMAXPROCS, P) workers that each own one routeScratch and claim
+// sources from a shared counter; one worker runs inline. Sources write
+// disjoint route slots, so the result does not depend on the split. It
+// panics naming the lowest source with an unreachable PE.
+func (f *Fabric) routeAll(inStart []int) {
+	p := len(f.peNodes)
+	workers := min(runtime.GOMAXPROCS(0), p)
+	// bad[w] is worker w's first (so lowest) failing source and its dst.
+	bad := make([][2]int, workers)
+	var next atomic.Int64
+	work := func(w int) {
+		s := newRouteScratch(len(f.nodes), inStart)
+		bad[w] = [2]int{p, -1}
+		for src := int(next.Add(1) - 1); src < p; src = int(next.Add(1) - 1) {
+			if dst := f.routeFrom(src, s); dst >= 0 && bad[w][0] == p {
+				bad[w] = [2]int{src, dst}
+			}
+		}
+	}
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
+	first := [2]int{p, -1}
+	for _, b := range bad {
+		if b[0] < first[0] {
+			first = b
+		}
+	}
+	if first[0] < p {
+		panic(fmt.Sprintf("fabric %s: PE %d cannot reach PE %d", f.name, first[0], first[1]))
 	}
 }
 

@@ -459,25 +459,22 @@ func (e *Engine) enqueue(id OpID, start float64, binding int32) {
 	}
 }
 
-// promote refills lot r's representative after the sitting one left:
-// parked members are revisited in id order; the first still bound by r
-// becomes the representative, members bound elsewhere move to their new
-// lot, and unbound members enter the heap with their (exact) start.
+// promote refills lot r's representative after the sitting one left: the
+// lowest-id parked member takes over with key resAvail[r]. That key is a
+// lower bound, since the member uses r; whether r still binds it is
+// settled only if it reaches the heap root, by the stale-key path in Run,
+// which moves it to its new lot or re-keys it there. The other members
+// stay parked until their turn.
 func (e *Engine) promote(r int32) {
 	s := &e.sched
-	s.rep[r] = -1
-	for len(s.lots[r]) > 0 {
-		m := s.lotPop(r)
-		start, binding := e.feasibleStartBinding(m)
-		if binding == r {
-			s.rep[r] = int32(m)
-			s.key[m] = start
-			s.heapPush(m)
-			return
-		}
-		s.lotOf[m] = -1
-		e.enqueue(m, start, binding)
+	if len(s.lots[r]) == 0 {
+		s.rep[r] = -1
+		return
 	}
+	m := s.lotPop(r)
+	s.rep[r] = int32(m)
+	s.key[m] = s.resAvail[r]
+	s.heapPush(m)
 }
 
 // Run simulates the DAG and returns the schedule.
@@ -493,7 +490,10 @@ func (e *Engine) promote(r int32) {
 // blocked behind the same resource are parked in that resource's lot with
 // a single heap representative (see enqueue), so a release costs O(log n)
 // instead of re-keying every waiter — the incast/reduce storms of
-// cluster-scale sweeps are exactly that shape. The legacy O(ready)-rescan
+// cluster-scale sweeps are exactly that shape. When a representative
+// leaves, the next member takes its place at the lot resource's
+// availability without being re-examined (see promote); a member bound
+// elsewhere by then is moved when it reaches the root. The legacy O(ready)-rescan
 // scheduler survives as RunListOracle and the equivalence tests pin the
 // two schedules to each other bit for bit.
 //

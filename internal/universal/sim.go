@@ -227,6 +227,9 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 	result := SimResult{}
 	r.lastOpPerRank = r.lastOpPerRank[:0]
 	var resolved Stationary
+	// Plans repeat a few tile shapes in long runs, so a GEMM is priced
+	// only when its shape differs from the previous step's.
+	gm, gn, gk, gemmT := -1, -1, -1, 0.0
 
 	for rank := 0; rank < p; rank++ {
 		plan := &plans[rank]
@@ -265,9 +268,10 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 			if gate := i - cfg.MaxInflight; gate >= 0 {
 				r.deps = append(r.deps, r.chainEnd[gate])
 			}
-			op := s.Op
-			r.gemmIDs[i] = eng.AddOp("gemm", gpusim.OpCompute, sys.Gemm(op.M.Len(), op.N.Len(), op.K.Len()), r.deps,
-				r.b.compute[rank:rank+1])
+			if m, n, k := s.Op.M.Len(), s.Op.N.Len(), s.Op.K.Len(); m != gm || n != gn || k != gk {
+				gm, gn, gk, gemmT = m, n, k, sys.Gemm(m, n, k)
+			}
+			r.gemmIDs[i] = eng.AddOp("gemm", gpusim.OpCompute, gemmT, r.deps, r.b.compute[rank:rank+1])
 			r.chainEnd[i] = r.gemmIDs[i]
 
 			// One accumulate per chain, after its last GEMM: a chained step
