@@ -113,6 +113,47 @@ func TestHeapSchedulerMatchesOracleOnStorms(t *testing.T) {
 	}
 }
 
+// TestHeapSchedulerMatchesOracleOnRoutedStorms builds DAGs shaped like a
+// plan replay: ranks added one after another, each a dependency chain
+// (with a look-back edge like a prefetch gate) whose ops hold 2-6
+// resources drawn from a shared link pool. A lower-id op of an earlier
+// rank that becomes ready late displaces a later rank's lot
+// representative, and a promoted member is often bound by another of its
+// links by the time it reaches the heap root, so the lazy promote's
+// stale-key path runs constantly.
+func TestHeapSchedulerMatchesOracleOnRoutedStorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var deps []OpID
+	var rs []ResourceID
+	for trial := 0; trial < 40; trial++ {
+		e := NewEngine()
+		pool := make([]ResourceID, 4+rng.Intn(20))
+		for i := range pool {
+			pool[i] = e.AddResource("link")
+		}
+		ranks, steps := 2+rng.Intn(14), 5+rng.Intn(40)
+		for rank := 0; rank < ranks; rank++ {
+			first := OpID(e.NumOps())
+			for i := 0; i < steps; i++ {
+				deps = deps[:0]
+				if i > 0 {
+					deps = append(deps, first+OpID(i-1))
+				}
+				if i > 2 && rng.Intn(3) == 0 {
+					deps = append(deps, first+OpID(i-3))
+				}
+				rs = rs[:0]
+				for _, j := range rng.Perm(len(pool))[:min(len(pool), 2+rng.Intn(5))] {
+					rs = append(rs, pool[j])
+				}
+				dur := float64(1+rng.Intn(4)) * 0.5
+				e.AddOp("flow", OpComm, dur, deps, rs)
+			}
+		}
+		assertSameSchedule(t, e.RunListOracle(), copyResult(e.Run()))
+	}
+}
+
 func TestHeapSchedulerMatchesOracleAfterIncrementalAdds(t *testing.T) {
 	// Run, add more ops, Run again: the reverse CSR must be rebuilt and the
 	// schedule stay pinned to the oracle.
