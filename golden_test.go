@@ -55,12 +55,40 @@ var goldenMMWorkloads = []goldenMMWorkload{
 		2, slicing.StationaryA},
 }
 
+// goldenServeShapes are the serve-* workloads' tenant shapes: square
+// GEMMs of dim on a 2×2 grid of tile×tile tiles, one row per distinct
+// shape (serve-small's four tenants share one). The shapes are copied
+// from benchmark/workloads.go (newWorkload's tenantShape lists); keep
+// them in step with it.
+var goldenServeShapes = []struct {
+	workload  string
+	dim, tile int
+}{
+	{"serve-small", 16, 16},
+	{"serve-mixed", 16, 16},
+	{"serve-mixed", 64, 64},
+	{"serve-mixed", 256, 128},
+}
+
+// goldenServeWorkloads turns each serve shape into a row named
+// "<workload>/<dim>", compiled like the benchmark's per-tenant problems:
+// four PEs, no replication, the default stationary choice.
+func goldenServeWorkloads() []goldenMMWorkload {
+	var out []goldenMMWorkload
+	for _, sh := range goldenServeShapes {
+		part := slicing.Custom{TileRows: sh.tile, TileCols: sh.tile, ProcRows: 2, ProcCols: 2}
+		out = append(out, goldenMMWorkload{fmt.Sprintf("%s/%d", sh.workload, sh.dim), 4, sh.dim, sh.dim, sh.dim,
+			part, part, part, 1, slicing.StationaryAuto})
+	}
+	return out
+}
+
 // mmCounts writes each mm-* workload's per-op counts, derived from its
 // compiled plan alone: steps and flops; fetches and their bytes (every
 // fetch is a remote get); accumulates (one per chain, issued by its last,
 // unchained step) and their bytes, split by whether the C tile is remote.
-func mmCounts(buf *bytes.Buffer) {
-	for _, wl := range goldenMMWorkloads {
+func mmCounts(buf *bytes.Buffer, workloads []goldenMMWorkload) {
+	for _, wl := range workloads {
 		w := slicing.NewModelWorld(wl.p)
 		a := slicing.NewMatrix(w, wl.m, wl.k, wl.partA, wl.replA)
 		b := slicing.NewMatrix(w, wl.k, wl.n, wl.partB, 1)
@@ -100,32 +128,42 @@ func mmCounts(buf *bytes.Buffer) {
 	}
 }
 
+// goldenModelNodes are the model-replay workload's cluster sizes, copied
+// from benchmark/model.go with the layouts above.
+var goldenModelNodes = []int{2, 8, 16}
+
+// goldenModelPoint lays one model-replay point out on a metadata-only
+// world: MLP-1 at batch 8192 on nodes H100 fat-tree nodes in layout l.
+func goldenModelPoint(nodes int, l goldenModelLayout) (slicing.Problem, slicing.Config) {
+	const m, n, k = 8192, 49152, 12288
+	w := slicing.NewModelWorld(8 * nodes)
+	replAB, replC := l.replAB, l.replC
+	if replAB == 0 {
+		replAB = nodes
+	}
+	if replC == 0 {
+		replC = nodes
+	}
+	a := slicing.NewMatrix(w, m, k, l.partA, replAB)
+	b := slicing.NewMatrix(w, k, n, l.partB, replAB)
+	c := slicing.NewMatrix(w, m, n, l.partC, replC)
+	cfg := slicing.DefaultConfig()
+	cfg.Stationary = l.stat
+	return slicing.NewProblem(c, a, b), cfg
+}
+
 // modelReplayCounts replays the model-replay workload's 15 MLP-1 points
 // (batch 8192 on 2, 8 and 16 H100 fat-tree nodes × five layouts) in
 // listing order and writes the model executor's total op count and each
 // point's makespan, printed with %v so the value is bit-exact.
 func modelReplayCounts(buf *bytes.Buffer) {
-	const m, n, k = 8192, 49152, 12288
 	x := slicing.NewModelExecutor()
 	ops := 0
 	var spans []string
-	for _, nodes := range []int{2, 8, 16} {
+	for _, nodes := range goldenModelNodes {
 		for _, l := range goldenModelLayouts {
 			sys := slicing.H100FatTreeSystem(nodes, 8, 2)
-			w := slicing.NewModelWorld(8 * nodes)
-			replAB, replC := l.replAB, l.replC
-			if replAB == 0 {
-				replAB = nodes
-			}
-			if replC == 0 {
-				replC = nodes
-			}
-			a := slicing.NewMatrix(w, m, k, l.partA, replAB)
-			b := slicing.NewMatrix(w, k, n, l.partB, replAB)
-			c := slicing.NewMatrix(w, m, n, l.partC, replC)
-			prob := slicing.NewProblem(c, a, b)
-			cfg := slicing.DefaultConfig()
-			cfg.Stationary = l.stat
+			prob, cfg := goldenModelPoint(nodes, l)
 			res := x.Simulate(prob, slicing.CompilePlans(prob, cfg), cfg, sys)
 			ops += res.Ops
 			spans = append(spans, fmt.Sprintf("model-replay makespan_s/%dn-%s %v\n", nodes, l.name, res.Makespan))
@@ -142,7 +180,8 @@ func modelReplayCounts(buf *bytes.Buffer) {
 func TestWorkloadCountsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	modelReplayCounts(&buf)
-	mmCounts(&buf)
+	mmCounts(&buf, goldenMMWorkloads)
+	mmCounts(&buf, goldenServeWorkloads())
 
 	path := filepath.Join("testdata", "workload_counts.golden")
 	if *updateGolden {
