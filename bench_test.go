@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"slicing"
 	"slicing/internal/bench"
 	"slicing/internal/distmat"
 	"slicing/internal/gpusim"
@@ -272,6 +273,56 @@ func BenchmarkSimulateFatTree64ListOracle(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
+}
+
+// BenchmarkModelPointStages times the model-replay workload's three
+// stages over its 15 MLP-1 points (goldenModelPoint; the points are copied
+// from benchmark/model.go): building the fat-tree fabric, laying the
+// problem out and compiling it, and replaying the compiled plans on the
+// model executor. One iteration is one 15-point cycle of the stage.
+func BenchmarkModelPointStages(b *testing.B) {
+	type point struct {
+		nodes int
+		prob  slicing.Problem
+		cfg   slicing.Config
+		cp    *slicing.CompiledPlan
+		sys   slicing.SimSystem
+	}
+	var pts []point
+	for _, nodes := range goldenModelNodes {
+		for _, l := range goldenModelLayouts {
+			prob, cfg := goldenModelPoint(nodes, l)
+			pts = append(pts, point{nodes, prob, cfg, slicing.CompilePlans(prob, cfg), slicing.H100FatTreeSystem(nodes, 8, 2)})
+		}
+	}
+	b.Run("fabric", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pt := range pts {
+				slicing.H100FatTreeSystem(pt.nodes, 8, 2)
+			}
+		}
+	})
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, nodes := range goldenModelNodes {
+				for _, l := range goldenModelLayouts {
+					prob, cfg := goldenModelPoint(nodes, l)
+					slicing.CompilePlans(prob, cfg)
+				}
+			}
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		x := slicing.NewModelExecutor()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pt := range pts {
+				x.Simulate(pt.prob, pt.cp, pt.cfg, pt.sys)
+			}
+		}
+	})
 }
 
 // Fetch-mode ablation (DESIGN.md design choice): whole-tile fetches with
