@@ -288,40 +288,31 @@ func (f *Fabric) routeFrom(src int, s *routeScratch) int {
 // panics naming the lowest source with an unreachable PE.
 func (f *Fabric) routeAll(inStart []int) {
 	p := len(f.peNodes)
-	workers := min(runtime.GOMAXPROCS(0), p)
-	// bad[w] is worker w's first (so lowest) failing source and its dst.
-	bad := make([][2]int, workers)
+	unreached := make([]int, p) // per source: routeFrom's result
 	var next atomic.Int64
-	work := func(w int) {
+	work := func() {
 		s := newRouteScratch(len(f.nodes), inStart)
-		bad[w] = [2]int{p, -1}
-		for src := int(next.Add(1) - 1); src < p; src = int(next.Add(1) - 1) {
-			if dst := f.routeFrom(src, s); dst >= 0 && bad[w][0] == p {
-				bad[w] = [2]int{src, dst}
-			}
+		for src := int(next.Add(1)) - 1; src < p; src = int(next.Add(1)) - 1 {
+			unreached[src] = f.routeFrom(src, s)
 		}
 	}
-	if workers == 1 {
-		work(0)
+	if workers := min(runtime.GOMAXPROCS(0), p); workers == 1 {
+		work()
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				work(w)
+				work()
 			}()
 		}
 		wg.Wait()
 	}
-	first := [2]int{p, -1}
-	for _, b := range bad {
-		if b[0] < first[0] {
-			first = b
+	for src, dst := range unreached {
+		if dst >= 0 {
+			panic(fmt.Sprintf("fabric %s: PE %d cannot reach PE %d", f.name, src, dst))
 		}
-	}
-	if first[0] < p {
-		panic(fmt.Sprintf("fabric %s: PE %d cannot reach PE %d", f.name, first[0], first[1]))
 	}
 }
 

@@ -155,3 +155,24 @@ func TestRouteAppendDoesNotAlias(t *testing.T) {
 		}
 	}
 }
+
+// Freeze routes sources on several goroutines, but an unreachable pair
+// still panics in the caller, naming the lowest source that has one.
+func TestFreezePanicsOnUnreachablePE(t *testing.T) {
+	f := fabric.New("one-way", 1e12)
+	sw := f.AddSwitch("sw")
+	for i := 0; i < 4; i++ {
+		pe := f.AddPE(fmt.Sprintf("pe%d", i), 0)
+		f.Connect(pe, sw, 1e9, 1e-6, fmt.Sprintf("pe%d.up", i))
+		if i < 2 {
+			f.Connect(sw, pe, 1e9, 1e-6, fmt.Sprintf("pe%d.down", i))
+		}
+	}
+	defer func() {
+		want := "fabric one-way: PE 0 cannot reach PE 2"
+		if got := recover(); got != want {
+			t.Errorf("Freeze panicked with %v, want %q", got, want)
+		}
+	}()
+	f.Freeze()
+}
