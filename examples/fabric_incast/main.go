@@ -12,8 +12,8 @@
 //     traffic the same volume rides eight disjoint rails in parallel;
 //  4. a rail failure — degrading one NIC link's bandwidth stretches the
 //     flows crossing it, visible in the per-link utilization lanes;
-//  5. the stream/event view — a small gpubackend world over a routed
-//     fabric renders engines and fabric links in one Gantt.
+//  5. the schedule view — a small timed world over a routed fabric
+//     renders engines and fabric links in one Gantt.
 package main
 
 import (
@@ -102,14 +102,14 @@ func main() {
 	// 5. Rail failure: node 0's rail-3 NIC downlink downtrains to a
 	// quarter of its bandwidth; only the flow crossing it stretches.
 	broken := fabric.H100FatTree(nodes, 8, 4)
-	broken.Degrade(broken.LinkID("n0.nic3.ib<"), 0.25)
+	broken.DegradeAt(broken.LinkID("n0.nic3.ib<"), 0.25)
 	degraded, w := incast(broken.Topology(), railAligned)
 	fmt.Printf("%-44s %8.3f ms  (rail 3 at 1/4 bandwidth)\n", broken.Name()+", degraded", degraded*1e3)
 	hotLinks(w, degraded)
 	fmt.Println()
 
-	// 6. The stream/event view: on a 2-PE routed fabric, the gpubackend
-	// schedules copy engines and fabric links on one timeline; the Gantt
+	// 6. The schedule view: on a 2-PE routed fabric, the timed backend
+	// schedules copy engines and fabric links on one engine; the Gantt
 	// shows the link lanes alongside the device engines.
 	mini := fabric.SingleSwitch(2, 50e9, 2000e9, 3e-6, "2xH100 mini fabric")
 	gw := gpubackend.New(mini.Topology(), gpusim.PresetH100Device()).NewWorld(2).(*gpubackend.World)
@@ -123,6 +123,7 @@ func main() {
 			f2.Wait()
 		}
 	})
-	fmt.Println("stream/event Gantt over the mini fabric (engines + per-link lanes):")
-	trace.WriteTimelineGantt(os.Stdout, gw.Timeline(), 72)
+	fmt.Println("Gantt over the mini fabric (engines + per-link lanes):")
+	eng, res := gw.Schedule()
+	trace.WriteGantt(os.Stdout, eng, res, 72)
 }

@@ -3,10 +3,10 @@
 // backend for both Table 2 systems, and both produce the same C. The timed
 // run additionally models the wall-clock of the schedule the runtime
 // actually chose: it places each get, put, accumulate, and GEMM on modeled
-// per-device engines (a compute stream, copy engines, fabric ports), so it
+// per-device engines (a compute engine, copy engines, fabric ports), so it
 // also reports queue-depth contention (async prefetches stacking up on a
 // copy engine) and accumulate/GEMM interference (remote accumulates
-// occupying the victim device's compute stream, the §5.2 H100 effect).
+// occupying the victim device's compute engine, the §5.2 H100 effect).
 package main
 
 import (

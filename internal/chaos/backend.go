@@ -124,11 +124,9 @@ func (w *World) DegradeLink(name string, factor float64) bool {
 		return true
 	}
 	if f := w.plan.Fabric; f != nil {
-		for li := 0; li < f.NumLinks(); li++ {
-			if f.LinkAt(li).Name == name {
-				f.DegradeAt(li, factor)
-				return true
-			}
+		if li, ok := f.LinkIndex(name); ok {
+			f.DegradeAt(li, factor)
+			return true
 		}
 	}
 	return false

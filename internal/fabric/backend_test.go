@@ -225,3 +225,135 @@ func TestCrossNodeAccumulatePricedAsRoundTrip(t *testing.T) {
 			sync, async, explicit)
 	}
 }
+
+// flatDevice has no launch overhead, shape penalty or interference, so a
+// timed world's transfer durations are the fabric's own prices.
+func flatDevice() gpusim.Device {
+	return gpusim.Device{Name: "flat", PeakFlops: 1e12, MemBW: 1e12, AccumBWFactor: 1}
+}
+
+// linkStats indexes a timed world's per-link accounting by link name.
+func linkStats(t *testing.T, w rt.World) map[string]rt.LinkStats {
+	t.Helper()
+	links, ok := rt.FabricStatsOf(w)
+	if !ok {
+		t.Fatal("routed world reported no link stats")
+	}
+	byName := map[string]rt.LinkStats{}
+	for _, l := range links {
+		byName[l.Link] = l
+	}
+	return byName
+}
+
+// TestQueuesFIFOAndBottleneckOccupancy pins the per-link FIFO semantics
+// of the timed backend over a routed fabric: transfers sharing any link
+// serialize, the wait is charged to a link of the shared route, every link
+// of a route carries the payload and is busy for the transfer's whole
+// duration, and disjoint routes do not interact.
+func TestQueuesFIFOAndBottleneckOccupancy(t *testing.T) {
+	f := chain(t)
+	topo := f.Topology()
+	const n = 1000 // 4000 bytes
+	dur := simnet.TransferTime(topo, 1, 0, 4*n)
+	w := gpubackend.New(topo, flatDevice()).NewWorld(2).(*gpubackend.World)
+	seg := w.AllocSymmetric(n)
+	w.Run(func(pe rt.PE) {
+		buf := make([]float32, n)
+		if pe.Rank() == 0 {
+			f1 := pe.GetAsync(buf, seg, 1, 0) // b → a, twice: the second queues
+			f2 := pe.GetAsync(buf, seg, 1, 0)
+			f1.Wait()
+			f2.Wait()
+		} else {
+			pe.GetAsync(buf, seg, 0, 0).Wait() // a → b: the reverse links
+		}
+	})
+	_, res := w.Schedule()
+	var starts []float64
+	for _, tm := range res.Timings {
+		if tm.Label == "get" {
+			starts = append(starts, tm.Start)
+		}
+	}
+	if len(starts) != 3 || starts[0] != 0 || !approx(starts[1], dur) {
+		t.Fatalf("forward gets start at %v, want 0 and %g", starts, dur)
+	}
+	if starts[2] != 0 {
+		t.Fatalf("reverse get queued to %g; directions must be independent", starts[2])
+	}
+
+	links := linkStats(t, w)
+	total := 0.0
+	for _, l := range links {
+		total += l.QueueDelaySeconds
+	}
+	if !approx(total, dur) {
+		t.Fatalf("total link queue delay %g, want %g (one queued transfer)", total, dur)
+	}
+	for _, li := range f.Route(1, 0) {
+		l := links[f.LinkAt(li).Name]
+		if l.Bytes != 8*n {
+			t.Fatalf("link %s carried %d bytes, want %d", l.Link, l.Bytes, 8*n)
+		}
+		if !approx(l.BusySeconds, 2*dur) {
+			t.Fatalf("link %s busy %g, want %g", l.Link, l.BusySeconds, 2*dur)
+		}
+	}
+
+	w.ResetTime()
+	for _, l := range linkStats(t, w) {
+		if l.BusySeconds != 0 || l.QueueDelaySeconds != 0 || l.Bytes != 0 {
+			t.Fatalf("ResetTime left state on link %s: %+v", l.Link, l)
+		}
+	}
+}
+
+// TestQueuesTiedBlockerAttributionDeterministic: when several route links
+// free up at the same instant and so tie as a transfer's binding
+// constraint, FabricLinkStats charges the queue delay to the lowest link
+// index, whatever the route's traversal order, so per-link delay stats
+// are reproducible.
+func TestQueuesTiedBlockerAttributionDeterministic(t *testing.T) {
+	// SingleSwitch numbers pe<i>.up 2i and pe<i>.down 2i+1, so the route
+	// 1→0 traverses pe1.up (2) before pe0.down (1): the lower index comes
+	// second.
+	f := fabric.SingleSwitch(4, 1e9, 1e12, 0, "tie")
+	const n = 1000
+	dur := 4 * n / 1e9
+	run := func(blockerElems int) map[string]rt.LinkStats {
+		w := gpubackend.New(f.Topology(), flatDevice()).NewWorld(4)
+		seg := w.AllocSymmetric(2 * n)
+		w.Run(func(pe rt.PE) {
+			switch pe.Rank() {
+			case 0:
+				// 3 → 0 occupies pe0.down for dur; the 1 → 0 get then waits.
+				f1 := pe.GetAsync(make([]float32, n), seg, 3, 0)
+				f2 := pe.GetAsync(make([]float32, n), seg, 1, 0)
+				f1.Wait()
+				f2.Wait()
+			case 2:
+				// 1 → 2 occupies pe1.up.
+				pe.Get(make([]float32, blockerElems), seg, 1, 0)
+			}
+		})
+		return linkStats(t, w)
+	}
+
+	links := run(n) // pe1.up and pe0.down both free at dur
+	if got := links["pe0.down"].QueueDelaySeconds; !approx(got, dur) {
+		t.Fatalf("delay on pe0.down (link 1) = %g, want %g (lowest tied index)", got, dur)
+	}
+	if got := links["pe1.up"].QueueDelaySeconds; got != 0 {
+		t.Fatalf("delay leaked to pe1.up (link 2): %g; the lowest tied index must win", got)
+	}
+
+	// A strictly later link must still win over a lower tied-but-earlier one.
+	links = run(2 * n) // pe1.up frees at 2·dur, pe0.down at dur
+	if got := links["pe1.up"].QueueDelaySeconds; !approx(got, 2*dur) {
+		t.Fatalf("delay on pe1.up = %g, want %g (unique binding constraint)", got, 2*dur)
+	}
+	if got := links["pe0.down"].QueueDelaySeconds; got != 0 {
+		t.Fatalf("delay on pe0.down = %g, want 0", got)
+	}
+}

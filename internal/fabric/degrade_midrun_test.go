@@ -17,7 +17,7 @@ import (
 	rt "slicing/internal/runtime"
 )
 
-// degradeWorlds builds a fresh 2-node fat-tree fabric per call (Degrade
+// degradeWorlds builds a fresh 2-node fat-tree fabric per call (DegradeAt
 // mutates it) and the timed backend routed over it.
 func degradeWorlds() map[string]func() rt.TimedWorld {
 	return map[string]func() rt.TimedWorld{

@@ -2,10 +2,10 @@
 // (PEs, switches, NICs) connected by directed links with individual
 // bandwidth and latency, every src→dst transfer follows a statically
 // routed path (latency-weighted shortest paths, equal-cost ties broken by
-// a deterministic ECMP hash), and timed backends reserve the path's links
-// as per-link FIFO queues — a transfer's start time is governed by the
-// busiest link on its route, its duration by the bottleneck link's
-// bandwidth.
+// a deterministic ECMP hash), and timed schedules hold every link of the
+// path for the transfer's whole duration — a transfer's start time is
+// governed by the busiest link on its route, its duration by the
+// bottleneck link's bandwidth.
 //
 // This refines package simnet's scalar model, whose single
 // Bandwidth(src,dst) lookup plus per-PE port contention cannot express the
@@ -19,8 +19,10 @@
 // A Fabric is built once (AddPE/AddSwitch/AddNIC/Connect), frozen
 // (Freeze computes all routes: one Dijkstra pass per source PE, the
 // passes spread over up to GOMAXPROCS goroutines, with PEs kept off the
-// heap because they relay nothing), and then shared read-only: the mutable
-// queue occupancy lives in per-world Queues values. The simnet adapter is
+// heap because they relay nothing), and then shared read-only. Link
+// occupancy is not fabric state: simnet.Occupancy makes each link a
+// gpusim.Engine resource, so the plan replay and the timed backend
+// schedule routes on the one discrete-event engine. The simnet adapter is
 // Topology(), which implements simnet.Topology (scalar consumers price
 // the route's bottleneck bandwidth and total latency) and simnet.Routed
 // (timed backends reserve the route's links).
@@ -72,7 +74,7 @@ type Link struct {
 
 // Fabric is the immutable-after-Freeze link graph plus its routing table.
 // The one mutable-after-Freeze quantity is effective link bandwidth: it
-// lives in the bw array as atomic float64 bits so Degrade/DegradeAt can
+// lives in the bw array as atomic float64 bits so DegradeAt can
 // downtrain a link while timed worlds are pricing transfers through
 // PathBandwidth concurrently (links[i].BW keeps the as-built value).
 type Fabric struct {
@@ -208,24 +210,31 @@ func (f *Fabric) NumPE() int { return len(f.peNodes) }
 // NumLinks returns the number of directed links.
 func (f *Fabric) NumLinks() int { return len(f.links) }
 
-// NumNodes returns the number of graph nodes.
-func (f *Fabric) NumNodes() int { return len(f.nodes) }
-
 // NodeAt returns one node's description.
 func (f *Fabric) NodeAt(i int) Node { return f.nodes[i] }
 
 // LinkAt returns one link's description.
 func (f *Fabric) LinkAt(i int) Link { return f.links[i] }
 
-// LinkID returns the index of the link with the given name; it panics if
-// no link has it.
-func (f *Fabric) LinkID(name string) int {
+// LinkIndex returns the index of the link with the given name, and
+// ok=false if no link has it.
+func (f *Fabric) LinkIndex(name string) (link int, ok bool) {
 	for i, l := range f.links {
 		if l.Name == name {
-			return i
+			return i, true
 		}
 	}
-	panic(fmt.Sprintf("fabric: no link named %q", name))
+	return -1, false
+}
+
+// LinkID is LinkIndex for names known to exist; it panics if no link has
+// the name.
+func (f *Fabric) LinkID(name string) int {
+	li, ok := f.LinkIndex(name)
+	if !ok {
+		panic(fmt.Sprintf("fabric: no link named %q", name))
+	}
+	return li
 }
 
 // MachineOf returns the machine index hosting a PE.
@@ -270,8 +279,7 @@ func (f *Fabric) LinkBandwidth(link int) float64 {
 }
 
 // RouteLatency returns the total latency of the static src→dst route,
-// precomputed at Freeze (equal to PathLatency(Route(src, dst)) without the
-// per-query walk).
+// precomputed at Freeze.
 func (f *Fabric) RouteLatency(src, dst int) float64 {
 	f.mustBeFrozen()
 	p := len(f.peNodes)
@@ -281,43 +289,20 @@ func (f *Fabric) RouteLatency(src, dst int) float64 {
 	return f.routeLat[src*p+dst]
 }
 
-// PathLatency returns the total latency of a route in seconds.
-func (f *Fabric) PathLatency(route []int) float64 {
-	lat := 0.0
-	for _, li := range route {
-		lat += f.links[li].Lat
-	}
-	return lat
-}
-
-// Degrade multiplies one link's bandwidth by factor in (0, 1], modeling a
-// partial failure (a flapping rail, a downtrained NIC). Routes are static
-// — latency-based — so degradation changes pricing and queueing, not
-// paths, exactly like a bandwidth-downtrained link in a real fat-tree.
-//
-// Concurrency contract: link bandwidth is the one knob that stays
-// adjustable after Freeze. Effective bandwidths live in atomic storage
-// (PathBandwidth/LinkBandwidth load them atomically), so on a frozen
-// fabric Degrade is safe even while timed worlds built over it are
-// running — it is DegradeAt. Before Freeze it simply rewrites the
-// as-built Link.BW, which Freeze then snapshots.
-func (f *Fabric) Degrade(link int, factor float64) {
-	if !f.frozen() {
-		checkDegradeFactor(factor)
-		f.links[link].BW *= factor
-		return
-	}
-	f.DegradeAt(link, factor)
-}
-
 // DegradeAt multiplies one link's effective bandwidth by factor in
-// (0, 1] on a frozen fabric, safely while worlds built over the fabric
-// are mid-run: the update is an atomic read-modify-write on the
-// bandwidth bits that pricing reads through the same atomics, so a
-// chaos rule (or an operator) can downtrain a rail in the middle of a
-// timed execution without a data race. Transfers priced before the call
-// keep their old duration — exactly the semantics of a link that
-// downtrains between two DMAs. The as-built Link.BW is not modified.
+// (0, 1] on a frozen fabric, modeling a partial failure (a flapping rail,
+// a downtrained NIC). Routes are static — latency-based — so degradation
+// changes pricing and queueing, not paths, exactly like a
+// bandwidth-downtrained link in a real fat-tree.
+//
+// Link bandwidth is the one knob that stays adjustable after Freeze, and
+// it is safe to turn while worlds built over the fabric are mid-run: the
+// update is an atomic read-modify-write on the bandwidth bits that pricing
+// reads through the same atomics, so a chaos rule (or an operator) can
+// downtrain a rail in the middle of a timed execution without a data race.
+// Transfers priced before the call keep their old duration — exactly the
+// semantics of a link that downtrains between two DMAs. The as-built
+// Link.BW is not modified.
 func (f *Fabric) DegradeAt(link int, factor float64) {
 	checkDegradeFactor(factor)
 	f.mustBeFrozen()

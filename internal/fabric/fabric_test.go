@@ -53,55 +53,6 @@ func TestBottleneckPathPricing(t *testing.T) {
 	}
 }
 
-// TestQueuesFIFOAndBottleneckOccupancy pins the per-link FIFO semantics:
-// transfers sharing any link serialize in reservation order, the wait is
-// attributed to the binding link, and disjoint routes do not interact.
-func TestQueuesFIFOAndBottleneckOccupancy(t *testing.T) {
-	f := chain(t)
-	q := fabric.NewQueues(f.NumLinks())
-	fwd := f.Route(0, 1)
-	rev := f.Route(1, 0)
-
-	s, e := q.Reserve(fwd, 0, 1e-3, 4000)
-	if s != 0 || !approx(e, 1e-3) {
-		t.Fatalf("first reservation [%g,%g], want [0,1e-3]", s, e)
-	}
-	// Same route again: queues behind the first on every link.
-	s, e = q.Reserve(fwd, 0, 1e-3, 4000)
-	if !approx(s, 1e-3) || !approx(e, 2e-3) {
-		t.Fatalf("second reservation [%g,%g], want [1e-3,2e-3]", s, e)
-	}
-	// The reverse direction uses distinct links: no interaction.
-	if s, _ = q.Reserve(rev, 0, 1e-3, 4000); s != 0 {
-		t.Fatalf("reverse route queued at %g; directions must be independent", s)
-	}
-	total := 0.0
-	for li := 0; li < f.NumLinks(); li++ {
-		total += q.QueueDelayFor(li)
-		if q.BusyFor(li) < 0 {
-			t.Fatalf("negative busy on link %d", li)
-		}
-	}
-	if !approx(total, 1e-3) {
-		t.Fatalf("total queue delay %g, want 1e-3 (one queued transfer)", total)
-	}
-	for _, li := range fwd {
-		if q.BytesFor(li) != 8000 {
-			t.Fatalf("link %d carried %d bytes, want 8000", li, q.BytesFor(li))
-		}
-		if !approx(q.BusyFor(li), 2e-3) {
-			t.Fatalf("link %d busy %g, want 2e-3", li, q.BusyFor(li))
-		}
-	}
-
-	q.Reset()
-	for li := 0; li < f.NumLinks(); li++ {
-		if q.BusyFor(li) != 0 || q.QueueDelayFor(li) != 0 || q.BytesFor(li) != 0 {
-			t.Fatalf("Reset left state on link %d", li)
-		}
-	}
-}
-
 // TestRoutesNeverTransitPEs checks the hardware constraint that GPUs do
 // not forward fabric traffic: on every preset, every route's intermediate
 // nodes are switches or NICs.
@@ -289,7 +240,7 @@ func TestDegradeReducesPathBandwidth(t *testing.T) {
 	topo := f.Topology()
 	before := topo.Bandwidth(0, 8)
 	routeBefore := append([]int(nil), f.Route(0, 8)...)
-	f.Degrade(f.LinkID("n0.nic0.ib>"), 0.25)
+	f.DegradeAt(f.LinkID("n0.nic0.ib>"), 0.25)
 	if got := topo.Bandwidth(0, 8); !approx(got, before/4) {
 		t.Fatalf("degraded bandwidth %g, want %g", got, before/4)
 	}
@@ -305,41 +256,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TestQueuesTiedBlockerAttributionDeterministic (PR 5): when several route
-// links tie as the binding constraint, the queue delay must be attributed
-// to the lowest link index — a fixed rule independent of route traversal
-// order, so per-link delay stats are reproducible across equivalent routes.
-func TestQueuesTiedBlockerAttributionDeterministic(t *testing.T) {
-	const dur = 1e-3
-	run := func(route []int) *fabric.Queues {
-		q := fabric.NewQueues(4)
-		// Occupy links 1 and 3 until the same instant, so both tie as the
-		// binding constraint of the next reservation.
-		q.Reserve([]int{1}, 0, dur, 0)
-		q.Reserve([]int{3}, 0, dur, 0)
-		q.Reserve(route, 0, dur, 0)
-		return q
-	}
-	for _, route := range [][]int{{1, 3}, {3, 1}, {3, 0, 1}} {
-		q := run(route)
-		if got := q.QueueDelayFor(1); !approx(got, dur) {
-			t.Fatalf("route %v: delay on link 1 = %g, want %g (lowest tied index)", route, got, dur)
-		}
-		if got := q.QueueDelayFor(3); got != 0 {
-			t.Fatalf("route %v: delay leaked to link 3 (%g); the lowest tied index must win", route, got)
-		}
-	}
-	// A strictly later link must still win over a lower tied-but-earlier one.
-	q := fabric.NewQueues(4)
-	q.Reserve([]int{1}, 0, dur, 0)
-	q.Reserve([]int{3}, 0, 2*dur, 0)
-	q.Reserve([]int{1, 3}, 0, dur, 0)
-	if got := q.QueueDelayFor(3); !approx(got, 2*dur) {
-		t.Fatalf("delay on link 3 = %g, want %g (unique binding constraint)", got, 2*dur)
-	}
-	if got := q.QueueDelayFor(1); got != 0 {
-		t.Fatalf("delay on link 1 = %g, want 0", got)
-	}
 }

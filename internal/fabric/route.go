@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,15 +21,7 @@ import (
 // candidates: sums of the same latencies in different orders may differ in
 // the last few ulps.
 func routeEq(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if b > m {
-		m = b
-	}
-	return d <= 1e-15+1e-12*m
+	return math.Abs(a-b) <= 1e-15+1e-12*max(a, b)
 }
 
 // heapEntry is a pending Dijkstra visit: a node and the distance it was

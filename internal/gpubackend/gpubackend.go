@@ -1,51 +1,48 @@
 // Package gpubackend is the timed execution backend: a runtime.Backend
 // that performs the same real data movement as the in-process shmem
-// backend while scheduling every operation on modeled per-device engines —
-// a compute stream and directional copy engines per PE, plus the network
-// ports of the simnet topology — on one shared gpusim.Timeline.
+// backend while recording every operation, and prices the recording on
+// the same discrete-event engine (gpusim.Engine) the plan replay uses.
 //
-// Each device gets the engine structure of a real GPU runtime:
+// Record. Each PE appends its one-sided ops and GEMMs (reported by
+// executors through runtime.ChargeGemm) to its own log in issue order,
+// together with its future waits and barriers. A record holds its peer,
+// its bytes and the duration priced when it was issued: durations are the
+// §4.3 op prices of simnet.System, the price list the plan replay reads,
+// so a link degraded mid-run slows exactly the ops issued after it.
 //
-//   - one compute stream, which serializes the device's GEMMs (reported by
-//     executors through runtime.ChargeGemm), its local accumulate kernels,
-//     and — on devices with Device.AccumComputeInterference set (H100,
-//     §5.2) — remote accumulate kernels other PEs launch into it;
-//   - Device.CopyInEngines copy-in engines, which carry the DMA of gets
-//     this PE issues (each op lands on the least-loaded engine and queues
-//     only when all are busy — an H100 has more DMA engines than a PVC
-//     tile, so the same prefetch depth queues on one device and overlaps
-//     on the other);
-//   - Device.CopyOutEngines copy-out engines, which carry puts and the
-//     egress half of accumulates this PE issues;
-//   - the network: per-PE egress/ingress ports on scalar topologies, or —
-//     when the topology is link-routed (internal/fabric via simnet.Routed)
-//     — one resource per fabric link, with every transfer occupying its
-//     whole static route, so transfers with different endpoints contend on
-//     shared switch uplinks, NICs, and rails, and per-link accounting is
-//     reported through runtime.FabricStatsOf.
+// Schedule once. The first PredictedSeconds, StreamStats or
+// FabricLinkStats after the logs change builds one gpusim.Engine DAG from
+// them and runs it. Ops enter barrier epoch by epoch, rank-major, in log
+// order, and host order becomes edges: an op starts no earlier than its
+// host thread's clock and the end of every op its PE's futures waited on;
+// a synchronous op moves its thread's clock to its end; a barrier is a
+// zero-duration join across all PEs. Asynchronous ops therefore overlap
+// whatever the host does until it waits, so PrefetchDepth shapes the
+// modeled pipeline as it shapes the real one. A PE is one host thread
+// unless an executor issues through runtime.HostThread, as the universal
+// executor does for its MaxInflight concurrent chains. The schedule does
+// not depend on how the PEs' goroutines interleave, so a run whose PEs
+// each issue from one goroutine (MaxInflight 1, raw PE programs) prices
+// identically every time; with several threads per PE, the order they
+// append to the PE's log still varies from run to run.
 //
-// On multi-node topologies (simnet.NodeMapper), AccumulateAdd between PEs
-// on different machines is automatically rerouted through the §3 get+put
-// path — RDMA-only inter-node fabrics offer no remote atomics — with the
-// put's stream op gated on the get's completion event.
+// Occupancy. The DAG is built through simnet.Occupancy, the builder the
+// plan replay uses: network ports or route links, compute engines, the §3
+// get+put round trip across a node boundary, and the accumulate rule of
+// gpusim.Device (an intra-node remote accumulate on an interference
+// device holds the target's compute engine; a local one holds the PE's).
+// The backend adds each device's copy engines (Device.CopyInEngines for
+// gets, Device.CopyOutEngines for puts and accumulate egress), taken
+// round-robin in log order, so a deep prefetch queues on a one-engine PVC
+// tile and overlaps on a three-engine H100.
 //
-// Every operation is enqueued as a gpusim.StreamOp: it may not start before
-// the issuing PE's host clock (NotBefore), before the events it waits on
-// have fired, or while any engine or port it occupies is busy. The gap
-// between "ready" and "started" is queue delay, and the time remote
-// accumulates occupy victim compute streams is interference — the two
-// signals the paper's H100 results hinge on. Worlds report both through
-// runtime.StreamStatsOf.
-//
-// Synchronous operations advance the caller's host clock to the op's
-// completion; asynchronous operations enqueue at issue and advance the
-// clock only when the future is waited on, so PrefetchDepth and MaxInflight
-// shape the modeled pipeline exactly as they shape the real one, and
-// issuing more in-flight work than the engines can absorb shows up as
-// measured queue delay. Durations are the §4.3 op prices of
-// simnet.System, the same price list the plan replay reads, so the timed
-// backend and the estimators price identical work identically and differ
-// only in contention structure.
+// Signals. Queue delay (an op's start minus its latest dependency's end,
+// charged to the binding resource; gpusim.Engine.QueueDelay), the seconds
+// remote accumulates held victim compute engines (interference, §5.2), and
+// per-link busy time, queue delay and bytes on link-routed topologies are
+// read off the schedule and reported through runtime.StreamStatsOf and
+// runtime.FabricStatsOf. Schedule exposes the engine and its result for
+// trace.WriteGantt.
 package gpubackend
 
 import (
@@ -59,9 +56,8 @@ import (
 	"slicing/internal/simnet"
 )
 
-// Backend builds stream/event-timed worlds over one evaluation system (an
-// interconnect topology plus a device model, e.g. Table 2's PVC or H100
-// node).
+// Backend builds timed worlds over one evaluation system (an interconnect
+// topology plus a device model, e.g. Table 2's PVC or H100 node).
 type Backend struct {
 	Topo simnet.Topology
 	Dev  gpusim.Device
@@ -82,278 +78,140 @@ func (b Backend) NewWorld(p int) rt.World {
 			p, b.Topo.NumPE(), b.Topo.Name()))
 	}
 	w := &World{
-		inner:    shmem.NewWorld(p),
-		sys:      simnet.System{Topo: b.Topo, Dev: b.Dev},
-		tl:       gpusim.NewTimeline(),
-		host:     make([]float64, p),
-		snapshot: make([]float64, p),
-		compute:  make([]*gpusim.Stream, p),
-		copyIn:   make([][]*gpusim.Stream, p),
-		copyOut:  make([][]*gpusim.Stream, p),
+		shmemWorld: shmem.NewWorld(p),
+		sys:        simnet.System{Topo: b.Topo, Dev: b.Dev},
+		logs:       make([][]record, p),
+		eng:        gpusim.NewEngine(),
 	}
 	w.routed, _ = b.Topo.(simnet.Routed)
-	nIn, nOut := b.Dev.NumCopyInEngines(), b.Dev.NumCopyOutEngines()
-	for i := 0; i < p; i++ {
-		w.compute[i] = w.tl.NewStream(fmt.Sprintf("pe%d.compute", i))
-		w.copyIn[i] = engineStreams(w.tl, fmt.Sprintf("pe%d.copy-in", i), nIn)
-		w.copyOut[i] = engineStreams(w.tl, fmt.Sprintf("pe%d.copy-out", i), nOut)
-	}
-	if w.routed != nil {
-		n := w.routed.NumLinks()
-		w.linkRes = make([]gpusim.ResourceID, n)
-		w.linkBytes = make([]int64, n)
-		for i := 0; i < n; i++ {
-			w.linkRes[i] = w.tl.AddResource(w.routed.LinkName(i))
-		}
-	} else {
-		w.egress = make([]gpusim.ResourceID, p)
-		w.ingress = make([]gpusim.ResourceID, p)
-		for i := 0; i < p; i++ {
-			w.egress[i] = w.tl.AddResource(fmt.Sprintf("pe%d.egress", i))
-			w.ingress[i] = w.tl.AddResource(fmt.Sprintf("pe%d.ingress", i))
-		}
-	}
 	return w
 }
 
-// engineStreams registers n same-role DMA engine streams for one PE. A
-// single engine keeps the historical name; multiple engines are numbered.
-func engineStreams(tl *gpusim.Timeline, base string, n int) []*gpusim.Stream {
-	streams := make([]*gpusim.Stream, n)
-	for e := 0; e < n; e++ {
-		name := base
-		if n > 1 {
-			name = fmt.Sprintf("%s%d", base, e)
-		}
-		streams[e] = tl.NewStream(name)
-	}
-	return streams
-}
+// shmemWorld aliases the inner world's type so World can embed it without
+// the field name colliding with the World() method of the runtime contract.
+type shmemWorld = shmem.World
 
-// World is a stream/event-timed world: real symmetric memory (delegated to
-// an inner shmem world) plus modeled per-device engines on a shared
-// timeline and a host clock per PE.
+// World is a timed world: real symmetric memory and traffic counters (the
+// embedded shmem world, so Stats match what shmem would count) plus a
+// per-PE log of the modeled ops, scheduled on demand.
 type World struct {
-	inner  *shmem.World
+	*shmemWorld
 	sys    simnet.System // the op prices
 	routed simnet.Routed // non-nil when sys.Topo models individual links
 
-	tl      *gpusim.Timeline
-	compute []*gpusim.Stream    // per-PE compute stream (GEMMs, accumulate kernels)
-	copyIn  [][]*gpusim.Stream  // per-PE get DMA engines (Device.CopyInEngines)
-	copyOut [][]*gpusim.Stream  // per-PE put/accumulate-egress DMA engines
-	egress  []gpusim.ResourceID // per-PE fabric egress port (scalar topologies)
-	ingress []gpusim.ResourceID // per-PE fabric ingress port (scalar topologies)
-	linkRes []gpusim.ResourceID // per-fabric-link resource (routed topologies)
+	mu   sync.Mutex
+	logs [][]record // per-PE ops in issue order
 
-	mu           sync.Mutex
-	host         []float64 // per-PE host clock: when the PE's thread is at
-	snapshot     []float64 // host-clock snapshots for barrier time-sync
-	linkBytes    []int64   // per-link payload bytes (routed topologies)
-	interference float64   // seconds remote accums occupied victim compute streams
+	// The schedule of logs; schedule rebuilds it when not fresh.
+	fresh        bool
+	eng          *gpusim.Engine
+	occ          simnet.Occupancy
+	res          gpusim.Result
+	ops          int       // modeled ops (joins and barriers excluded)
+	interference float64   // seconds remote accumulates held victim compute engines
+	queueDelay   float64   // total queue delay of res
+	resDelay     []float64 // queue delay charged to each engine resource
+	linkBytes    []int64   // payload per fabric link (routed topologies)
 }
 
 // Compile-time checks against the runtime contract.
 var (
 	_ rt.Backend      = Backend{}
-	_ rt.World        = (*World)(nil)
 	_ rt.TimedWorld   = (*World)(nil)
 	_ rt.LinkDegrader = (*World)(nil)
-	_ rt.PE           = (*pe)(nil)
 	_ rt.GemmTimer    = (*pe)(nil)
+	_ rt.HostThreader = (*pe)(nil)
 )
 
 // World returns the world itself, satisfying runtime.Allocator.
 func (w *World) World() rt.World { return w }
 
-// NumPE returns the number of processing elements.
-func (w *World) NumPE() int { return w.inner.NumPE() }
-
-// AllocSymmetric reserves a segment of n float32 on every PE.
-func (w *World) AllocSymmetric(n int) rt.SegmentID { return w.inner.AllocSymmetric(n) }
-
-// SegmentStorage returns rank's backing array for host-side initialization.
-func (w *World) SegmentStorage(seg rt.SegmentID, rank int) []float32 {
-	return w.inner.SegmentStorage(seg, rank)
-}
-
-// SegmentLen returns the per-PE length of a segment.
-func (w *World) SegmentLen(seg rt.SegmentID) int { return w.inner.SegmentLen(seg) }
-
-// Stats returns the world's traffic counters (identical to what the shmem
-// backend would count for the same run).
-func (w *World) Stats() rt.Stats { return w.inner.Stats() }
-
-// ResetStats zeroes the traffic counters.
-func (w *World) ResetStats() { w.inner.ResetStats() }
-
-// Run executes body on every PE. Host clocks and engine schedules persist
-// across calls so a multi-phase workload accumulates one timeline; use
-// ResetTime between independent measurements.
+// Run executes body on every PE. The logs persist across calls, so a
+// multi-phase workload accumulates one schedule; use ResetTime between
+// independent measurements.
 func (w *World) Run(body func(pe rt.PE)) {
-	w.inner.Run(func(inner rt.PE) {
-		body(&pe{inner: inner, w: w, rank: inner.Rank()})
+	w.shmemWorld.Run(func(inner rt.PE) {
+		body(&pe{PE: inner, w: w, rank: inner.Rank()})
 	})
 }
 
-// PredictedSeconds returns the modeled wall-clock so far: the furthest
-// point reached by any PE's host clock or any engine's schedule (an
-// enqueued op can outlive the host clock of the PE that issued it). Call
-// it after Run.
+// PredictedSeconds returns the modeled wall-clock of everything run so
+// far: the makespan of the scheduled logs.
 func (w *World) PredictedSeconds() float64 {
-	w.mu.Lock()
-	worst := 0.0
-	for _, c := range w.host {
-		if c > worst {
-			worst = c
-		}
-	}
-	w.mu.Unlock()
-	if end := w.tl.End(); end > worst {
-		worst = end
-	}
-	return worst
+	defer w.scheduled()()
+	return w.res.Makespan
 }
 
-// PETime returns one rank's host-clock time.
-func (w *World) PETime(rank int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.host[rank]
-}
-
-// ResetTime rewinds the model to t=0: host clocks, engine schedules, queue
-// and interference accounting, and per-link byte counters.
+// ResetTime rewinds the model to t=0 by dropping every PE's log.
 func (w *World) ResetTime() {
 	w.mu.Lock()
-	for i := range w.host {
-		w.host[i] = 0
+	defer w.mu.Unlock()
+	for i := range w.logs {
+		w.logs[i] = w.logs[i][:0]
 	}
-	for i := range w.linkBytes {
-		w.linkBytes[i] = 0
-	}
-	w.interference = 0
-	w.mu.Unlock()
-	w.tl.Reset()
+	w.fresh = false
 }
 
-// FabricLinkStats reports per-link busy/queue/byte accounting from the
-// timeline's link resources (runtime.TimedWorld). It returns nil on scalar
-// topologies — absence is information.
+// StreamStats reports the schedule's delay signals (runtime.TimedWorld).
+func (w *World) StreamStats() rt.StreamStats {
+	defer w.scheduled()()
+	return rt.StreamStats{QueueDelaySeconds: w.queueDelay, AccumInterferenceSeconds: w.interference, StreamOps: w.ops}
+}
+
+// FabricLinkStats reports per-link busy/queue/byte accounting read off the
+// schedule (runtime.TimedWorld). A transfer queued behind several links
+// freed at the same instant is charged to the lowest-numbered one. It
+// returns nil on scalar topologies — absence is information.
 func (w *World) FabricLinkStats() []rt.LinkStats {
 	if w.routed == nil {
 		return nil
 	}
-	out := make([]rt.LinkStats, len(w.linkRes))
-	w.mu.Lock()
-	for i := range out {
-		out[i].Bytes = w.linkBytes[i]
-	}
-	w.mu.Unlock()
-	for i, res := range w.linkRes {
-		out[i].Link = w.routed.LinkName(i)
-		out[i].BusySeconds = w.tl.BusyFor(res)
-		out[i].QueueDelaySeconds = w.tl.QueueDelayFor(res)
+	defer w.scheduled()()
+	out := make([]rt.LinkStats, len(w.occ.Links))
+	for li, r := range w.occ.Links {
+		out[li] = rt.LinkStats{Link: w.routed.LinkName(li), BusySeconds: w.res.BusyTime[r],
+			QueueDelaySeconds: w.resDelay[r], Bytes: w.linkBytes[li]}
 	}
 	return out
 }
 
+// Schedule returns the engine holding the scheduled logs and its result,
+// for trace.WriteGantt. Both stay valid until the logs change and are
+// scheduled again.
+func (w *World) Schedule() (*gpusim.Engine, gpusim.Result) {
+	defer w.scheduled()()
+	return w.eng, w.res
+}
+
+// scheduled locks the world with its logs scheduled and returns the
+// unlock.
+func (w *World) scheduled() (unlock func()) {
+	w.mu.Lock()
+	w.schedule()
+	return w.mu.Unlock
+}
+
 // DegradeLink downtrains the named fabric link mid-run
 // (runtime.LinkDegrader) via the race-safe fabric.DegradeAt path; ops
-// priced after the call see the degraded rail. Returns false on scalar
-// topologies or unknown link names.
+// issued after the call are priced on the degraded rail. Returns false on
+// scalar topologies or unknown link names.
 func (w *World) DegradeLink(name string, factor float64) bool {
 	ft, ok := w.sys.Topo.(interface{ Fabric() *fabric.Fabric })
 	if !ok {
 		return false
 	}
-	f := ft.Fabric()
-	for li := 0; li < f.NumLinks(); li++ {
-		if f.LinkAt(li).Name == name {
-			f.DegradeAt(li, factor)
-			return true
-		}
+	li, ok := ft.Fabric().LinkIndex(name)
+	if ok {
+		ft.Fabric().DegradeAt(li, factor)
 	}
-	return false
+	return ok
 }
 
-// netResources returns the network resources a src→dst transfer occupies:
-// the whole static link route on a routed topology, or the legacy
-// egress/ingress port pair on a scalar one. nil for device-local copies.
-func (w *World) netResources(src, dst, bytes int) []gpusim.ResourceID {
-	if src == dst {
-		return nil
-	}
-	if w.routed == nil {
-		return []gpusim.ResourceID{w.egress[src], w.ingress[dst]}
-	}
-	route := w.routed.RouteIDs(src, dst)
-	res := make([]gpusim.ResourceID, len(route))
+// record appends r to rank's log and returns its index.
+func (w *World) record(rank int, r record) int32 {
 	w.mu.Lock()
-	for i, li := range route {
-		res[i] = w.linkRes[li]
-		w.linkBytes[li] += int64(bytes)
-	}
-	w.mu.Unlock()
-	return res
-}
-
-// nextCopyIn picks the engine for this PE's next get: the one whose
-// queue drains earliest, the dispatch a hardware runtime's
-// least-loaded engine selection approximates. Ops therefore queue only
-// when every engine is busy.
-func (w *World) nextCopyIn(rank int) *gpusim.Stream {
-	return leastLoaded(w.copyIn[rank])
-}
-
-// nextCopyOut picks the engine for this PE's next put/accumulate egress.
-func (w *World) nextCopyOut(rank int) *gpusim.Stream {
-	return leastLoaded(w.copyOut[rank])
-}
-
-// leastLoaded returns the stream whose tail event fires earliest (ties
-// go to the lowest-numbered engine, keeping schedules deterministic).
-func leastLoaded(streams []*gpusim.Stream) *gpusim.Stream {
-	best := streams[0]
-	bestT := best.LastEvent().Time()
-	for _, s := range streams[1:] {
-		if t := s.LastEvent().Time(); t < bestT {
-			best, bestT = s, t
-		}
-	}
-	return best
-}
-
-// StreamStats reports the run's stream-level delay signals
-// (runtime.TimedWorld).
-func (w *World) StreamStats() rt.StreamStats {
-	w.mu.Lock()
-	interference := w.interference
-	w.mu.Unlock()
-	return rt.StreamStats{
-		QueueDelaySeconds:        w.tl.QueueDelay(),
-		AccumInterferenceSeconds: interference,
-		StreamOps:                w.tl.NumOps(),
-	}
-}
-
-// Timeline exposes the underlying schedule for tests and trace rendering.
-func (w *World) Timeline() *gpusim.Timeline { return w.tl }
-
-// hostAdvanceTo raises rank's host clock to at least t (sync-op completion
-// and future waits).
-func (w *World) hostAdvanceTo(rank int, t float64) {
-	w.mu.Lock()
-	if t > w.host[rank] {
-		w.host[rank] = t
-	}
-	w.mu.Unlock()
-}
-
-// noteInterference records dur seconds of a remote accumulate occupying a
-// victim compute stream.
-func (w *World) noteInterference(dur float64) {
-	w.mu.Lock()
-	w.interference += dur
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	w.logs[rank] = append(w.logs[rank], r)
+	w.fresh = false
+	return int32(len(w.logs[rank]) - 1)
 }

@@ -31,6 +31,19 @@ func approx(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-12+1e-9*math.Abs(want)
 }
 
+// timings returns the scheduled ops of w with the given label, in the
+// order they were recorded rank by rank.
+func timings(w *gpubackend.World, label string) []gpusim.OpTiming {
+	_, res := w.Schedule()
+	var out []gpusim.OpTiming
+	for _, tm := range res.Timings {
+		if tm.Label == label {
+			out = append(out, tm)
+		}
+	}
+	return out
+}
+
 // TestAsyncGetsQueueOnCopyEngine pins the queue-depth effect: two
 // back-to-back async gets issued by one PE serialize on its copy-in engine,
 // so the second completes a full transfer later and its wait is recorded as
@@ -239,13 +252,17 @@ func TestSyncGetAdvancesClock(t *testing.T) {
 		if pe.Rank() == 0 {
 			dst := make([]float32, 1000)
 			pe.Get(dst, seg, 1, 0)
+			rt.ChargeGemm(pe, 1, 1, 1) // starts when the host clock does
+		} else {
+			rt.ChargeGemm(pe, 1, 1, 1)
 		}
 	})
 	want := 1000 * secPerFloat
-	if got := w.PETime(0); math.Abs(got-want) > want*1e-9 {
+	gemms := timings(w, "gemm")
+	if got := gemms[0].Start; math.Abs(got-want) > want*1e-9 {
 		t.Fatalf("clock after sync get = %g, want %g", got, want)
 	}
-	if got := w.PETime(1); got != 0 {
+	if got := gemms[1].Start; got != 0 {
 		t.Fatalf("target clock moved to %g; one-sided ops must not consume target time", got)
 	}
 }
@@ -283,7 +300,8 @@ func TestEgressPortContentionSerializes(t *testing.T) {
 	if got, want := w.PredictedSeconds(), 2*one; math.Abs(got-want) > want*1e-9 {
 		t.Fatalf("contended makespan = %g, want %g (two serialized transfers)", got, want)
 	}
-	first, second := w.PETime(1), w.PETime(2)
+	gets := timings(w, "get")
+	first, second := gets[0].End, gets[1].End
 	if first > second {
 		first, second = second, first
 	}
@@ -304,7 +322,7 @@ func TestLocalOpsBypassPorts(t *testing.T) {
 		}
 	})
 	want := 4000 / 1e12
-	if got := w.PETime(0); math.Abs(got-want) > want*1e-6 {
+	if got := w.PredictedSeconds(); math.Abs(got-want) > want*1e-6 {
 		t.Fatalf("local get time = %g, want %g", got, want)
 	}
 }
@@ -312,17 +330,18 @@ func TestLocalOpsBypassPorts(t *testing.T) {
 func TestAsyncGetDefersClockToWait(t *testing.T) {
 	w := testWorld(2)
 	seg := w.AllocSymmetric(1000)
-	var atIssue, afterWait float64
 	w.Run(func(pe rt.PE) {
 		if pe.Rank() != 0 {
 			return
 		}
 		dst := make([]float32, 1000)
 		f := pe.GetAsync(dst, seg, 1, 0)
-		atIssue = w.PETime(0)
+		rt.ChargeGemm(pe, 1, 1, 1) // starts at the host clock after issue
 		f.Wait()
-		afterWait = w.PETime(0)
+		rt.ChargeGemm(pe, 1, 1, 1) // starts at the host clock after Wait
 	})
+	gemms := timings(w, "gemm")
+	atIssue, afterWait := gemms[0].Start, gemms[1].Start
 	if atIssue != 0 {
 		t.Fatalf("clock advanced to %g at issue; async ops must charge at Wait", atIssue)
 	}
@@ -346,22 +365,27 @@ func TestAsyncOverlapsWithCompute(t *testing.T) {
 		rt.ChargeGemm(pe, 1000, 1000, 500) // 1e9 flops at 1 TFLOP/s
 		f.Wait()
 	})
-	if got := w.PETime(0); math.Abs(got-1e-3) > 1e-12 {
+	if got := w.PredictedSeconds(); math.Abs(got-1e-3) > 1e-12 {
 		t.Fatalf("overlapped time = %g, want 1e-3 (transfer hidden)", got)
 	}
 }
 
 func TestBarrierSyncsClocks(t *testing.T) {
 	w := testWorld(4)
+	seg := w.AllocSymmetric(1)
 	w.Run(func(pe rt.PE) {
 		if pe.Rank() == 2 {
 			rt.ChargeGemm(pe, 1000, 1000, 250000) // 5e11 flops at 1 TFLOP/s
 		}
 		pe.Barrier()
-		if now := w.PETime(pe.Rank()); now < 0.5 {
-			t.Errorf("rank %d clock %g after barrier, want >= 0.5", pe.Rank(), now)
-		}
+		// A zero-length local get costs nothing and starts at the clock.
+		pe.Get(nil, seg, pe.Rank(), 0)
 	})
+	for rank, tm := range timings(w, "get") {
+		if now := tm.Start; now < 0.5 {
+			t.Errorf("rank %d clock %g after barrier, want >= 0.5", rank, now)
+		}
+	}
 	if got := w.PredictedSeconds(); got != 0.5 {
 		t.Fatalf("makespan = %g, want 0.5", got)
 	}
@@ -376,7 +400,7 @@ func TestAccumulateGetPutPricedAsRoundTrip(t *testing.T) {
 		}
 	})
 	want := 2 * 1000 * secPerFloat
-	if got := w.PETime(0); math.Abs(got-want) > want*1e-9 {
+	if got := w.PredictedSeconds(); math.Abs(got-want) > want*1e-9 {
 		t.Fatalf("get+put accumulate = %g, want %g (full round trip)", got, want)
 	}
 }
@@ -388,7 +412,7 @@ func TestChargeGemmUsesDeviceRoofline(t *testing.T) {
 		rt.ChargeGemm(pe, 64, 64, 64)
 	})
 	want := dev.GemmTime(64, 64, 64) + dev.LaunchOverhead
-	if got := w.PETime(0); math.Abs(got-want) > want*1e-9 {
+	if got := w.PredictedSeconds(); math.Abs(got-want) > want*1e-9 {
 		t.Fatalf("gemm charge = %g, want %g", got, want)
 	}
 }

@@ -1,19 +1,15 @@
 // Package gpusim simulates the GPU devices of the paper's evaluation
 // systems: a roofline compute model (Device), a memory pool (Pool), and
-// two schedulers over exclusive resources that account for overlap
-// between communication and computation:
-//
-//   - Engine is the offline discrete-event simulator: build a whole DAG
-//     of ops with AddOp (dependencies are event edges by OpID), then Run
-//     list-schedules it. The plan replay (universal.ModelExecutor, behind
-//     SimulateMultiply) uses it.
-//   - Timeline is the online stream/event layer: ops are scheduled the
-//     moment they are submitted, so real execution can interleave with
-//     the model. Stream gives in-order command queues bound to an engine
-//     (the analogue of CUDA / Level Zero streams), Event the cross-stream
-//     dependency handles, and the Timeline records queue delay — time ops
-//     sat behind busy engines. internal/gpubackend builds a
-//     runtime.Backend from it.
+// Engine, the one discrete-event scheduler over exclusive resources that
+// accounts for overlap between communication and computation. Build a
+// whole DAG of ops with AddOp (dependencies are edges by OpID), then Run
+// list-schedules it; QueueDelay reads the time ops sat ready behind busy
+// resources off the finished schedule. Both timing paths schedule on it:
+// the plan replay (universal.ModelExecutor, behind SimulateMultiply) and
+// the timed backend (internal/gpubackend), which records each PE's ops
+// while it runs and schedules the logs once when asked for a time. Both
+// build their DAGs through simnet.Occupancy, so they agree on which
+// engines and links every op holds.
 //
 // The paper reports performance as percent of theoretical FP32 peak
 // (Figures 2-3). This package provides the device half of that model; the
@@ -115,7 +111,7 @@ func (d Device) GemmTime(m, n, k int) float64 {
 	eff := d.shapeEfficiency(m, n, k)
 	computeT := flops / (d.PeakFlops * eff)
 	memT := bytes / d.MemBW
-	return maxf(computeT, memT)
+	return max(computeT, memT)
 }
 
 // GemmEfficiency returns the fraction of peak the device achieves on an
@@ -154,13 +150,6 @@ func (d Device) AccumTime(bytes, linkBW float64) float64 {
 
 func (d Device) String() string {
 	return fmt.Sprintf("%s (%.1f TFLOPs, %.2f TB/s)", d.Name, d.PeakFlops/1e12, d.MemBW/1e12)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // cbrt is a small positive-domain cube root (avoids importing math for one

@@ -1,8 +1,10 @@
 package gpusim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ResourceID names an exclusive resource in the discrete-event engine: a
@@ -23,19 +25,6 @@ const (
 	OpAccum
 	OpOther
 )
-
-func (k OpKind) String() string {
-	switch k {
-	case OpCompute:
-		return "compute"
-	case OpComm:
-		return "comm"
-	case OpAccum:
-		return "accum"
-	default:
-		return "other"
-	}
-}
 
 // op is the per-op header; deps and resources live in the engine's flat
 // CSR arrays (depFlat/resFlat indexed by depOff/resOff), and the label in
@@ -270,24 +259,12 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// feasibleStart returns the earliest instant op id could start given the
-// current dependency ends and resource availability.
-func (e *Engine) feasibleStart(id OpID) float64 {
-	s := &e.sched
-	start := s.depEnd[id]
-	for _, r := range e.resourcesOf(id) {
-		if s.resAvail[r] > start {
-			start = s.resAvail[r]
-		}
-	}
-	return start
-}
-
-// feasibleStartBinding is feasibleStart plus the binding resource: the
-// first resource whose availability equals the start (preferring a
-// resource over the dependency bound on ties, since only resource
-// releases can push the start further). -1 when the dependency bound
-// strictly dominates or the op uses no resources.
+// feasibleStartBinding returns the earliest instant op id could start
+// given the current dependency ends and resource availability, and the
+// binding resource: the first resource whose availability equals the
+// start (preferring a resource over the dependency bound on ties, since
+// only resource releases can push the start further). -1 when the
+// dependency bound strictly dominates or the op uses no resources.
 func (e *Engine) feasibleStartBinding(id OpID) (float64, int32) {
 	s := &e.sched
 	start := s.depEnd[id]
@@ -701,4 +678,51 @@ func (e *Engine) RunListOracle() Result {
 		scheduled++
 	}
 	return res
+}
+
+// QueueDelay derives queue delay from res, the schedule Run returned for
+// this DAG: an op that starts after its latest dependency ended sat ready
+// behind busy resources for the difference. It returns the total over all
+// ops and, when perResource is non-nil (one entry per resource), charges
+// each op's delay to its binding resource: the one whose previous
+// occupant ended exactly at the op's start, the lowest ResourceID among
+// ties. Run never computes it, so replays that do not ask pay nothing.
+func (e *Engine) QueueDelay(res Result, perResource []float64) float64 {
+	order := make([]OpID, len(e.ops))
+	for i := range order {
+		order[i] = OpID(i)
+	}
+	// Run schedules in nondecreasing start order, so walking the ops by
+	// (start, id) replays each resource's availability as Run saw it.
+	slices.SortFunc(order, func(a, b OpID) int {
+		if c := cmp.Compare(res.Timings[a].Start, res.Timings[b].Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	avail := make([]float64, len(e.resources))
+	total := 0.0
+	for _, id := range order {
+		tm := &res.Timings[id]
+		ready := 0.0
+		for _, d := range e.depsOf(id) {
+			ready = max(ready, res.Timings[d].End)
+		}
+		if wait := tm.Start - ready; wait > 0 {
+			total += wait
+			binding := ResourceID(-1)
+			for _, r := range tm.Resources {
+				if avail[r] == tm.Start && (binding < 0 || r < binding) {
+					binding = r
+				}
+			}
+			if perResource != nil && binding >= 0 {
+				perResource[binding] += wait
+			}
+		}
+		for _, r := range tm.Resources {
+			avail[r] = max(avail[r], tm.End)
+		}
+	}
+	return total
 }

@@ -411,3 +411,11 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		}
 	}
 }
+
+// roundSize is the bucketed size of a request for n elements.
+func roundSize(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return bucketSizes[bucketFor(n)]
+}

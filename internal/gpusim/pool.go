@@ -62,14 +62,6 @@ func bucketFor(n int) int {
 	return len(bucketSizes)
 }
 
-// roundSize is the bucketed size of a request for n elements.
-func roundSize(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return bucketSizes[bucketFor(n)]
-}
-
 // Get returns a zeroed buffer of at least n elements (len == n).
 func (p *Pool) Get(n int) []float32 {
 	buf, recycled := p.get(n)

@@ -10,15 +10,17 @@
 //   - internal/shmem: the in-process PGAS backend (goroutine PEs, striped
 //     atomic accumulates), the stand-in for Intel SHMEM / NVSHMEM.
 //   - internal/gpubackend: the timed backend, which performs the same real
-//     data movement while scheduling every operation on modeled per-device
-//     engines (a compute stream, copy engines) and the interconnect's ports
-//     or links on one gpusim.Timeline, so one run yields both a numeric
-//     result and a modeled wall-clock, including queue-depth contention and
-//     accumulate/GEMM interference (paper §5.2).
+//     data movement while recording every operation, then schedules the
+//     recording on modeled per-device engines (a compute engine, copy
+//     engines) and the interconnect's ports or links with gpusim.Engine,
+//     so one run yields both a numeric result and a modeled wall-clock,
+//     including queue-depth contention and accumulate/GEMM interference
+//     (paper §5.2).
 //
 // The contract has a small mandatory core (Backend, World, PE, Future) and
 // optional capability interfaces backends add on top: GemmTimer (PEs that
-// price local GEMMs), TimedWorld (worlds with a modeled wall-clock and its
+// price local GEMMs), HostThreader (PEs that model a rank's host threads
+// apart), TimedWorld (worlds with a modeled wall-clock and its
 // stream and link accounting), and the fault hooks in faults.go and
 // membership.go. Helpers in this package (ChargeGemm, PredictedTimeOf,
 // StreamStatsOf, FabricStatsOf) let algorithm and harness code use the
@@ -155,6 +157,24 @@ func ChargeGemm(pe PE, m, n, k int) {
 	}
 }
 
+// HostThreader is implemented by PEs of backends that give each host
+// thread of a rank its own modeled clock (the timed backend). An executor
+// that runs part of a rank's work concurrently on other goroutines issues
+// that work through HostThread(i), so work that overlaps in real execution
+// overlaps in the model; thread 0 is the PE itself.
+type HostThreader interface {
+	HostThread(i int) PE
+}
+
+// HostThread returns pe's handle for its host thread i: pe itself on
+// backends that do not model host threads.
+func HostThread(pe PE, i int) PE {
+	if t, ok := pe.(HostThreader); ok {
+		return t.HostThread(i)
+	}
+	return pe
+}
+
 // TimedWorld is implemented by worlds of timed backends: they carry a
 // modeled wall-clock alongside the real execution, with the stream and link
 // accounting behind it. Harness code uses it to time the same benchmark
@@ -186,7 +206,7 @@ func PredictedTimeOf(w World) (seconds float64, ok bool) {
 }
 
 // StreamStats reports the delay signals of a timed run's per-device
-// streams: how long operations queued behind busy engines, and how long
+// engines: how long operations queued behind busy engines, and how long
 // remote accumulates occupied victim compute engines.
 type StreamStats struct {
 	// QueueDelaySeconds totals the time ops sat queued behind a busy

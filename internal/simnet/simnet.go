@@ -7,7 +7,9 @@
 // latency + bytes/bandwidth(src,dst) seconds. Serializing on ports is what
 // produces the network hot-spotting that the paper's iteration offset
 // (§4.2) exists to avoid, so the discrete-event simulation on top of this
-// package reproduces that effect faithfully.
+// package reproduces that effect faithfully. System is the §4.3 price
+// list and Occupancy the mapping from priced ops to the engine resources
+// they hold; the plan replay and the timed backend share both.
 package simnet
 
 import "fmt"

@@ -256,8 +256,8 @@ func evalPoint(ps PointSpec, idx int, spec Spec, m, n, k int, cache *universal.P
 	fab := fabric.H100FatTree(ps.Nodes, ps.Rails, ps.Oversub)
 	degraded := ""
 	if ps.Degrade < 1 {
-		fab.Degrade(fab.LinkID(DegradedRailName+">"), ps.Degrade)
-		fab.Degrade(fab.LinkID(DegradedRailName+"<"), ps.Degrade)
+		fab.DegradeAt(fab.LinkID(DegradedRailName+">"), ps.Degrade)
+		fab.DegradeAt(fab.LinkID(DegradedRailName+"<"), ps.Degrade)
 		degraded = DegradedRailName
 	}
 	sys := universal.SimSystem{Topo: fab.Topology(), Dev: gpusim.PresetH100Device()}

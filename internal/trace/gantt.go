@@ -15,54 +15,31 @@ import (
 // overlap structure of §4.2/§4.3 schedules visible: a healthy
 // direct-execution schedule shows the compute rows densely packed while
 // the comm rows work in the background. A per-resource utilization figure
-// is printed at the end of each row.
+// is printed at the end of each row. A timed run renders the same way from
+// its world's Schedule(): device engines and, over a link-routed
+// topology, one lane per fabric link.
 func WriteGantt(w io.Writer, eng *gpusim.Engine, res gpusim.Result, width int) {
-	names := make([]string, eng.NumResources())
-	util := make([]float64, len(names))
-	for r := range names {
-		names[r] = eng.ResourceName(gpusim.ResourceID(r))
-		util[r] = res.Utilization(gpusim.ResourceID(r))
-	}
-	renderGantt(w, names, res.Timings, res.Makespan, util, width)
-}
-
-// WriteTimelineGantt renders an online stream/event schedule — a
-// gpubackend World's Timeline() — in the same Gantt form as WriteGantt:
-// one row per engine, port, or fabric link. On a world built over a
-// link-routed topology the fabric links are timeline resources, so the
-// rendering carries a per-link utilization lane alongside the compute and
-// copy-engine lanes.
-func WriteTimelineGantt(w io.Writer, tl *gpusim.Timeline, width int) {
-	makespan := tl.End()
-	names := make([]string, tl.NumResources())
-	util := make([]float64, len(names))
-	for r := range names {
-		names[r] = tl.ResourceName(gpusim.ResourceID(r))
-		if makespan > 0 {
-			util[r] = tl.BusyFor(gpusim.ResourceID(r)) / makespan
-		}
-	}
-	renderGantt(w, names, tl.Timings(), makespan, util, width)
-}
-
-func renderGantt(w io.Writer, names []string, timings []gpusim.OpTiming, makespan float64, util []float64, width int) {
 	if width <= 0 {
 		width = 80
 	}
-	if makespan <= 0 {
+	if res.Makespan <= 0 {
 		fmt.Fprintln(w, "(empty schedule)")
 		return
 	}
+	names := make([]string, eng.NumResources())
 	rows := make([][]byte, len(names))
-	for i := range rows {
-		rows[i] = []byte(strings.Repeat(".", width))
+	nameWidth := 8
+	for r := range names {
+		names[r] = eng.ResourceName(gpusim.ResourceID(r))
+		nameWidth = max(nameWidth, len(names[r]))
+		rows[r] = []byte(strings.Repeat(".", width))
 	}
-	for _, tm := range timings {
+	for _, tm := range res.Timings {
 		if tm.End <= tm.Start {
 			continue
 		}
-		from := int(tm.Start / makespan * float64(width))
-		to := int(tm.End / makespan * float64(width))
+		from := int(tm.Start / res.Makespan * float64(width))
+		to := int(tm.End / res.Makespan * float64(width))
 		if to <= from {
 			to = from + 1
 		}
@@ -77,15 +54,10 @@ func renderGantt(w io.Writer, names []string, timings []gpusim.OpTiming, makespa
 			}
 		}
 	}
-	nameWidth := 8
-	for _, n := range names {
-		if len(n) > nameWidth {
-			nameWidth = len(n)
-		}
-	}
-	fmt.Fprintf(w, "makespan %.6fs  (C=compute G=get A=accum)\n", makespan)
+	fmt.Fprintf(w, "makespan %.6fs  (C=compute G=get A=accum)\n", res.Makespan)
 	for r := range names {
-		fmt.Fprintf(w, "%2d %-*s |%s| %5.1f%%\n", r, nameWidth, names[r], rows[r], util[r]*100)
+		util := res.Utilization(gpusim.ResourceID(r))
+		fmt.Fprintf(w, "%2d %-*s |%s| %5.1f%%\n", r, nameWidth, names[r], rows[r], util*100)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"slicing/internal/bench"
+	"slicing/internal/fabric"
+	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
 	"slicing/internal/runtime"
 	"slicing/internal/universal"
@@ -120,31 +122,40 @@ func TestWriteGanttEmpty(t *testing.T) {
 	}
 }
 
+// TestWriteTimelineGantt renders a timed run from its world's schedule:
+// device engines and fabric links share one Gantt, each with its
+// utilization.
 func TestWriteTimelineGantt(t *testing.T) {
-	tl := gpusim.NewTimeline()
-	comp := tl.NewStream("pe0.compute")
-	link := tl.AddResource("n0.nic0.ib>")
-	tl.Submit(gpusim.StreamOp{Label: "get", Kind: gpusim.OpComm, Duration: 1.0,
-		Resources: []gpusim.ResourceID{link}})
-	comp.Enqueue(gpusim.StreamOp{Label: "gemm", Kind: gpusim.OpCompute, NotBefore: 1.0, Duration: 2.0})
+	f := fabric.SingleSwitch(2, 1e9, 1e12, 0, "mini")
+	dev := gpusim.Device{Name: "flat", PeakFlops: 1e12, MemBW: 1e12, AccumBWFactor: 1}
+	w := gpubackend.New(f.Topology(), dev).NewWorld(2).(*gpubackend.World)
+	seg := w.AllocSymmetric(250_000)
+	w.Run(func(pe runtime.PE) {
+		if pe.Rank() == 0 {
+			pe.Get(make([]float32, 250_000), seg, 1, 0) // 1 MB at 1 GB/s: 1 ms
+			runtime.ChargeGemm(pe, 1000, 1000, 1000)    // 2 GFLOP at 1 TFLOP/s: 2 ms
+		}
+	})
 	var sb strings.Builder
-	WriteTimelineGantt(&sb, tl, 30)
+	eng, res := w.Schedule()
+	WriteGantt(&sb, eng, res, 30)
 	out := sb.String()
-	if !strings.Contains(out, "pe0.compute") || !strings.Contains(out, "n0.nic0.ib>") {
-		t.Fatalf("timeline gantt missing resource rows:\n%s", out)
+	if !strings.Contains(out, "pe0.compute") || !strings.Contains(out, "pe0.down") || !strings.Contains(out, "pe0.copy-in") {
+		t.Fatalf("timed-run gantt missing resource rows:\n%s", out)
 	}
 	if !strings.Contains(out, "C") || !strings.Contains(out, "G") {
-		t.Fatalf("timeline gantt missing op markers:\n%s", out)
+		t.Fatalf("timed-run gantt missing op markers:\n%s", out)
 	}
-	// The link worked 1s of a 3s makespan, the compute stream 2s.
+	// The link worked 1 ms of a 3 ms makespan, the compute engine 2 ms.
 	if !strings.Contains(out, "33.3%") || !strings.Contains(out, "66.7%") {
-		t.Fatalf("timeline gantt missing utilization figures:\n%s", out)
+		t.Fatalf("timed-run gantt missing utilization figures:\n%s", out)
 	}
 
 	sb.Reset()
-	WriteTimelineGantt(&sb, gpusim.NewTimeline(), 20)
+	eng, res = gpubackend.New(f.Topology(), dev).NewWorld(2).(*gpubackend.World).Schedule()
+	WriteGantt(&sb, eng, res, 20)
 	if !strings.Contains(sb.String(), "empty") {
-		t.Fatal("empty timeline not reported")
+		t.Fatal("empty timed run not reported")
 	}
 }
 

@@ -184,13 +184,14 @@ type stepState struct {
 }
 
 // chainTask names one ready GEMM→accumulate chain: steps [first, first+n)
-// of f's plan, n-1 of them Chained to their successor. Everything else the
-// chain needs — problem, views, slots — is reached through f,
-// so one crew serves a fused batch of multiplies and a dispatch moves three
-// words. The zero task tells a helper to stop.
+// of f's plan, n-1 of them Chained to their successor, issued on host
+// thread lane (see feeder.dispatch). Everything else the chain needs —
+// problem, views, slots — is reached through f, so one crew serves a fused
+// batch of multiplies and a dispatch moves four words. The zero task tells
+// a helper to stop.
 type chainTask struct {
-	f        *feeder
-	first, n int
+	f              *feeder
+	first, n, lane int
 }
 
 // crew is what one execute call needs besides its feeders: the hand-off
@@ -217,6 +218,9 @@ type crew struct {
 	// started numbers the helpers as they come up.
 	start   func()
 	started atomic.Uint64
+	// chains counts the chains the feeders dispatched, numbering their
+	// host-thread lanes.
+	chains int
 }
 
 var crewPool = sync.Pool{New: func() any {
@@ -230,7 +234,7 @@ func (c *crew) help() {
 	defer c.wg.Done()
 	ret := newRetrier(c.cfg.Retry, uint64(c.pe.Rank())<<16|c.started.Add(1))
 	for t := <-c.tasks; t.f != nil; t = <-c.tasks {
-		t.f.runChain(t.first, t.n, &ret)
+		t.f.runChain(t.first, t.n, t.lane, &ret)
 	}
 }
 
@@ -305,6 +309,7 @@ func execute(pe rt.PE, work []feeder, cfg Config) error {
 	c.pe, c.cfg = nil, Config{}
 	c.box.p.Store(nil)
 	c.started.Store(0)
+	c.chains = 0
 	crewPool.Put(c)
 	return err
 }
@@ -361,7 +366,8 @@ func (f *feeder) feed(c *crew) {
 			f.slot(f.sched.evictions[f.evicted].ref).release()
 		}
 		if !s.Chained {
-			f.dispatch(chainTask{f: f, first: first, n: i + 1 - first})
+			f.dispatch(chainTask{f: f, first: first, n: i + 1 - first, lane: c.chains % c.cfg.MaxInflight})
+			c.chains++
 			first = i + 1
 		}
 	}
@@ -372,20 +378,27 @@ func (f *feeder) feed(c *crew) {
 // own goroutine when none is parked on the channel. The fetches of the next
 // PrefetchDepth steps are already issued either way, so get/compute overlap
 // on asynchronous backends does not depend on who runs the chain.
+//
+// Chains are numbered in dispatch order and the k-th one is issued on host
+// thread k mod MaxInflight (runtime.HostThread), whichever goroutine runs
+// it: a backend that models host threads sees MaxInflight chains overlap,
+// thread 0 shared with the feeder's fetches, independent of which helper
+// happened to be idle. MaxInflight 1 issues everything on the PE itself.
 func (f *feeder) dispatch(t chainTask) {
 	select {
 	case f.c.tasks <- t:
 	default:
-		f.runChain(t.first, t.n, &f.ret)
+		f.runChain(t.first, t.n, t.lane, &f.ret)
 	}
 }
 
 // runChain runs steps [first, first+n) as one chain on the calling
-// goroutine — a helper or the feeder — unless the run has been aborted, and
-// retires the chain's slot references either way.
-func (f *feeder) runChain(first, n int, ret *retrier) {
+// goroutine — a helper or the feeder — issuing on host thread lane, unless
+// the run has been aborted, and retires the chain's slot references either
+// way.
+func (f *feeder) runChain(first, n, lane int, ret *retrier) {
 	if box := &f.c.box; box.err() == nil {
-		box.set(f.gemmChain(first, n, ret))
+		box.set(f.gemmChain(rt.HostThread(f.c.pe, lane), first, n, ret))
 	}
 	f.release(first, first+n)
 }
@@ -497,8 +510,8 @@ func (f *feeder) operand(m *distmat.Matrix, slot *tileSlot, idx index.TileIdx, w
 // pooled buffer and its header on the stack. The accumulate runs under
 // ret's retry budget; a fatal fault comes back as an error with the partial
 // already back in the pool.
-func (f *feeder) gemmChain(first, n int, ret *retrier) error {
-	pe, cfg := f.c.pe, &f.c.cfg
+func (f *feeder) gemmChain(pe rt.PE, first, n int, ret *retrier) error {
+	cfg := &f.c.cfg
 	op := f.plan.Steps[first].Op
 	rows, cols := op.M.Len(), op.N.Len()
 	buf := cfg.Pool.Get(rows * cols)

@@ -244,7 +244,7 @@ func TestGemmAccumulateAllocFree(t *testing.T) {
 		}
 		poolBefore, opsBefore := cfg.Pool.Stats(), w.Stats()
 		const runs = 10
-		allocs := testing.AllocsPerRun(runs-1, func() { f.runChain(0, 3, &f.ret) }) // AllocsPerRun adds a warm-up run
+		allocs := testing.AllocsPerRun(runs-1, func() { f.runChain(0, 3, 0, &f.ret) }) // AllocsPerRun adds a warm-up run
 		if allocs > 0 {
 			t.Errorf("runChain allocates %v objects per chain in steady state, want 0", allocs)
 		}

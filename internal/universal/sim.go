@@ -81,97 +81,6 @@ func SimulateMultiply(prob Problem, cfg Config, sys SimSystem) SimResult {
 	return NewModelExecutor().Simulate(prob, CompilePlans(prob, cfg), cfg, sys)
 }
 
-// simBuilder maps the estimator's transfers onto engine resources the same
-// way the timed backends do: on a scalar topology a src→dst transfer
-// occupies the source's egress port and the destination's ingress port; on
-// a link-routed topology (simnet.Routed) it occupies every link of the
-// static src→dst route, so transfers that share a NIC, a rail, or a spine
-// uplink contend even when their endpoints differ. Across a node boundary
-// (SimSystem.CrossNode) accumulates decompose into the §3 get+put round
-// trip — two chained transfers, each claiming its own route — as in the
-// timed backend. Every duration is a SimSystem price.
-type simBuilder struct {
-	eng     *gpusim.Engine
-	sys     SimSystem
-	compute []gpusim.ResourceID
-	// Scalar port model (routed == nil).
-	egress, ingress []gpusim.ResourceID
-	// Link-routed model.
-	routed  simnet.Routed
-	linkRes []gpusim.ResourceID
-
-	scratch []gpusim.ResourceID // reused per-op resource list (AddOp copies)
-	getDep  [1]gpusim.OpID      // reused dep list for the §3 put-after-get edge
-}
-
-// reset rebinds the builder to an engine/system pair and registers the
-// system's resources, reusing the builder's slices so a long-lived builder
-// (ModelExecutor) re-registers each sweep point's resources without
-// allocating once capacities have grown to the largest point seen.
-func (b *simBuilder) reset(eng *gpusim.Engine, sys SimSystem, p int) {
-	b.eng, b.sys = eng, sys
-	b.routed, _ = sys.Topo.(simnet.Routed)
-	b.compute = b.compute[:0]
-	b.egress = b.egress[:0]
-	b.ingress = b.ingress[:0]
-	b.linkRes = b.linkRes[:0]
-	for pe := 0; pe < p; pe++ {
-		b.compute = append(b.compute, eng.AddResource("compute"))
-		if b.routed == nil {
-			b.egress = append(b.egress, eng.AddResource("egress"))
-			b.ingress = append(b.ingress, eng.AddResource("ingress"))
-		}
-	}
-	if b.routed != nil {
-		for li := 0; li < b.routed.NumLinks(); li++ {
-			b.linkRes = append(b.linkRes, eng.AddResource(b.routed.LinkName(li)))
-		}
-	}
-}
-
-// netRes returns the engine resources a src→dst transfer occupies. The
-// returned slice is the builder's scratch, valid until the next call
-// (AddOp copies it into the engine's CSR storage).
-func (b *simBuilder) netRes(src, dst int) []gpusim.ResourceID {
-	b.scratch = b.scratch[:0]
-	if src == dst {
-		return b.scratch // device-local copies use no network
-	}
-	if b.routed == nil {
-		b.scratch = append(b.scratch, b.egress[src], b.ingress[dst])
-		return b.scratch
-	}
-	for _, li := range b.routed.RouteIDs(src, dst) {
-		b.scratch = append(b.scratch, b.linkRes[li])
-	}
-	return b.scratch
-}
-
-// addAccum appends the engine ops for an accumulate of bytes from rank
-// into dst's memory, gated on deps, and returns the op that completes it.
-// Within a node it is a single accumulate at the measured fraction of copy
-// bandwidth (claiming the initiator's compute engine too on devices that
-// model accumulate/GEMM interference — gpubackend claims the target's, a
-// recorded difference: docs/ARCHITECTURE.md, "Execution estimators");
-// across nodes it is the §3 get+put
-// round trip, the put gated on the get as the coarse lock requires. The
-// cross-node labels are passed in pre-concatenated ("accum_get", ...) so
-// the hot replay path builds no strings.
-func (b *simBuilder) addAccum(label, getLabel, putLabel string, rank, dst, bytes int, deps []gpusim.OpID) gpusim.OpID {
-	if b.sys.CrossNode(rank, dst) {
-		get := b.eng.AddOp(getLabel, gpusim.OpAccum, b.sys.Fetch(dst, rank, bytes),
-			deps, b.netRes(dst, rank))
-		b.getDep[0] = get
-		return b.eng.AddOp(putLabel, gpusim.OpAccum, b.sys.Fetch(rank, dst, bytes),
-			b.getDep[:], b.netRes(rank, dst))
-	}
-	res := b.netRes(rank, dst)
-	if b.sys.Dev.AccumComputeInterference {
-		res = append(res, b.compute[rank])
-	}
-	return b.eng.AddOp(label, gpusim.OpAccum, b.sys.Accum(rank, dst, bytes), deps, res)
-}
-
 // planReplayer maps per-rank plans onto a discrete-event DAG and runs it.
 // It is the one replay implementation, behind ModelExecutor and so behind
 // SimulateMultiply and SimulateCompiledTrace.
@@ -179,7 +88,7 @@ func (b *simBuilder) addAccum(label, getLabel, putLabel string, rank, dst, bytes
 // All scratch lives on the replayer and is grown once, so a reused
 // replayer performs zero steady-state allocations per replay.
 type planReplayer struct {
-	b simBuilder
+	b simnet.Occupancy
 
 	// Per-rank step scratch. fetchA/fetchB replace the old per-step fetch
 	// slice-of-slices: a step issues at most one A fetch and one B fetch,
@@ -213,8 +122,7 @@ func (r *planReplayer) addFetch(cfg Config, rank, i, src, bytes int) gpusim.OpID
 	if gate := i - 1 - cfg.PrefetchDepth; gate >= 0 {
 		r.deps = append(r.deps, r.gemmIDs[gate])
 	}
-	return r.b.eng.AddOp("get", gpusim.OpComm, r.b.sys.Fetch(src, rank, bytes),
-		r.deps, r.b.netRes(src, rank))
+	return r.b.Transfer("get", gpusim.OpComm, src, rank, r.b.Sys.Fetch(src, rank, bytes), r.deps, nil)
 }
 
 // replay builds the engine DAG for plans over sys, runs it, and summarizes.
@@ -222,7 +130,7 @@ func (r *planReplayer) addFetch(cfg Config, rank, i, src, bytes int) gpusim.OpID
 // or Reset). plans must hold exactly sys.Topo.NumPE() rank plans.
 func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []Plan, eng *gpusim.Engine) (SimResult, gpusim.Result) {
 	p := len(plans)
-	r.b.reset(eng, sys, p)
+	r.b.Reset(eng, sys, p)
 
 	result := SimResult{}
 	r.lastOpPerRank = r.lastOpPerRank[:0]
@@ -271,7 +179,7 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 			if m, n, k := s.Op.M.Len(), s.Op.N.Len(), s.Op.K.Len(); m != gm || n != gn || k != gk {
 				gm, gn, gk, gemmT = m, n, k, sys.Gemm(m, n, k)
 			}
-			r.gemmIDs[i] = eng.AddOp("gemm", gpusim.OpCompute, gemmT, r.deps, r.b.compute[rank:rank+1])
+			r.gemmIDs[i] = eng.AddOp("gemm", gpusim.OpCompute, gemmT, r.deps, r.b.Compute[rank:rank+1])
 			r.chainEnd[i] = r.gemmIDs[i]
 
 			// One accumulate per chain, after its last GEMM: a chained step
@@ -279,12 +187,7 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 			// compute resource, so the last one implies the others.
 			if s.AccumBytes > 0 && !s.Chained {
 				r.deps = append(r.deps[:0], r.gemmIDs[i])
-				if s.CLocal {
-					// Local accumulate: read-modify-write in HBM.
-					r.chainEnd[i] = eng.AddOp("accum", gpusim.OpAccum, sys.Accum(rank, rank, s.AccumBytes), r.deps, nil)
-				} else {
-					r.chainEnd[i] = r.b.addAccum("accum", "accum_get", "accum_put", rank, s.CDst, s.AccumBytes, r.deps)
-				}
+				r.chainEnd[i] = r.b.Accumulate("accum", "accum_get", "accum_put", rank, s.CDst, s.AccumBytes, r.deps)
 			}
 		}
 		if n > 0 {
@@ -303,7 +206,7 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 			dst := prob.C.RankFor(prob.C.SlotOf(rank), 0)
 			for _, idx := range prob.C.OwnedTiles(rank) {
 				bytes := prob.C.TileBounds(idx).Area() * 4
-				r.b.addAccum("reduce", "reduce_get", "reduce_put", rank, dst, bytes, r.lastOpPerRank)
+				r.b.Accumulate("reduce", "reduce_get", "reduce_put", rank, dst, bytes, r.lastOpPerRank)
 				result.RemoteAccumBytes += bytes
 			}
 		}
@@ -319,7 +222,7 @@ func (r *planReplayer) replay(prob Problem, cfg Config, sys SimSystem, plans []P
 	}
 	var util float64
 	for pe := 0; pe < p; pe++ {
-		util += run.Utilization(r.b.compute[pe])
+		util += run.Utilization(r.b.Compute[pe])
 	}
 	result.AvgComputeUtil = util / float64(p)
 	return result, run

@@ -72,9 +72,10 @@ func NewWorld(p int) World { return shmem.NewWorld(p) }
 func ShmemBackend() Backend { return shmem.Backend{} }
 
 // GpuSimBackend returns the timed backend for sys: its worlds perform the
-// same real computation while scheduling every operation on modeled
-// per-device engines (a compute stream and copy engines per PE, plus
-// fabric ports or links), so timed runs report a modeled wall-clock
+// same real computation while recording every operation, then schedule
+// the recording on modeled per-device engines (a compute engine and copy
+// engines per PE, plus fabric ports or links), so timed runs report a
+// modeled wall-clock
 // together with queue-depth contention and accumulate/GEMM interference
 // (§5.2). Read the extra signals with StreamStatsOf.
 func GpuSimBackend(sys SimSystem) Backend { return gpubackend.New(sys.Topo, sys.Dev) }
