@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"slicing"
+	"slicing/internal/universal"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/workload_counts.golden")
@@ -173,15 +174,79 @@ func modelReplayCounts(buf *bytes.Buffer) {
 	buf.WriteString(strings.Join(spans, ""))
 }
 
+// e8Rows are experiment E8's two rows: 2048³ with A Custom{300,700} over
+// the preset's PE grid (misaligned with everything else), B ColBlock and C
+// Block2D, Stationary C, on the H100 (8 PEs) and PVC (12 PEs) presets.
+var e8Rows = []struct {
+	name               string
+	sys                func() slicing.SimSystem
+	procRows, procCols int
+}{
+	{"h100", slicing.H100System, 2, 4},
+	{"pvc", slicing.PVCSystem, 3, 4},
+}
+
+// e8Problem lays E8's problem out on a metadata-only world of
+// procRows×procCols PEs at DefaultConfig with C stationary.
+func e8Problem(procRows, procCols int) (slicing.Problem, slicing.Config) {
+	w := slicing.NewModelWorld(procRows * procCols)
+	a := slicing.NewMatrix(w, 2048, 2048, slicing.Custom{TileRows: 300, TileCols: 700, ProcRows: procRows, ProcCols: procCols}, 1)
+	b := slicing.NewMatrix(w, 2048, 2048, slicing.ColBlock{}, 1)
+	c := slicing.NewMatrix(w, 2048, 2048, slicing.Block2D{}, 1)
+	cfg := slicing.DefaultConfig()
+	cfg.Stationary = slicing.StationaryC
+	return slicing.NewProblem(c, a, b), cfg
+}
+
+// generatedOrder is a CompileOrdered order that puts each rank's steps
+// back in the order GenerateOps produced them, undoing the compiler's
+// order pass. It matches steps to ops by value, so it assumes no excluded
+// ranks (adopted ops are not generated by the rank that runs them).
+func generatedOrder(prob slicing.Problem, stat slicing.Stationary) func(int, universal.Plan) []int {
+	return func(rank int, pl universal.Plan) []int {
+		at := make(map[slicing.LocalOp][]int, len(pl.Steps))
+		for i, s := range pl.Steps {
+			at[s.Op] = append(at[s.Op], i)
+		}
+		perm := make([]int, 0, len(pl.Steps))
+		for _, op := range slicing.GenerateOps(rank, prob, stat) {
+			perm = append(perm, at[op][0])
+			at[op] = at[op][1:]
+		}
+		return perm
+	}
+}
+
+// e8Makespans prices E8's problem on sys twice with x: in the compiler's
+// order (CompilePlans) and in the generated order (CompileOrdered).
+func e8Makespans(x *slicing.ModelExecutor, sys slicing.SimSystem, prob slicing.Problem, cfg slicing.Config) (compiler, generated float64) {
+	compiler = x.Simulate(prob, slicing.CompilePlans(prob, cfg), cfg, sys).Makespan
+	gen := universal.CompileOrdered(prob, cfg, generatedOrder(prob, cfg.Stationary))
+	return compiler, x.Simulate(prob, gen, cfg, sys).Makespan
+}
+
+// e8Counts writes both E8 makespans of each row, printed with %v so the
+// value is bit-exact.
+func e8Counts(buf *bytes.Buffer) {
+	x := slicing.NewModelExecutor()
+	for _, row := range e8Rows {
+		prob, cfg := e8Problem(row.procRows, row.procCols)
+		compiler, generated := e8Makespans(x, row.sys(), prob, cfg)
+		fmt.Fprintf(buf, "e8/%s compiler_makespan_s %v\n", row.name, compiler)
+		fmt.Fprintf(buf, "e8/%s generated_makespan_s %v\n", row.name, generated)
+	}
+}
+
 // TestWorkloadCountsGolden pins the exact counts the benchmark's workloads
-// derive from their compiled plans against testdata/workload_counts.golden,
-// one "workload metric value" line each. A change that moves a count shows
+// derive from their compiled plans, and E8's makespans, against
+// testdata/workload_counts.golden, one "workload metric value" line each. A change that moves a count shows
 // up as a diff of that file; run with -update to rewrite it.
 func TestWorkloadCountsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	modelReplayCounts(&buf)
 	mmCounts(&buf, goldenMMWorkloads)
 	mmCounts(&buf, goldenServeWorkloads())
+	e8Counts(&buf)
 
 	path := filepath.Join("testdata", "workload_counts.golden")
 	if *updateGolden {
