@@ -136,7 +136,7 @@ func (w *World) DegradeLink(name string, factor float64) bool {
 func (w *World) Crashed(rank int) bool { return w.crashed[rank].Load() }
 
 // RankFailed implements runtime.HealthReporter from the sticky crash
-// flags, so membership views (runtime.Membership.Sync, DeadRanksOf) and
+// flags, so membership views (runtime.Membership.Sync) and
 // the serving loop's failover path can poll liveness through the plain
 // runtime.World interface.
 func (w *World) RankFailed(rank int) bool { return w.crashed[rank].Load() }
@@ -313,6 +313,20 @@ func (p *pe) AllocSymmetric(n int) rt.SegmentID { return p.inner.AllocSymmetric(
 func (p *pe) Local(seg rt.SegmentID) []float32  { return p.inner.Local(seg) }
 func (p *pe) Barrier()                          { p.inner.Barrier() }
 
+// HostThread implements runtime.HostThreader: the inner PE's host thread
+// i, wrapped like the PE so its ops are injected and its GEMMs priced, or
+// the PE itself when the inner backend models no host threads.
+func (p *pe) HostThread(i int) rt.PE { return p.hostThread(p, i) }
+
+// hostThread returns self, p's flavoured wrapper, where the inner thread i
+// is the inner PE itself, and a new wrapper of the inner thread otherwise.
+func (p *pe) hostThread(self rt.PE, i int) rt.PE {
+	if t := rt.HostThread(p.inner, i); t != p.inner {
+		return p.cw.wrapPE(t)
+	}
+	return self
+}
+
 // PushFaultScope implements runtime.FaultScoper.
 func (p *pe) PushFaultScope() { p.cw.scope[p.rank].Add(1) }
 
@@ -383,9 +397,15 @@ type timedPE struct {
 
 func (p *timedPE) ElapseGemm(m, n, k int) { p.gemm.ElapseGemm(m, n, k) }
 
+// HostThread implements runtime.HostThreader for the timed flavour, so
+// thread 0 keeps GemmTimer.
+func (p *timedPE) HostThread(i int) rt.PE { return p.hostThread(p, i) }
+
 var (
-	_ rt.PE          = (*pe)(nil)
-	_ rt.FaultScoper = (*pe)(nil)
-	_ rt.OpDeadliner = (*pe)(nil)
-	_ rt.GemmTimer   = (*timedPE)(nil)
+	_ rt.PE           = (*pe)(nil)
+	_ rt.FaultScoper  = (*pe)(nil)
+	_ rt.OpDeadliner  = (*pe)(nil)
+	_ rt.HostThreader = (*pe)(nil)
+	_ rt.GemmTimer    = (*timedPE)(nil)
+	_ rt.HostThreader = (*timedPE)(nil)
 )

@@ -329,3 +329,46 @@ func TestWrapPreservesCapabilities(t *testing.T) {
 		t.Fatalf("wrapped backend name %q", got)
 	}
 }
+
+// A wrapped timed world must keep the inner backend's host threads: a
+// sync Get issued on thread 1 overlaps a GEMM on thread 0 exactly as on
+// the bare world, and the Get still passes through injection. Over shmem,
+// which models no host threads, HostThread is the PE itself and free.
+func TestChaosForwardsHostThreads(t *testing.T) {
+	const n = 1 << 16
+	dev := gpusim.PresetPVCDevice()
+	topo := simnet.NewUniform(2, 100e9, 1e12, 1e-6, "threads")
+	program := func(pe rt.PE) {
+		seg := pe.AllocSymmetric(n)
+		if pe.Rank() == 0 {
+			rt.PushFaultScope(pe)
+			rt.HostThread(pe, 1).Get(make([]float32, n), seg, 1, 0)
+			rt.ChargeGemm(rt.HostThread(pe, 0), 512, 512, 512)
+			rt.PopFaultScope(pe)
+		}
+		pe.Barrier()
+	}
+	bare := gpubackend.New(topo, dev).NewWorld(2)
+	bare.Run(program)
+	plan := &Plan{Seed: 1, Rules: []Rule{{Name: "every-get", Ops: OpGet, Rate: 1, Kind: Delay}}}
+	wrapped := WrapWorld(gpubackend.New(topo, dev).NewWorld(2), plan)
+	wrapped.Run(program)
+	want, _ := rt.PredictedTimeOf(bare)
+	got, _ := rt.PredictedTimeOf(wrapped)
+	if got != want {
+		t.Errorf("wrapped world predicts %v s, bare %v s", got, want)
+	}
+	cw, _ := Of(wrapped)
+	if fires := cw.Fires(); len(fires) != 1 || fires[0].Rank != 0 || fires[0].Class != OpGet {
+		t.Errorf("fires %+v, want the one thread-1 Get on rank 0", fires)
+	}
+
+	WrapWorld(shmem.NewWorld(1), plan).Run(func(pe rt.PE) {
+		if rt.HostThread(pe, 1) != pe {
+			t.Error("HostThread over shmem is not the PE itself")
+		}
+		if allocs := testing.AllocsPerRun(10, func() { rt.HostThread(pe, 1) }); allocs != 0 {
+			t.Errorf("HostThread over shmem allocates %v objects", allocs)
+		}
+	})
+}
