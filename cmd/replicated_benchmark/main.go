@@ -9,9 +9,6 @@
 //	                  PEs and verify against the serial reference
 //	-mode sim         run the discrete-event performance model on the
 //	                  selected system preset and report percent of peak
-//	-mode ir-compare  compare direct execution against the greedy,
-//	                  cost-greedy, and (small plans) exhaustive IR
-//	                  schedules in simulated time (experiment E8)
 //	-mode repl-sweep  sweep every valid replication factor for the chosen
 //	                  partitioning (experiment E10)
 //	-mode gantt       render the simulated schedule as an ASCII timeline
@@ -34,7 +31,6 @@ import (
 
 	"slicing/internal/autotune"
 	"slicing/internal/distmat"
-	"slicing/internal/ir"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
 	"slicing/internal/tile"
@@ -44,7 +40,7 @@ import (
 
 func main() {
 	var (
-		mode  = flag.String("mode", "sim", "real | sim | ir-compare | repl-sweep | gantt | autotune")
+		mode  = flag.String("mode", "sim", "real | sim | repl-sweep | gantt | autotune")
 		sysID = flag.String("system", "pvc", "pvc | h100 (sim modes)")
 		m     = flag.Int("m", 1024, "rows of A and C")
 		n     = flag.Int("n", 1024, "cols of B and C")
@@ -92,8 +88,6 @@ func main() {
 			res.Stationary, res.Ops, res.Makespan, res.PercentOfPeak)
 		fmt.Printf("remote_get=%.1fMB remote_accum=%.1fMB compute_util=%.2f\n",
 			float64(res.RemoteGetBytes)/1e6, float64(res.RemoteAccumBytes)/1e6, res.AvgComputeUtil)
-	case "ir-compare":
-		runIRCompare(prob, cfg, sys, pes)
 	case "repl-sweep":
 		runReplSweep(*m, *n, *k, pes, *partA, *partB, *partC, cfg, sys)
 	case "autotune":
@@ -155,29 +149,6 @@ func runReal(w rt.World, prob universal.Problem, cfg universal.Config) {
 	if !ok {
 		os.Exit(1)
 	}
-}
-
-func runIRCompare(prob universal.Problem, cfg universal.Config, sys universal.SimSystem, pes int) {
-	if pes != sys.Topo.NumPE() {
-		fatalf("ir-compare needs -p to match the system preset (%d PEs)", sys.Topo.NumPE())
-	}
-	x := universal.NewModelExecutor()
-	lowered := func(gen func(universal.Plan) ir.Program) universal.SimResult {
-		return x.Simulate(prob, ir.Compile(prob, cfg, gen), cfg, sys)
-	}
-	fmt.Printf("%-12s %12s %14s %10s\n", "schedule", "makespan", "pct_of_peak", "get_MB")
-	for _, row := range []struct {
-		name string
-		res  universal.SimResult
-	}{
-		{"direct", x.Simulate(prob, universal.CompilePlans(prob, cfg), cfg, sys)},
-		{"greedy", lowered(func(pl universal.Plan) ir.Program { return ir.Greedy(pl, ir.DefaultLimits()) })},
-		{"cost-greedy", lowered(func(pl universal.Plan) ir.Program { return ir.CostGreedy(sys, pl, ir.DefaultLimits()) })},
-		{"exhaustive*", lowered(func(pl universal.Plan) ir.Program { return ir.Exhaustive(sys, pl, ir.DefaultLimits()) })},
-	} {
-		fmt.Printf("%-12s %10.6fs %13.1f%% %10.1f\n", row.name, row.res.Makespan, row.res.PercentOfPeak, float64(row.res.RemoteGetBytes)/1e6)
-	}
-	fmt.Println("* exhaustive falls back to cost-greedy beyond", ir.ExhaustiveLimit, "ops/rank")
 }
 
 func runReplSweep(m, n, k, pes int, pa, pb, pc string, cfg universal.Config, sys universal.SimSystem) {

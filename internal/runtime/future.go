@@ -13,22 +13,6 @@ type Future interface {
 	Done() bool
 }
 
-// goFuture is the goroutine-backed Future used by in-process backends.
-type goFuture struct {
-	done chan struct{}
-}
-
-// GoFuture runs op on its own goroutine and returns a Future that completes
-// when op returns.
-func GoFuture(op func()) Future {
-	f := &goFuture{done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		op()
-	}()
-	return f
-}
-
 // completedFuture is the shared already-done Future. Being a zero-size
 // value it never allocates, which matters because the execution hot path
 // creates one per fetch on backends that complete copies at issue time.
@@ -42,14 +26,3 @@ func (completedFuture) Done() bool { return true }
 // prefetch pipeline can treat local and remote tiles uniformly — and by
 // backends whose asynchronous operations complete at issue time.
 func CompletedFuture() Future { return completedFuture{} }
-
-func (f *goFuture) Wait() { <-f.done }
-
-func (f *goFuture) Done() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}

@@ -16,23 +16,6 @@ type HealthReporter interface {
 	RankFailed(rank int) bool
 }
 
-// DeadRanksOf polls w's HealthReporter and returns the failed ranks in
-// ascending order, nil when every rank is healthy or the world exposes no
-// health view. The result is ready to use as universal.Config.Exclude.
-func DeadRanksOf(w World) []int {
-	hr, ok := w.(HealthReporter)
-	if !ok {
-		return nil
-	}
-	var dead []int
-	for r := 0; r < w.NumPE(); r++ {
-		if hr.RankFailed(r) {
-			dead = append(dead, r)
-		}
-	}
-	return dead
-}
-
 // Membership is a health view over one world's ranks: per-rank liveness
 // flags plus monotone epochs that advance on every transition, so a
 // consumer can tell "still dead" from "died again after a heal". It is

@@ -3,9 +3,9 @@
 // collectively across processing elements, and exactly two communication
 // primitives — remote get and remote accumulate (plus put, their trivial
 // dual) — addressed by (segment, rank, offset). Everything above this
-// package (the distributed matrix, the universal algorithm, IR execution,
-// serving, the benchmark harness) is written against these interfaces, so
-// the same algorithm runs unmodified on any backend:
+// package (the distributed matrix, the universal algorithm, serving, the
+// benchmark harness) is written against these interfaces, so the same
+// algorithm runs unmodified on any backend:
 //
 //   - internal/shmem: the in-process PGAS backend (goroutine PEs, striped
 //     atomic accumulates), the stand-in for Intel SHMEM / NVSHMEM.

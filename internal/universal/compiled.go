@@ -60,7 +60,9 @@ type PlanKey struct {
 	// hold another order under Order 0; it validates against, and runs, the
 	// order it stores until it is saved again. Any caller-chosen order gets
 	// its own key, so a reordered plan Put into a PlanCache is never
-	// returned for the direct key.
+	// returned for the direct key. It stays because persisted plans carry
+	// it (plancache/v1), so a reordered plan keeps its own key across a
+	// restart.
 	Order   uint64
 	A, B, C MatrixKey
 }
@@ -225,6 +227,8 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 
 // CompileOrdered is CompilePlans with each rank's ops in a caller-chosen
 // order — §4.3's "reordered and lowered" as the same list in another order.
+// It stays as a test hook: E8 prices the generated order through it, and
+// the order-independence tests and ROADMAP item 3's fuzzer permute with it.
 // order receives a rank's compiled plan and returns the step indices in the
 // order to execute them; the permuted steps are walked again at
 // key.CacheTiles (permuteSteps, resolveFetches), so fetch flags, chains, the

@@ -11,6 +11,7 @@ import (
 	"slicing/internal/modelworld"
 	rt "slicing/internal/runtime"
 	"slicing/internal/shmem"
+	"slicing/internal/tile"
 )
 
 // draw is one random configuration of the plan-key property tests: enough
@@ -302,6 +303,56 @@ func TestCompileOrderedKeysAndPanics(t *testing.T) {
 			}()
 			CompileOrdered(prob, cfg, order)
 		}()
+	}
+}
+
+// A reordered plan is an ordinary CompiledPlan: compiled through
+// CompileOrdered and run by the one executor it must match the serial
+// reference, for a seeded random permutation and the reversed order, on a
+// misaligned problem with a replicated C.
+func TestCompiledProgramsExecuteCorrect(t *testing.T) {
+	const p, m, n, k = 4, 22, 26, 18
+	shuffled := func(rank int, pl Plan) []int {
+		return rand.New(rand.NewSource(int64(31 + rank))).Perm(len(pl.Steps))
+	}
+	for _, tc := range []struct {
+		name  string
+		order func(int, Plan) []int
+	}{{"random", shuffled}, {"reversed", reversedOrder}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := shmem.NewWorld(p)
+			a := distmat.New(w, m, k, distmat.Custom{TileRows: 5, TileCols: 7, ProcRows: 2, ProcCols: 2}, 1)
+			b := distmat.New(w, k, n, distmat.ColBlock{}, 1)
+			c := distmat.New(w, m, n, distmat.Block2D{}, 2)
+			prob := NewProblem(c, a, b)
+			cfg := DefaultConfig()
+			cfg.SyncReplicas = true
+			cp := CompileOrdered(prob, cfg, tc.order)
+			direct := CompilePlans(prob, cfg)
+			if cp.Steps() != direct.Steps() || !cp.Matches(prob, cfg) || cp.Key.Order == 0 {
+				t.Fatalf("reordered plan has %d steps (direct %d), matches=%v, order %#x", cp.Steps(), direct.Steps(), cp.Matches(prob, cfg), cp.Key.Order)
+			}
+			var ref, got *tile.Matrix
+			w.Run(func(pe rt.PE) {
+				a.FillRandom(pe, 7)
+				b.FillRandom(pe, 8)
+				c.Zero(pe)
+				err := Execute(pe, []Problem{prob}, []*CompiledPlan{cp}, cfg)
+				Finish(pe, []Problem{prob}, cfg)
+				if err != nil {
+					t.Errorf("rank %d: %v", pe.Rank(), err)
+				}
+				pe.Barrier()
+				if pe.Rank() == 0 {
+					ref = tile.New(m, n)
+					tile.GemmNaive(ref, a.Gather(pe, 0), b.Gather(pe, 0))
+					got = c.Gather(pe, 0)
+				}
+			})
+			if !got.AllClose(ref, 1e-3) {
+				t.Fatalf("result mismatch, maxdiff %g", got.MaxAbsDiff(ref))
+			}
+		})
 	}
 }
 

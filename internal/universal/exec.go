@@ -243,8 +243,7 @@ func (c *crew) help() {
 // (already baked into the op order), prefetching via get_tile_async,
 // asynchronous GEMM→accumulate chains with bounded concurrency, and pooled
 // scratch memory. Multiply passes one plan, the serving layer a fused
-// batch; a plan lowered
-// from a §4.3 IR schedule (CompileOrdered) is the same steps in another
+// batch; a plan reordered by CompileOrdered is the same steps in another
 // order and runs here unchanged.
 //
 // The unit of dispatch is the chain the plan marked (Step.Chained): the

@@ -6,9 +6,9 @@
 // The algorithm picks a stationary matrix (A, B, or C in C = A·B), uses
 // slicing (index arithmetic over tile grids) to enumerate the local matrix
 // multiply operations each process must perform, and then executes that
-// list either directly (§4.2, with iteration offset, prefetching, and
-// asynchronous accumulation) or by lowering to an optimized IR (§4.3,
-// package ir).
+// list directly (§4.2, with iteration offset, prefetching, and
+// asynchronous accumulation), reordered by the compiler's order pass
+// (§4.3's "reordered", orderSteps).
 package universal
 
 import (

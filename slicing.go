@@ -23,9 +23,8 @@
 //
 // The package is a façade: the implementation lives in internal/ packages
 // (index arithmetic, local GEMM kernels, the PGAS runtime, the distributed
-// matrix data structure, the universal algorithm, IR lowering, cost model,
-// serving, and the benchmark harness that regenerates the paper's
-// figures).
+// matrix data structure, the universal algorithm, cost model, serving,
+// and the benchmark harness that regenerates the paper's figures).
 package slicing
 
 import (
