@@ -239,8 +239,9 @@ func e8Counts(buf *bytes.Buffer) {
 
 // TestWorkloadCountsGolden pins the exact counts the benchmark's workloads
 // derive from their compiled plans, and E8's makespans, against
-// testdata/workload_counts.golden, one "workload metric value" line each. A change that moves a count shows
-// up as a diff of that file; run with -update to rewrite it.
+// testdata/workload_counts.golden, one "workload metric value" line each.
+// A change that moves a count shows up as a diff of that file; run with
+// -update to rewrite it.
 func TestWorkloadCountsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	modelReplayCounts(&buf)
