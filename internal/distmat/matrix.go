@@ -29,6 +29,7 @@ type Matrix struct {
 	seg        rt.SegmentID
 	tileOffset [][]int // [tileRow][tileCol] -> offset in owner slot's segment
 	ownerSlot  [][]int // [tileRow][tileCol] -> slot
+	ownerHash  uint64  // see OwnerHash
 }
 
 // New allocates a distributed rows×cols matrix with the given partition
@@ -49,6 +50,7 @@ func New(alloc rt.Allocator, rows, cols int, part Partition, replication int) *M
 	tileOffset := make([][]int, tr)
 	ownerSlot := make([][]int, tr)
 	slotSize := make([]int, slots)
+	hash := fnvMix(fnvMix(fnvOffset64, uint64(tr)), uint64(tc))
 	for r := 0; r < tr; r++ {
 		tileOffset[r] = make([]int, tc)
 		ownerSlot[r] = make([]int, tc)
@@ -60,6 +62,7 @@ func New(alloc rt.Allocator, rows, cols int, part Partition, replication int) *M
 					part.Name(), idx, slot, slots))
 			}
 			ownerSlot[r][c] = slot
+			hash = fnvMix(hash, uint64(slot))
 			tileOffset[r][c] = slotSize[slot]
 			slotSize[slot] += grid.TileBounds(idx).Area()
 		}
@@ -75,9 +78,30 @@ func New(alloc rt.Allocator, rows, cols int, part Partition, replication int) *M
 		world: w, rows: rows, cols: cols, part: part, replication: replication,
 		slots: slots, grid: grid,
 		seg:        alloc.AllocSymmetric(maxSize),
-		tileOffset: tileOffset, ownerSlot: ownerSlot,
+		tileOffset: tileOffset, ownerSlot: ownerSlot, ownerHash: hash,
 	}
 }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvMix folds one 64-bit word into an FNV-1a running hash, byte by byte.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// OwnerHash is an FNV-1a fold of the tile-grid shape and the row-major
+// tile→owner-slot table: two matrices on the same grid have equal hashes
+// exactly when (barring collisions) they assign every tile to the same
+// slot. The layout is fixed at New, so the hash is computed there once.
+func (m *Matrix) OwnerHash() uint64 { return m.ownerHash }
 
 // Rows returns the global row count.
 func (m *Matrix) Rows() int { return m.rows }

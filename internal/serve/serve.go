@@ -132,7 +132,9 @@ func (cfg Config) withDefaults(w rt.World) Config {
 	return cfg
 }
 
-// request is one tenant multiply in flight.
+// request is one tenant multiply in flight. Requests come from the
+// server's free list (getRequest) and go back to it only from Multiply,
+// once the dispatcher has sent its one reply or never saw the request.
 type request struct {
 	ctx     context.Context
 	tenant  *tenant
@@ -140,8 +142,11 @@ type request struct {
 	stat    universal.Stationary
 	traffic rt.Stats
 	err     error
-	done    chan struct{}
-	queued  time.Time
+	// done carries the dispatcher's one reply. It has one slot, so the
+	// dispatcher never waits for the caller, and it is empty again once the
+	// caller has taken the reply, so it is reused with its request.
+	done   chan struct{}
+	queued time.Time
 	// inQueue is true while the request sits in its tenant's queue and can
 	// still be cancelled; guarded by the server mutex.
 	inQueue bool
@@ -154,9 +159,60 @@ type request struct {
 // accounting and its circuit breaker.
 type tenant struct {
 	name  string
-	queue []*request
+	queue ring
 	stats TenantStats
 	brk   breaker
+}
+
+// ring is a tenant's FIFO of queued requests: a circular buffer whose
+// length is a power of two, grown by doubling. Every slot it gives up is
+// cleared, so a request that left the queue — served, cancelled or closed —
+// is never reachable from it, nor are the caller's context and operands.
+type ring struct {
+	buf     []*request
+	head, n int
+}
+
+// slot returns the slot of the i-th queued request, the head at 0.
+func (q *ring) slot(i int) **request { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// push appends r at the tail.
+func (q *ring) push(r *request) {
+	if q.n == len(q.buf) {
+		buf := make([]*request, max(8, 2*len(q.buf)))
+		for i := range q.n {
+			buf[i] = *q.slot(i)
+		}
+		q.buf, q.head = buf, 0
+	}
+	*q.slot(q.n) = r
+	q.n++
+}
+
+// pop removes and returns the head; the queue must not be empty.
+func (q *ring) pop() *request {
+	r := *q.slot(0)
+	*q.slot(0) = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}
+
+// remove deletes r, keeping the others in order, and reports whether r was
+// queued.
+func (q *ring) remove(r *request) bool {
+	for i := range q.n {
+		if *q.slot(i) != r {
+			continue
+		}
+		for j := i; j+1 < q.n; j++ {
+			*q.slot(j) = *q.slot(j + 1)
+		}
+		*q.slot(q.n - 1) = nil
+		q.n--
+		return true
+	}
+	return false
 }
 
 // TenantStats is one tenant's accounting snapshot.
@@ -237,6 +293,28 @@ type Server struct {
 	// seconds, the load-shedding wait model; guarded by mu.
 	batchEWMA float64
 
+	// free is the server's free list of requests, each with its reply
+	// channel (see request). A garbage collection may empty it; getRequest
+	// then makes new ones.
+	free sync.Pool
+
+	// The dispatcher's per-batch state, reused from batch to batch and
+	// cleared after each: the admitted batch and the requests nextBatch
+	// found cancelled, the roles of the matrices the batch touches (the
+	// conflict check), and the batch's problems, plans and config, which
+	// the PE body runPE reads. runPE is executePE bound once, so a batch
+	// passes World.Run a func value it does not allocate. Written only by
+	// the dispatcher, and read by the PEs only inside its World.Run;
+	// execErr is guarded by execMu.
+	batch, dropped []*request
+	roles          roleTable
+	probs          []universal.Problem
+	cps            []*universal.CompiledPlan
+	execCfg        universal.Config
+	runPE          func(pe rt.PE)
+	execMu         sync.Mutex
+	execErr        error
+
 	wake chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -265,7 +343,9 @@ func newServer(w rt.World, cfg Config) *Server {
 		tenants: make(map[string]*tenant),
 		wake:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
+		roles:   roleTable{slots: make([]roleSlot, 64)},
 	}
+	s.runPE = s.executePE
 	if s.cfg.PlanCacheFile != "" {
 		s.warmLoaded, s.persistErr = s.cfg.Exec.Plans.LoadFile(s.cfg.PlanCacheFile)
 	}
@@ -353,38 +433,57 @@ func (s *Server) Multiply(ctx context.Context, tenantName string, c, a, b *distm
 		s.countExpired(tenantName)
 		return 0, err
 	}
-	r := &request{
-		ctx:    ctx,
-		prob:   universal.NewProblem(c, a, b),
-		done:   make(chan struct{}),
-		queued: time.Now(),
-	}
+	r := s.getRequest()
+	r.ctx, r.prob, r.queued = ctx, universal.NewProblem(c, a, b), time.Now()
 	if err := s.enqueue(tenantName, r); err != nil {
+		s.putRequest(r)
 		return 0, err
 	}
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	select {
-	case <-r.done:
-		return r.stat, r.err
-	case <-ctx.Done():
-		if s.tryCancel(r) {
-			return 0, ctx.Err()
+	if done := ctx.Done(); done == nil {
+		<-r.done // a context that is never done needs no select
+	} else {
+		select {
+		case <-r.done:
+		case <-done:
+			if s.tryCancel(r) {
+				s.putRequest(r)
+				return 0, ctx.Err()
+			}
+			// Already admitted: the collective runs to completion; report
+			// the missed deadline.
+			<-r.done
+			if r.err == nil {
+				s.mu.Lock()
+				r.tenant.stats.Expired++
+				s.expired++
+				s.mu.Unlock()
+				r.err = ctx.Err()
+			}
 		}
-		// Already admitted: the collective runs to completion; report the
-		// missed deadline.
-		<-r.done
-		if r.err != nil {
-			return r.stat, r.err
-		}
-		s.mu.Lock()
-		r.tenant.stats.Expired++
-		s.expired++
-		s.mu.Unlock()
-		return r.stat, ctx.Err()
 	}
+	stat, err := r.stat, r.err
+	s.putRequest(r)
+	return stat, err
+}
+
+// getRequest takes a request from the free list, or makes one.
+func (s *Server) getRequest() *request {
+	if r, ok := s.free.Get().(*request); ok {
+		return r
+	}
+	return &request{done: make(chan struct{}, 1)}
+}
+
+// putRequest clears r and returns it to the free list. Only r's caller
+// returns it, after taking the reply or removing r from its queue, so the
+// dispatcher is done with it as well.
+func (s *Server) putRequest(r *request) {
+	*r = request{done: r.done}
+	s.free.Put(r)
 }
 
 // tenantLocked returns tenantName's record, creating it on first contact.
@@ -430,7 +529,7 @@ func (s *Server) enqueue(tenantName string, r *request) error {
 		if deadline, ok := r.ctx.Deadline(); ok {
 			queued := 0
 			for _, qt := range s.tenants {
-				queued += len(qt.queue)
+				queued += qt.queue.n
 			}
 			if wait := projectedWait(s.batchEWMA, queued, s.cfg.Batch); wait > time.Until(deadline) {
 				t.stats.Shed++
@@ -439,13 +538,13 @@ func (s *Server) enqueue(tenantName string, r *request) error {
 			}
 		}
 	}
-	if len(t.queue) >= s.cfg.Queue {
+	if t.queue.n >= s.cfg.Queue {
 		t.stats.Rejected++
 		s.rejected++
 		return ErrQueueFull
 	}
 	if s.cfg.Breaker.Threshold > 0 {
-		ok, probe := t.brk.admit(s.cfg.Breaker, time.Now())
+		ok, probe := t.brk.admit(s.cfg.Breaker, r.queued)
 		if !ok {
 			t.stats.Shed++
 			s.shed++
@@ -455,7 +554,7 @@ func (s *Server) enqueue(tenantName string, r *request) error {
 	}
 	r.tenant = t
 	r.inQueue = true
-	t.queue = append(t.queue, r)
+	t.queue.push(r)
 	return nil
 }
 
@@ -464,66 +563,122 @@ func (s *Server) enqueue(tenantName string, r *request) error {
 func (s *Server) tryCancel(r *request) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !r.inQueue {
+	if !r.inQueue || !r.tenant.queue.remove(r) {
 		return false
 	}
-	q := r.tenant.queue
-	for i, qr := range q {
-		if qr == r {
-			r.tenant.queue = append(q[:i], q[i+1:]...)
-			r.inQueue = false
-			r.tenant.stats.Cancelled++
-			s.cancelled++
-			if r.probe {
-				r.tenant.brk.releaseProbe()
-			}
-			return true
-		}
+	r.inQueue = false
+	r.tenant.stats.Cancelled++
+	s.cancelled++
+	if r.probe {
+		r.tenant.brk.releaseProbe()
 	}
-	return false
+	return true
 }
 
+// The roles a matrix plays in the batch being formed (Server.roles).
+const (
+	readInBatch uint8 = 1 << iota
+	writtenInBatch
+)
+
 // conflicts reports whether r touches the result matrix of any request
-// already in batch (or vice versa). Such requests cannot share a fused
+// already in the batch (or vice versa). Such requests cannot share a fused
 // batch — their updates would interleave without synchronization — so the
 // dispatcher defers them to a later batch, preserving per-tenant FIFO
-// order.
-func conflicts(batch []*request, r *request) bool {
-	for _, q := range batch {
-		if r.prob.C == q.prob.C || r.prob.C == q.prob.A || r.prob.C == q.prob.B ||
-			r.prob.A == q.prob.C || r.prob.B == q.prob.C {
-			return true
+// order. One lookup per operand in the batch's role table, whatever the
+// batch size.
+func (s *Server) conflicts(r *request) bool {
+	t := &s.roles
+	return t.slots[t.find(r.prob.C)].role != 0 ||
+		t.slots[t.find(r.prob.A)].role&writtenInBatch != 0 ||
+		t.slots[t.find(r.prob.B)].role&writtenInBatch != 0
+}
+
+// admit adds r to the batch being formed.
+func (s *Server) admit(r *request) {
+	s.roles.add(r.prob.C, writtenInBatch)
+	s.roles.add(r.prob.A, readInBatch)
+	s.roles.add(r.prob.B, readInBatch)
+	s.batch = append(s.batch, r)
+}
+
+// roleTable maps the matrices of the batch being formed to their roles: an
+// open-addressed table with linear probing, hashed by the matrix's
+// symmetric segment (one per matrix in a world), kept at most half full by
+// doubling, and cleared slot by slot.
+type roleTable struct {
+	slots []roleSlot // power-of-two length
+	used  []int      // the occupied slots
+}
+
+type roleSlot struct {
+	m    *distmat.Matrix
+	role uint8 // 0: empty
+}
+
+// find returns the index of m's slot, or of the empty slot where m goes.
+func (t *roleTable) find(m *distmat.Matrix) int {
+	mask := len(t.slots) - 1
+	for i := int(uint64(m.Segment())*0x9e3779b97f4a7c15>>32) & mask; ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.role == 0 || sl.m == m {
+			return i
 		}
 	}
-	return false
+}
+
+// add sets role on m.
+func (t *roleTable) add(m *distmat.Matrix, role uint8) {
+	if 2*(len(t.used)+1) > len(t.slots) {
+		old := t.slots
+		t.slots, t.used = make([]roleSlot, 2*len(old)), t.used[:0]
+		for _, sl := range old {
+			if sl.role != 0 {
+				t.add(sl.m, sl.role)
+			}
+		}
+	}
+	i := t.find(m)
+	if t.slots[i].role == 0 {
+		t.slots[i].m = m
+		t.used = append(t.used, i)
+	}
+	t.slots[i].role |= role
+}
+
+// reset empties the table.
+func (t *roleTable) reset() {
+	for _, i := range t.used {
+		t.slots[i] = roleSlot{}
+	}
+	t.used = t.used[:0]
 }
 
 // nextBatch admits up to cfg.Batch requests, draining tenant queues
 // round-robin from the position after the previous batch's starting
 // tenant. Requests whose context is already done are completed with
 // ctx.Err() instead of admitted; requests that conflict with an already
-// admitted one (shared result matrix) stay queued for the next batch.
+// admitted one (shared result matrix) stay queued for the next batch. The
+// batch is the dispatcher's reused slice, valid until the next call.
 func (s *Server) nextBatch() []*request {
 	s.mu.Lock()
-	var batch []*request
-	var cancelled []*request
+	s.clearBatch()
 	n := len(s.names)
 	if n > 0 {
 		s.rrPos = (s.rrPos + 1) % n
 		// Repeated full ring passes, one request per tenant per pass, until
 		// the batch fills or a pass makes no progress.
-		for len(batch) < s.cfg.Batch {
+		for len(s.batch) < s.cfg.Batch {
 			took := false
-			for scanned := 0; scanned < n && len(batch) < s.cfg.Batch; scanned++ {
+			for scanned := 0; scanned < n && len(s.batch) < s.cfg.Batch; scanned++ {
 				t := s.tenants[s.names[(s.rrPos+scanned)%n]]
-				if len(t.queue) == 0 {
+				if t.queue.n == 0 {
 					continue
 				}
-				r := t.queue[0]
-				if r.ctx.Err() == nil && conflicts(batch, r) {
+				r := *t.queue.slot(0)
+				if r.ctx.Err() == nil && s.conflicts(r) {
 					continue // deferred; head-of-line so tenant order holds
 				}
-				t.queue = t.queue[1:]
+				t.queue.pop()
 				r.inQueue = false
 				took = true
 				if r.ctx.Err() != nil {
@@ -533,9 +688,9 @@ func (s *Server) nextBatch() []*request {
 					if r.probe {
 						t.brk.releaseProbe()
 					}
-					cancelled = append(cancelled, r)
+					s.dropped = append(s.dropped, r)
 				} else {
-					batch = append(batch, r)
+					s.admit(r)
 				}
 			}
 			if !took {
@@ -544,10 +699,22 @@ func (s *Server) nextBatch() []*request {
 		}
 	}
 	s.mu.Unlock()
-	for _, r := range cancelled {
-		close(r.done)
+	for _, r := range s.dropped {
+		r.done <- struct{}{}
 	}
-	return batch
+	clear(s.dropped)
+	s.dropped = s.dropped[:0]
+	return s.batch
+}
+
+// clearBatch drops every reference the dispatcher's per-batch state holds,
+// so nothing of a finished batch stays reachable from the server.
+func (s *Server) clearBatch() {
+	clear(s.batch)
+	clear(s.probs)
+	clear(s.cps)
+	s.roles.reset()
+	s.batch, s.probs, s.cps = s.batch[:0], s.probs[:0], s.cps[:0]
 }
 
 // loop is the dispatcher: it turns queued requests into executed batches
@@ -582,19 +749,19 @@ func (s *Server) drainClosed() {
 	s.mu.Lock()
 	var pending []*request
 	for _, t := range s.tenants {
-		for _, r := range t.queue {
+		for t.queue.n > 0 {
+			r := t.queue.pop()
 			r.inQueue = false
 			if r.probe {
 				t.brk.releaseProbe()
 			}
 			pending = append(pending, r)
 		}
-		t.queue = nil
 	}
 	s.mu.Unlock()
 	for _, r := range pending {
 		r.err = ErrClosed
-		close(r.done)
+		r.done <- struct{}{}
 	}
 }
 
@@ -604,15 +771,14 @@ func (s *Server) drainClosed() {
 // cache state at all. cfg.Exclude keys the lookup — a failover replay
 // against a shrunken world resolves different (repair) plans from the
 // same cache.
-func (s *Server) lookupPlans(batch []*request, cfg universal.Config) ([]universal.Problem, []*universal.CompiledPlan) {
-	probs := make([]universal.Problem, len(batch))
-	cps := make([]*universal.CompiledPlan, len(batch))
-	for i, r := range batch {
-		probs[i] = r.prob
-		cps[i] = cfg.Plans.GetOrCompile(r.prob, cfg)
-		r.stat = cps[i].Stationary()
+func (s *Server) lookupPlans(cfg universal.Config) {
+	s.probs, s.cps = s.probs[:0], s.cps[:0]
+	for _, r := range s.batch {
+		cp := cfg.Plans.GetOrCompile(r.prob, cfg)
+		r.stat = cp.Stationary()
+		s.probs = append(s.probs, r.prob)
+		s.cps = append(s.cps, cp)
 	}
-	return probs, cps
 }
 
 // executeBatch runs one fused collective activation of the batch: every
@@ -623,42 +789,42 @@ func (s *Server) lookupPlans(batch []*request, cfg universal.Config) ([]universa
 // target disjoint matrices and commute. Re-zeroing on entry makes the
 // activation idempotent, which is what lets failover replay a whole
 // batch after a fatal fault without double-counting partial accumulates.
-func (s *Server) executeBatch(batch []*request, probs []universal.Problem, cps []*universal.CompiledPlan, cfg universal.Config) error {
-	// Any rank's fatal fault fails the whole fused batch: the requests'
-	// accumulates interleave without synchronization, so there is no
-	// telling which results the aborted rank had already contributed to.
-	var execMu sync.Mutex
-	var execErr error
-	setErr := func(err error) {
-		if err == nil {
-			return
-		}
-		execMu.Lock()
-		if execErr == nil {
-			execErr = err
-		}
-		execMu.Unlock()
+func (s *Server) executeBatch(cfg universal.Config) error {
+	s.execCfg, s.execErr = cfg, nil
+	s.world.Run(s.runPE)
+	s.execCfg = universal.Config{}
+	return s.execErr
+}
+
+// executePE is one PE's part of executeBatch.
+func (s *Server) executePE(pe rt.PE) {
+	batch, probs, cfg := s.batch, s.probs, &s.execCfg
+	rank0 := pe.Rank() == 0
+	var snap rt.Stats
+	if rank0 {
+		snap = s.world.Stats()
 	}
-	s.world.Run(func(pe rt.PE) {
-		rank0 := pe.Rank() == 0
-		var snap rt.Stats
-		if rank0 {
-			snap = s.world.Stats()
+	for _, p := range probs {
+		p.C.ZeroLocal(pe)
+	}
+	pe.Barrier() // all results zeroed before any accumulate can land
+	if err := universal.Execute(pe, probs, s.cps, *cfg); err != nil {
+		// Any rank's fatal fault fails the whole fused batch: the requests'
+		// accumulates interleave without synchronization, so there is no
+		// telling which results the aborted rank had already contributed to.
+		s.execMu.Lock()
+		if s.execErr == nil {
+			s.execErr = err
 		}
+		s.execMu.Unlock()
+	}
+	universal.Finish(pe, probs, *cfg) // one barrier for the whole batch
+	if rank0 {
+		per := divStats(statsDelta(s.world.Stats(), snap), len(batch))
 		for _, r := range batch {
-			r.prob.C.ZeroLocal(pe)
+			r.traffic = per
 		}
-		pe.Barrier() // all results zeroed before any accumulate can land
-		setErr(universal.Execute(pe, probs, cps, cfg))
-		universal.Finish(pe, probs, cfg) // one barrier for the whole batch
-		if rank0 {
-			per := divStats(statsDelta(s.world.Stats(), snap), len(batch))
-			for _, r := range batch {
-				r.traffic = per
-			}
-		}
-	})
-	return execErr
+	}
 }
 
 // runBatch executes one admitted batch, recovering from fatal PE faults
@@ -682,8 +848,8 @@ func (s *Server) runBatch(batch []*request) {
 	var replans int64
 	var replanMs []float64
 	recovered := false
-	probs, cps := s.lookupPlans(batch, cfg)
-	execErr := s.executeBatch(batch, probs, cps, cfg)
+	s.lookupPlans(cfg)
+	execErr := s.executeBatch(cfg)
 	if execErr != nil && s.member != nil && errors.Is(execErr, rt.ErrPEFailed) {
 		// Failover: each attempt retires at least one newly crashed rank,
 		// so NumPE attempts bound the loop even under a rolling crash storm.
@@ -694,10 +860,10 @@ func (s *Server) runBatch(batch []*request) {
 				break // nothing new to exclude, or nobody left to run on
 			}
 			cfg.Exclude = s.member.Excluded()
-			probs, cps = s.lookupPlans(batch, cfg)
+			s.lookupPlans(cfg)
 			replans++
 			replanMs = append(replanMs, time.Since(t0).Seconds()*1e3)
-			execErr = s.executeBatch(batch, probs, cps, cfg)
+			execErr = s.executeBatch(cfg)
 			if execErr == nil {
 				recovered = true
 				break
@@ -755,8 +921,9 @@ func (s *Server) runBatch(batch []*request) {
 	s.batchedRequests += int64(len(batch))
 	s.mu.Unlock()
 	for _, r := range batch {
-		close(r.done)
+		r.done <- struct{}{}
 	}
+	s.clearBatch()
 }
 
 func statsDelta(cur, prev rt.Stats) rt.Stats {
@@ -840,16 +1007,4 @@ func (s *Server) TenantStats(name string) (TenantStats, bool) {
 		return TenantStats{}, false
 	}
 	return t.stats, true
-}
-
-// QueuedLen returns the number of requests currently queued across all
-// tenants (diagnostic).
-func (s *Server) QueuedLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, t := range s.tenants {
-		n += len(t.queue)
-	}
-	return n
 }

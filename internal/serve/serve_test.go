@@ -130,6 +130,69 @@ func TestServeConcurrentTenantsMatchReference(t *testing.T) {
 	}
 }
 
+// queuedLen returns the number of requests queued across all tenants.
+func queuedLen(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, t := range s.tenants {
+		n += t.queue.n
+	}
+	return n
+}
+
+// retained counts the slots of t's queue outside its live window that still
+// hold a request.
+func retained(s *Server, t *tenant) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for i := t.queue.n; i < len(t.queue.buf); i++ {
+		if *t.queue.slot(i) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// A request that left its tenant's queue — dequeued into a served batch, or
+// cancelled while queued — is not reachable from the queue afterwards: a
+// stale slot would keep the caller's context and operands alive, and the
+// request itself once the free list hands it to another caller.
+func TestDequeuedRequestsNotRetained(t *testing.T) {
+	w := shmem.NewWorld(2)
+	f := makeTenant(w, "t", 8, 8, 8, 3, 8)
+	s := newServer(w, Config{Batch: 2}) // paused: stage the queue first
+	rs := make([]*request, len(f.cs))
+	for i, c := range f.cs {
+		rs[i] = s.getRequest()
+		rs[i].ctx, rs[i].prob, rs[i].queued = context.Background(), universal.NewProblem(c, f.a, f.b), time.Now()
+		if err := s.enqueue("t", rs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ten := s.tenants["t"]
+	if !s.tryCancel(rs[1]) {
+		t.Fatal("queued request could not be cancelled")
+	}
+	if n := retained(s, ten); n != 0 {
+		t.Fatalf("after a cancel, %d slots outside the live window hold a request", n)
+	}
+	s.Start()
+	s.wake <- struct{}{}
+	<-rs[0].done
+	<-rs[2].done
+	if n := retained(s, ten); n != 0 || queuedLen(s) != 0 {
+		t.Fatalf("after a served batch, %d slots outside the live window hold a request (%d queued)", n, queuedLen(s))
+	}
+	s.Close()
+	for _, r := range rs {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+}
+
 // The admission queue is bounded: a full tenant queue rejects rather than
 // buffering, and the rejection is accounted.
 func TestServeQueueFull(t *testing.T) {
@@ -141,7 +204,7 @@ func TestServeQueueFull(t *testing.T) {
 		return &request{
 			ctx:    context.Background(),
 			prob:   universal.NewProblem(c, f.a, f.b),
-			done:   make(chan struct{}),
+			done:   make(chan struct{}, 1),
 			queued: time.Now(),
 		}
 	}
@@ -155,8 +218,8 @@ func TestServeQueueFull(t *testing.T) {
 	if err := s.enqueue("solo", r3); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third enqueue into capacity-2 queue: %v", err)
 	}
-	if s.QueuedLen() != 2 {
-		t.Fatalf("queued %d, want 2", s.QueuedLen())
+	if queuedLen(s) != 2 {
+		t.Fatalf("queued %d, want 2", queuedLen(s))
 	}
 	// Un-pause; the two admitted requests must complete.
 	s.Start()
@@ -183,14 +246,14 @@ func TestServeCancelWhileQueued(t *testing.T) {
 		_, err := s.Multiply(ctx, "slow", f.cs[0], f.a, f.b)
 		errc <- err
 	}()
-	for s.QueuedLen() != 1 {
+	for queuedLen(s) != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled queued request returned %v", err)
 	}
-	if s.QueuedLen() != 0 {
+	if queuedLen(s) != 0 {
 		t.Fatal("cancelled request still queued")
 	}
 	st := s.Stats()
@@ -212,7 +275,7 @@ func TestServeExpiredContextFailsFast(t *testing.T) {
 	if _, err := s.Multiply(ctx, "late", f.cs[0], f.a, f.b); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired context returned %v", err)
 	}
-	if st := s.Stats(); st.Served != 0 || s.QueuedLen() != 0 {
+	if st := s.Stats(); st.Served != 0 || queuedLen(s) != 0 {
 		t.Fatal("expired request reached the queue")
 	}
 }
@@ -228,7 +291,7 @@ func TestServeFairnessRoundRobin(t *testing.T) {
 	mkReq := func(f *tenantFixture, c *distmat.Matrix) *request {
 		return &request{
 			ctx: context.Background(), prob: universal.NewProblem(c, f.a, f.b),
-			done: make(chan struct{}), queued: time.Now(),
+			done: make(chan struct{}, 1), queued: time.Now(),
 		}
 	}
 	for _, c := range flood.cs {
@@ -267,8 +330,8 @@ func TestServeFairnessRoundRobin(t *testing.T) {
 			t.Fatalf("second batch %v contains drained tenant", b2)
 		}
 	}
-	if s.QueuedLen() != 0 {
-		t.Fatalf("still queued: %d", s.QueuedLen())
+	if queuedLen(s) != 0 {
+		t.Fatalf("still queued: %d", queuedLen(s))
 	}
 	// The popped requests were never executed; finish them so nothing leaks.
 	s.Start()
@@ -285,7 +348,7 @@ func TestServeClose(t *testing.T) {
 		_, err := s.Multiply(context.Background(), "t", f.cs[0], f.a, f.b)
 		errc <- err
 	}()
-	for s.QueuedLen() != 1 {
+	for queuedLen(s) != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	s.Start()

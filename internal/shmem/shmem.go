@@ -89,6 +89,10 @@ type World struct {
 	// pes[rank] is the handle Run gives rank's body: stateless beyond
 	// (world, rank), so one set serves every Run.
 	pes []PE
+	// spare is the run record the last Run finished with, taken by the next
+	// one, so a warm Run allocates nothing; a Run that finds it taken (one
+	// nested in another) builds its own.
+	spare atomic.Pointer[run]
 }
 
 // rankMem is one rank's copy of one segment: its backing array and the
@@ -182,19 +186,28 @@ func (w *World) SegmentStorage(seg SegmentID, rank int) []float32 {
 // SegmentLen returns the per-PE length of a segment.
 func (w *World) SegmentLen(seg SegmentID) int { return w.mem(seg, 0).size }
 
-// Run spawns one goroutine per PE, invokes body with each PE handle, and
-// waits for all of them to return. Panics inside a PE body are re-raised on
-// the caller after all other PEs have been allowed to finish or deadlock is
-// avoided by the panic propagating first.
+// Run invokes body with each PE handle, rank 0 on the calling goroutine and
+// every other rank on a goroutine of its own, and waits for all of them to
+// return. Panics inside a PE body are re-raised on the caller after all
+// other PEs have been allowed to finish or deadlock is avoided by the panic
+// propagating first.
 func (w *World) Run(body func(pe rt.PE)) {
-	r := &run{w: w, body: body}
-	r.wg.Add(w.numPE)
-	for rank := range w.pes {
-		go r.rank(&w.pes[rank])
+	r := w.spare.Swap(nil)
+	if r == nil {
+		r = newRun(w)
 	}
+	r.body = body
+	r.wg.Add(w.numPE)
+	for _, start := range r.starts[1:] {
+		go start()
+	}
+	r.starts[0]() // rank 0 on the caller, which waits anyway
 	r.wg.Wait()
 	w.barrier.reset()
-	for _, p := range r.panics {
+	panics := r.panics
+	r.body, r.panics = nil, nil
+	w.spare.Store(r)
+	for _, p := range panics {
 		if p != nil {
 			panic(p)
 		}
@@ -203,11 +216,24 @@ func (w *World) Run(body func(pe rt.PE)) {
 
 // run is the state the ranks of one Run call share.
 type run struct {
-	w      *World
-	body   func(pe rt.PE)
+	w    *World
+	body func(pe rt.PE)
+	// starts[rank] is rank bound to that rank's PE once, so starting a rank
+	// is a go statement on an argument-free func value, which allocates
+	// nothing.
+	starts []func()
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	panics []any // by rank; allocated by the first rank that panics
+}
+
+func newRun(w *World) *run {
+	r := &run{w: w, starts: make([]func(), w.numPE)}
+	for rank := range r.starts {
+		pe := &w.pes[rank]
+		r.starts[rank] = func() { r.rank(pe) }
+	}
+	return r
 }
 
 // rank runs the body as one PE, recording a panic instead of dying of it.

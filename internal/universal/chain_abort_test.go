@@ -85,13 +85,11 @@ func TestChainAbortReleases(t *testing.T) {
 				goroutines := runtime.NumGoroutine()
 
 				wd := build(&chaos.Plan{Seed: 1, Rules: []chaos.Rule{tc.rule}})
+				cps := []*CompiledPlan{CompilePlans(wd.prob, cfg)}
 				var victimErr error
 				wd.w.Run(func(pe rt.PE) {
 					wd.c.Zero(pe)
-					var sched fetchSchedule
-					pl := compileRank(pe.Rank(), wd.prob, PlanKeyOf(wd.prob, cfg), nil, &sched)
-					work := [1]feeder{{prob: wd.prob, plan: pl, sched: &sched}}
-					err := execute(pe, work[:], cfg)
+					err := execute(pe, []Problem{wd.prob}, cps, cfg)
 					pe.Barrier()
 					if pe.Rank() != victim {
 						if err != nil {

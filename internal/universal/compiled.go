@@ -25,9 +25,10 @@ type MatrixKey struct {
 	// determines every tile's bounds.
 	TileRows, TileCols int
 	Replication        int
-	// OwnerHash is an FNV-1a fold of the grid shape and the row-major
-	// tile→owner-slot table, distinguishing partitions that share a grid
-	// but assign tiles differently (blocked vs cyclic).
+	// OwnerHash is distmat.Matrix.OwnerHash: an FNV-1a fold of the grid
+	// shape and the row-major tile→owner-slot table, distinguishing
+	// partitions that share a grid but assign tiles differently (blocked vs
+	// cyclic).
 	OwnerHash uint64
 }
 
@@ -83,22 +84,15 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // matrixKeyOf computes a matrix's canonical fingerprint. It allocates
-// nothing, so key computation stays off the Multiply hot path's allocation
-// budget.
+// nothing and reads the owner hash the matrix computed at construction, so
+// a key costs the same whatever the tile count.
 func matrixKeyOf(m *distmat.Matrix) MatrixKey {
-	tr, tc := m.GridShape()
 	r0, c0 := m.TileBounds(index.TileIdx{}).Shape()
-	h := fnvMix(fnvMix(uint64(fnvOffset64), uint64(tr)), uint64(tc))
-	for r := 0; r < tr; r++ {
-		for c := 0; c < tc; c++ {
-			h = fnvMix(h, uint64(m.OwnerSlot(index.TileIdx{Row: r, Col: c})))
-		}
-	}
 	return MatrixKey{
 		Rows: m.Rows(), Cols: m.Cols(),
 		TileRows: r0, TileCols: c0,
 		Replication: m.Replication(),
-		OwnerHash:   h,
+		OwnerHash:   m.OwnerHash(),
 	}
 }
 
@@ -459,10 +453,5 @@ func Execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
 	if len(probs) != len(cps) {
 		panic("universal: Execute problem/plan count mismatch")
 	}
-	rank := pe.Rank()
-	work := make([]feeder, len(cps))
-	for i, cp := range cps {
-		work[i] = feeder{prob: probs[i], plan: cp.Plans[rank], sched: &cp.scheds[rank]}
-	}
-	return execute(pe, work, cfg.withDefaults())
+	return execute(pe, probs, cps, cfg.withDefaults())
 }

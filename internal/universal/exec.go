@@ -111,12 +111,10 @@ func Multiply(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationary, error)
 // finish. Error semantics are Multiply's.
 func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) {
 	cfg = cfg.withPlans(pe)
-	rank := pe.Rank()
-	cp := cfg.Plans.GetOrCompile(prob, cfg)
-	work := [1]feeder{{prob: prob, plan: cp.Plans[rank], sched: &cp.scheds[rank]}}
-	err := execute(pe, work[:], cfg)
-	Finish(pe, []Problem{prob}, cfg)
-	return cp.Key.Stationary, err
+	probs, cps := [1]Problem{prob}, [1]*CompiledPlan{cfg.Plans.GetOrCompile(prob, cfg)}
+	err := execute(pe, probs[:], cps[:], cfg)
+	Finish(pe, probs[:], cfg)
+	return cps[0].Key.Stationary, err
 }
 
 // withPlans is withDefaults for an entry point that compiles: a nil Plans
@@ -194,10 +192,10 @@ type chainTask struct {
 	first, n, lane int
 }
 
-// crew is what one execute call needs besides its feeders: the hand-off
-// channel, the helpers' WaitGroup, the abort flag, and the backing array of
-// every feeder's stepState. Records are recycled through crewPool, so a
-// warm execute allocates none of it; no goroutine outlives the call.
+// crew is what one execute call needs: its feeders, the hand-off channel,
+// the helpers' WaitGroup, the abort flag, and the backing array of every
+// feeder's stepState. Records are recycled through crewPool, so a warm
+// execute allocates none of it; no goroutine outlives the call.
 //
 // box is the abort flag: whoever fails fatally (a chain's accumulate after
 // its retry budget, a fetch issue) publishes the error, and every chain
@@ -212,7 +210,9 @@ type crew struct {
 	tasks chan chainTask
 	wg    sync.WaitGroup
 	box   errBox
-	steps []stepState // grow-only; all zero between calls
+	// feeders and steps are grow-only and all zero between calls.
+	feeders []feeder
+	steps   []stepState
 	// start is help bound to the record once, so starting a helper is a go
 	// statement on an argument-free func value, which allocates nothing;
 	// started numbers the helpers as they come up.
@@ -239,11 +239,11 @@ func (c *crew) help() {
 }
 
 // execute is the one executor: it runs this rank's slice of every plan in
-// work through a single crew with the §4.2 optimizations — iteration offset
-// (already baked into the op order), prefetching via get_tile_async,
-// asynchronous GEMM→accumulate chains with bounded concurrency, and pooled
-// scratch memory. Multiply passes one plan, the serving layer a fused
-// batch; a plan reordered by CompileOrdered is the same steps in another
+// cps, each on the matching problem in probs, through a single crew with
+// the §4.2 optimizations — iteration offset (already baked into the op
+// order), prefetching via get_tile_async, asynchronous GEMM→accumulate
+// chains with bounded concurrency, and pooled scratch memory. Multiply
+// passes one plan, the serving layer a fused batch; a plan reordered by CompileOrdered is the same steps in another
 // order and runs here unchanged.
 //
 // The unit of dispatch is the chain the plan marked (Step.Chained): the
@@ -251,8 +251,10 @@ func (c *crew) help() {
 // to one of MaxInflight-1 helpers if one is idle, else runs it itself — so
 // at most MaxInflight chains are in flight per PE (§4.2's configurable
 // limit), MaxInflight 1 starts no goroutine, and a dispatch never parks the
-// feeder. The loop is allocation-free in the steady state. cfg must already
-// have defaults applied; the plans' schedules are read-only, so concurrent
+// feeder. A rank whose slices hold no step takes no crew and starts no
+// helper: in a fused batch of small multiplies most ranks own nothing. The
+// loop is allocation-free in the steady state. cfg must already have defaults
+// applied; the plans' schedules are read-only, so concurrent
 // executions of one CompiledPlan share them. No collective synchronization
 // happens here; callers Finish afterwards.
 //
@@ -261,9 +263,17 @@ func (c *crew) help() {
 // (injected faults fire only here, retried per Config.Retry), and the
 // collectives around it stay fault-free so ranks never diverge on barrier
 // counts. The returned error is the rank's first fatal one-sided fault
-// (after per-op retries), which stops dispatch across all of work; every
+// (after per-op retries), which stops dispatch across all of cps; every
 // pooled buffer is back in the pool either way.
-func execute(pe rt.PE, work []feeder, cfg Config) error {
+func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
+	rank := pe.Rank()
+	total := 0
+	for _, cp := range cps {
+		total += len(cp.Plans[rank].Steps)
+	}
+	if total == 0 {
+		return nil
+	}
 	rt.PushFaultScope(pe)
 	defer rt.PopFaultScope(pe)
 	rt.SetOpDeadline(pe, cfg.Retry.OpTimeout)
@@ -271,17 +281,18 @@ func execute(pe rt.PE, work []feeder, cfg Config) error {
 
 	c := crewPool.Get().(*crew)
 	c.pe, c.cfg = pe, cfg
-	total := 0
-	for i := range work {
-		total += len(work[i].plan.Steps)
+	if cap(c.feeders) < len(cps) {
+		c.feeders = make([]feeder, len(cps))
 	}
 	if cap(c.steps) < total {
 		c.steps = make([]stepState, total)
 	}
-	rest := c.steps[:total]
-	for i := range work {
-		n := len(work[i].plan.Steps)
-		work[i].steps, rest = rest[:n:n], rest[n:]
+	work, rest := c.feeders[:len(cps)], c.steps[:total]
+	for i, cp := range cps {
+		f := &work[i]
+		f.prob, f.plan, f.sched = probs[i], cp.Plans[rank], &cp.scheds[rank]
+		n := len(f.plan.Steps)
+		f.steps, rest = rest[:n:n], rest[n:]
 	}
 	helpers := cfg.MaxInflight - 1
 	c.wg.Add(helpers)
@@ -304,6 +315,7 @@ func execute(pe rt.PE, work []feeder, cfg Config) error {
 	err := c.box.err()
 	// The record goes back holding no reference to this call's buffers,
 	// pool or world.
+	clear(work)
 	clear(c.steps[:total])
 	c.pe, c.cfg = nil, Config{}
 	c.box.p.Store(nil)
@@ -314,8 +326,8 @@ func execute(pe rt.PE, work []feeder, cfg Config) error {
 }
 
 // feeder walks one per-rank plan, issuing prefetches and assembling its
-// steps into ready GEMM→accumulate chains. Callers of execute fill the
-// first three fields; the rest is the walk's state. It owns the plan's slot
+// steps into ready GEMM→accumulate chains. execute fills the first three
+// fields and steps; the rest is the walk's state. It owns the plan's slot
 // array, whose refcounts keep pooled buffers alive until the last in-flight
 // chain using them retires — which is why a feeder outlives its feed call
 // and execute can feed further plans to the same crew before this one's
