@@ -209,10 +209,11 @@ func BenchmarkUniversalRealExecution(b *testing.B) {
 // ~0 allocs per plan step once pools are warm). One iteration is a full
 // distributed Execute over a shared pool; the allocs/step metric divides
 // the run's heap allocations by the number of executed plan steps, so
-// per-fetch or per-chain allocations would show up as ≥1. Measured at PR
-// 24 (2 CPUs): 10 allocs per iteration — World.Run's 5, this closure, one
-// work slice per PE — over 512 steps, 0.02 allocs/step; it was 72 and 0.14
-// when every call constructed its crew.
+// per-fetch or per-chain allocations would show up as ≥1. On 2 CPUs: 1
+// alloc per iteration, this closure, over 512 steps (0.002 allocs/step).
+// It was 10 (0.02) while World.Run built its run state per call and each
+// PE allocated its feeders, and 72 (0.14) when every call constructed its
+// crew.
 func BenchmarkExecuteSteadyStateAllocs(b *testing.B) {
 	const p, m, n, k = 4, 256, 256, 256
 	w := shmem.NewWorld(p)

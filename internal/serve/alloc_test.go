@@ -19,9 +19,9 @@ import (
 // the request path.
 type smallLoop struct {
 	s      *Server
-	rounds []chan int
-	wg     sync.WaitGroup
-	errs   chan error
+	rounds []chan int     // per client: how many requests to submit next
+	errs   chan error     // one result per client per round
+	wg     sync.WaitGroup // the clients
 }
 
 func newSmallLoop(tb testing.TB, tenants, clients, batch int) *smallLoop {
@@ -50,7 +50,9 @@ func newSmallLoop(tb testing.TB, tenants, clients, batch int) *smallLoop {
 		name, c := fmt.Sprintf("tenant-%d", t), distmat.New(w, 16, 16, part, 1)
 		round := make(chan int)
 		l.rounds[i] = round
+		l.wg.Add(1)
 		go func() {
+			defer l.wg.Done()
 			for n := range round {
 				var err error
 				for k := 0; k < n && err == nil; k++ {
@@ -80,6 +82,7 @@ func (l *smallLoop) close() {
 	for _, round := range l.rounds {
 		close(round)
 	}
+	l.wg.Wait()
 	l.s.Close()
 }
 

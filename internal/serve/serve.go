@@ -14,7 +14,7 @@
 //     request per tenant per turn, rotating the starting tenant), so a
 //     flooding tenant cannot starve the others.
 //   - Batching: up to Config.Batch admitted requests are fused into one
-//     collective activation of the world — one World.Run spawning P PEs
+//     collective activation of the world — one World.Run over the P PEs
 //     zeroes every result, barriers once, executes every request's compiled
 //     plan back-to-back, and barriers once more. Requests in a batch have
 //     distinct result matrices (the dispatcher defers duplicates), so their
