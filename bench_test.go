@@ -233,7 +233,7 @@ func BenchmarkExecuteSteadyStateAllocs(b *testing.B) {
 	steps := cps[0].Steps()
 	exec := func() {
 		w.Run(func(pe rt.PE) {
-			universal.Execute(pe, probs, cps, cfg)
+			universal.Execute(pe, probs, cps, cfg, nil)
 			pe.Barrier()
 		})
 	}

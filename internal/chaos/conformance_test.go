@@ -337,3 +337,77 @@ func maxRelDiff(x, y *tile.Matrix) float64 {
 	}
 	return worst
 }
+
+// TestAccumulateLandedAtReturn is the runtime.PE contract that answering a
+// served request early relies on: a synchronous accumulate has landed in
+// its target when it returns. On each backend — shmem, the timed backend
+// that wraps it, and the chaos wrapper, which injects before the inner op,
+// here failing the first accumulate so that its retry is the one that
+// lands — a 16³ product whose one tile sits on rank 0 runs with rank 0
+// excluded. Rank 1 then fetches A and B and accumulates remotely into rank
+// 0's C: it is the plan's solo rank, but not C's owner. At Execute's
+// retired report on rank 1, C's storage on rank 0 already holds exactly
+// what it holds after the closing barrier, and that is GemmNaive's product.
+func TestAccumulateLandedAtReturn(t *testing.T) {
+	const p, n = 4, 16
+	failFirst := &chaos.Plan{Seed: 9, Rules: []chaos.Rule{{Name: "accum-once", Ops: chaos.OpAccum, Rate: 1, MaxFires: 1}}}
+	for name, b := range map[string]rt.Backend{
+		"shmem":      shmem.Backend{},
+		"gpubackend": chaosBackends()[1],
+		"chaos":      chaos.Wrap(shmem.Backend{}, failFirst),
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := b.NewWorld(p)
+			one := distmat.Custom{TileRows: n, TileCols: n, ProcRows: 2, ProcCols: 2}
+			a, bm, c := distmat.New(w, n, n, one, 1), distmat.New(w, n, n, one, 1), distmat.New(w, n, n, one, 1)
+			probs := []universal.Problem{universal.NewProblem(c, a, bm)}
+			cfg := universal.DefaultConfig()
+			cfg.Exclude = []int{0}
+			cfg.Retry.Attempts = stormRetryAttempts
+			cps := []*universal.CompiledPlan{universal.CompilePlans(probs[0], cfg)}
+			if r, ok := cps[0].SoloRank(); !ok || r != 1 {
+				t.Fatalf("SoloRank %d, %v; want rank 1", r, ok)
+			}
+			if steps := cps[0].Plans[1].Steps; len(steps) != 1 || steps[0].CLocal {
+				t.Fatalf("rank 1 runs %d steps; want one whose accumulate is remote", len(steps))
+			}
+			var atReport []float32
+			var want *tile.Matrix
+			reports := 0
+			w.Run(func(pe rt.PE) {
+				a.FillRandom(pe, 5)
+				bm.FillRandom(pe, 6)
+				c.ZeroLocal(pe)
+				pe.Barrier()
+				if pe.Rank() == 0 {
+					want = tile.New(n, n)
+					tile.GemmNaive(want, a.Gather(pe, 0), bm.Gather(pe, 0))
+				}
+				err := universal.Execute(pe, probs, cps, cfg, func(int) {
+					reports++
+					atReport = append([]float32(nil), w.SegmentStorage(c.Segment(), 0)...)
+				})
+				if err != nil {
+					t.Errorf("rank %d: %v", pe.Rank(), err)
+				}
+				universal.Finish(pe, probs, cfg)
+			})
+			if reports != 1 {
+				t.Fatalf("%d retired reports, want 1", reports)
+			}
+			final := w.SegmentStorage(c.Segment(), 0)
+			for i := range final {
+				if atReport[i] != final[i] {
+					t.Fatalf("C[%d] read %g at the retired report and %g after the barrier", i, atReport[i], final[i])
+				}
+			}
+			got := &tile.Matrix{Rows: n, Cols: n, Stride: n, Data: final[:n*n]}
+			if d := maxRelDiff(want, got); d > 1e-4 {
+				t.Errorf("max rel diff %g vs GemmNaive", d)
+			}
+			if cw, ok := chaos.Of(w); ok && cw.Injected().Transient != 1 {
+				t.Errorf("%d transients injected, want the first accumulate's", cw.Injected().Transient)
+			}
+		})
+	}
+}

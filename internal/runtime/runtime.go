@@ -74,7 +74,8 @@ type World interface {
 	// SegmentLen returns the per-PE length of a segment.
 	SegmentLen(seg SegmentID) int
 	// Run spawns one execution context per PE, invokes body with each PE
-	// handle, and waits for all of them to return.
+	// handle, and waits for all of them to return. Calls on one world do
+	// not overlap: a Run made while another is in progress waits for it.
 	Run(body func(pe PE))
 	// Stats returns a snapshot of the world's traffic counters.
 	Stats() Stats
@@ -86,6 +87,16 @@ type World interface {
 // primitives of the paper (remote get and remote accumulate), their strided
 // and asynchronous variants, put, barrier, and collective allocation. A PE
 // value is only valid inside the World.Run body that created it.
+//
+// A synchronous accumulate or put has landed when it returns: its update is
+// applied to the target's memory, and a reader ordered after the return by
+// any Go synchronization with the issuing goroutine — a channel send, not
+// only a barrier — sees it. The serving layer answers a request whose work
+// is all on one rank (universal.CompiledPlan.SoloRank) on the strength of
+// this, before the batch's closing barrier. Every backend here meets it:
+// shmem applies the update before returning, the timed backend wraps shmem,
+// and the chaos wrapper injects a fault before the inner op, so a failed
+// attempt moves nothing and the retry that succeeds has landed.
 type PE interface {
 	Allocator
 	// Rank returns this PE's rank in [0, NumPE).

@@ -13,12 +13,15 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"slicing/internal/chaos"
+	"slicing/internal/distmat"
 	"slicing/internal/gpusim"
 	"slicing/internal/shmem"
+	"slicing/internal/tile"
 	"slicing/internal/universal"
 )
 
@@ -202,5 +205,95 @@ func TestServeFailoverSurvivesCrashDuringReplay(t *testing.T) {
 	checkResults(t, w, []*tenantFixture{fx})
 	if live := pool.Stats().Live; live != 0 {
 		t.Fatalf("%d pooled elements leaked across the two failovers", live)
+	}
+}
+
+// TestFailoverSkipsReleasedRequests: a batch mixes solo requests, which
+// rank 0 answers mid-batch, with a 256³ request on all four ranks, and
+// rank 2 crashes under the 256³ one. The failover replay must run the
+// 256³ request alone: an answered request's C is its caller's again, so
+// re-zeroing it would destroy whatever the caller did with it since. Each
+// solo caller checks its C against GemmNaive on the reply and then
+// overwrites it with a marker, which must still be there once the server
+// has closed. Rank 1 stalls the first activation, so the markers are
+// written before the replay starts.
+func TestFailoverSkipsReleasedRequests(t *testing.T) {
+	plan := &chaos.Plan{Seed: 41, Rules: []chaos.Rule{
+		{Name: "die", Kind: chaos.Crash, Ranks: []int{2}, Rate: 1},
+		{Name: "stall", Kind: chaos.Delay, Ranks: []int{1}, Rate: 1, MaxFires: 1, Delay: 100 * time.Millisecond},
+	}}
+	w, cw := chaosWorld(plan)
+	quad := distmat.Custom{TileRows: 128, TileCols: 128, ProcRows: 2, ProcCols: 2}
+	big := makeTenantOn(w, "big", 256, 256, 256, 1, 3, quad, quad, quad)
+	solos := []*tenantFixture{
+		makeSoloTenant(w, "solo-a", 16, 16, 16, 3, 4),
+		makeSoloTenant(w, "solo-b", 24, 20, 16, 3, 5),
+	}
+	pool := gpusim.NewPool()
+	s := newServer(w, Config{
+		Batch: 8, Queue: 8, Recover: true,
+		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Minute},
+		Exec:    universal.Config{Pool: pool},
+	})
+	const marker = -7
+	storage := func(f *tenantFixture, c *distmat.Matrix) []float32 {
+		return w.SegmentStorage(c.Segment(), 0)[:f.m*f.n] // one row-major tile on rank 0
+	}
+	var wg sync.WaitGroup
+	submitted := 0
+	for _, f := range append([]*tenantFixture{big}, solos...) {
+		for _, c := range f.cs {
+			submitted++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Multiply(context.Background(), f.name, c, f.a, f.b); err != nil {
+					t.Errorf("%s: %v", f.name, err)
+					return
+				}
+				if f == big {
+					return
+				}
+				got := storage(f, c)
+				if d := maxRelDiff(f.ref, &tile.Matrix{Rows: f.m, Cols: f.n, Stride: f.n, Data: got}); d > 1e-4 {
+					t.Errorf("%s: released C off GemmNaive by %g", f.name, d)
+				}
+				for i := range got {
+					got[i] = marker
+				}
+			}()
+		}
+	}
+	for queuedLen(s) < submitted {
+		time.Sleep(time.Millisecond)
+	}
+	s.Start()
+	wg.Wait()
+	st := s.Stats()
+	s.Close()
+	if !cw.Crashed(2) {
+		t.Fatal("crash rule never fired — the test exercised nothing")
+	}
+	// One batch; the solo requests were answered before the crash was
+	// noticed, so only the 256³ request was replayed and recovered.
+	if st.Batches != 1 || st.Served != int64(submitted) || st.Recovered != 1 || st.Replans < 1 || st.Failed != 0 {
+		t.Fatalf("want one batch, %d served, only the 256³ request recovered: %+v", submitted, st)
+	}
+	for _, f := range solos {
+		for i, c := range f.cs {
+			if v := storage(f, c)[0]; v != marker {
+				t.Errorf("%s request %d: C reads %g after the replay, want the caller's marker: the replay re-ran it", f.name, i, v)
+			}
+		}
+	}
+	checkResults(t, w, []*tenantFixture{big})
+	if live := pool.Stats().Live; live != 0 {
+		t.Fatalf("%d pooled elements leaked across the failover", live)
+	}
+	// Exactly one reply per request: none left waiting in a pooled request.
+	for r, ok := s.free.Get().(*request); ok; r, ok = s.free.Get().(*request) {
+		if len(r.done) != 0 {
+			t.Fatal("a pooled request holds a second reply")
+		}
 	}
 }

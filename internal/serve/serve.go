@@ -20,22 +20,33 @@
 //     distinct result matrices (the dispatcher defers duplicates), so their
 //     one-sided accumulates commute and the fused batch needs no
 //     per-request synchronization: activation, barrier, and plan-lookup
-//     costs amortize across the group's small GEMMs.
+//     costs amortize across the group's small GEMMs. A request whose plan
+//     runs on one rank alone (universal.CompiledPlan.SoloRank) is answered
+//     as soon as that rank has retired it, mid-batch; the others at the
+//     batch's end. Replies within a batch can therefore come in another
+//     order than the batch's.
 //   - Deadlines/cancellation: a request whose context is done while still
 //     queued is removed and never executes. Once admitted to a batch the
 //     collective execution always runs to completion (a collective cannot
 //     be safely aborted per request) — the caller then gets ctx.Err() and
 //     the late result is discarded, with no effect on cached plans or
-//     pooled buffers.
+//     pooled buffers. A request is late if its context is done when it is
+//     answered: mid-batch for a one-rank request, at the batch's end
+//     otherwise.
 //   - Accounting: per-tenant traffic is measured through the existing
 //     runtime.Stats hooks — rank 0 snapshots the world's counters around
 //     each fused batch and attributes the delta to the batch's requests in
 //     equal shares (requests inside a fused batch are deliberately not
 //     separated by barriers, so finer attribution would cost the very
-//     synchronization the fusion removes).
+//     synchronization the fusion removes). Every request of a batch,
+//     answered early or not, is counted when the batch settles, under one
+//     lock at its end, so Stats can trail a reply by the rest of its batch.
 //
 // The server owns its world for the duration of serving: no other code may
-// call World.Run (or mutate served matrices) while the server is open.
+// call World.Run (or mutate served matrices) while the server is open. A
+// caller that does so anyway once all its requests are answered — to read
+// results between phases, say — is still safe when the last batch has not
+// quite ended: Runs on one world do not overlap, so its Run waits.
 package serve
 
 import (
@@ -98,12 +109,14 @@ type Config struct {
 	// dies with a fatal PE fault, the dispatcher syncs its membership view
 	// against the world's health reporter, recompiles the batch's plans
 	// with the crashed ranks excluded (repair plans are ordinary plan-cache
-	// entries — PlanKey carries the exclusion set), and replays the whole
-	// batch. The replay re-zeroes every result matrix first, so per-tenant
-	// order and the disjoint-accumulate invariant hold exactly as on the
-	// first attempt. Recovered batches count as Served (plus Recovered);
-	// only failures the recovery path could not absorb feed the circuit
-	// breakers. Healed ranks are re-included before the next batch.
+	// entries — PlanKey carries the exclusion set), and replays the
+	// batch's requests that were not answered before the fault. The replay
+	// re-zeroes their result matrices first, so per-tenant order and the
+	// disjoint-accumulate invariant hold exactly as on the first attempt;
+	// an answered request's C is its caller's and is never touched again.
+	// Replayed requests count as Served (plus Recovered); only failures
+	// the recovery path could not absorb feed the circuit breakers. Healed
+	// ranks are re-included before the next batch.
 	Recover bool
 }
 
@@ -136,12 +149,11 @@ func (cfg Config) withDefaults(w rt.World) Config {
 // server's free list (getRequest) and go back to it only from Multiply,
 // once the dispatcher has sent its one reply or never saw the request.
 type request struct {
-	ctx     context.Context
-	tenant  *tenant
-	prob    universal.Problem
-	stat    universal.Stationary
-	traffic rt.Stats
-	err     error
+	ctx    context.Context
+	tenant *tenant
+	prob   universal.Problem
+	stat   universal.Stationary
+	err    error
 	// done carries the dispatcher's one reply. It has one slot, so the
 	// dispatcher never waits for the caller, and it is empty again once the
 	// caller has taken the reply, so it is reused with its request.
@@ -218,7 +230,9 @@ func (q *ring) remove(r *request) bool {
 // TenantStats is one tenant's accounting snapshot.
 type TenantStats struct {
 	// Served counts requests executed to completion (including ones whose
-	// deadline expired mid-execution; those also count in Expired).
+	// deadline expired mid-execution; those also count in Expired). A
+	// request counts once its batch has settled, which for one answered
+	// mid-batch comes after its reply.
 	// Rejected counts ErrQueueFull admissions, Cancelled requests removed
 	// from the queue before execution, Expired requests whose deadline
 	// passed before admission or that completed after their context was
@@ -226,19 +240,21 @@ type TenantStats struct {
 	Served, Rejected, Cancelled, Expired int64
 	// Failed counts requests whose fused batch hit a fatal one-sided
 	// fault the recovery path could not absorb (every request of the
-	// batch fails — there is no telling which results the fault
-	// poisoned). Shed counts admissions rejected by deadline-aware load
+	// batch not yet answered fails — there is no telling which results
+	// the fault poisoned). Shed counts admissions rejected by deadline-aware load
 	// shedding or an open circuit breaker. Tripped counts this tenant's
 	// breaker trips (including failed half-open probes re-opening it).
 	// Recovered counts served requests whose batch hit a fatal fault that
-	// failover absorbed (Config.Recover): they also count in Served, and
-	// they feed the breaker's success path, not its failure path.
+	// failover absorbed (Config.Recover), and that were replayed because
+	// they had not been answered before the fault: they also count in
+	// Served, and they feed the breaker's success path, not its failure
+	// path.
 	Failed, Shed, Tripped, Recovered int64
 	// Traffic aggregates the runtime.Stats deltas attributed to this
 	// tenant's executed requests.
 	Traffic rt.Stats
-	// QueueSeconds totals time served requests spent from enqueue to
-	// completion.
+	// QueueSeconds totals time served requests spent from enqueue to their
+	// reply.
 	QueueSeconds float64
 }
 
@@ -299,21 +315,26 @@ type Server struct {
 	free sync.Pool
 
 	// The dispatcher's per-batch state, reused from batch to batch and
-	// cleared after each: the admitted batch and the requests nextBatch
-	// found cancelled, the roles of the matrices the batch touches (the
-	// conflict check), and the batch's problems, plans and config, which
-	// the PE body runPE reads. runPE is executePE bound once, so a batch
-	// passes World.Run a func value it does not allocate. Written only by
-	// the dispatcher, and read by the PEs only inside its World.Run;
-	// execErr is guarded by execMu.
-	batch, dropped []*request
-	roles          roleTable
-	probs          []universal.Problem
-	cps            []*universal.CompiledPlan
-	execCfg        universal.Config
-	runPE          func(pe rt.PE)
-	execMu         sync.Mutex
-	execErr        error
+	// cleared after each: the admitted batch's slots and the requests
+	// nextBatch found cancelled, the roles of the matrices the batch
+	// touches (the conflict check), and what the PE body runPE reads — the
+	// slot of each plan the activation runs (exec), their problems, plans
+	// and config. runPE is executePE and releasePE is release, each bound
+	// once, so a batch passes World.Run and Execute func values it does not
+	// allocate. Written by the dispatcher, and inside its World.Run only by
+	// the PEs: release writes the slot of the request it answers, rank 0
+	// every executed slot's traffic share; execErr is guarded by execMu.
+	batch     []batchSlot
+	dropped   []*request
+	roles     roleTable
+	exec      []int
+	probs     []universal.Problem
+	cps       []*universal.CompiledPlan
+	execCfg   universal.Config
+	runPE     func(pe rt.PE)
+	releasePE func(i int)
+	execMu    sync.Mutex
+	execErr   error
 
 	wake chan struct{}
 	quit chan struct{}
@@ -345,7 +366,7 @@ func newServer(w rt.World, cfg Config) *Server {
 		quit:    make(chan struct{}),
 		roles:   roleTable{slots: make([]roleSlot, 64)},
 	}
-	s.runPE = s.executePE
+	s.runPE, s.releasePE = s.executePE, s.release
 	if s.cfg.PlanCacheFile != "" {
 		s.warmLoaded, s.persistErr = s.cfg.Exec.Plans.LoadFile(s.cfg.PlanCacheFile)
 	}
@@ -415,6 +436,8 @@ func (s *Server) validate(c, a, b *distmat.Matrix) error {
 
 // Multiply submits C = A·B on behalf of tenantName and blocks until the
 // result has been computed, the context is done, or the server closes.
+// Once it returns, C is the caller's again: the server never touches it,
+// even while the batch it ran in is still going.
 // Safe for any number of concurrent callers. The three matrices must live
 // in the server's world; C is written in place. When the context is
 // already done at admission the request fast-fails with ctx.Err() (and
@@ -599,7 +622,25 @@ func (s *Server) admit(r *request) {
 	s.roles.add(r.prob.C, writtenInBatch)
 	s.roles.add(r.prob.A, readInBatch)
 	s.roles.add(r.prob.B, readInBatch)
-	s.batch = append(s.batch, r)
+	s.batch = append(s.batch, batchSlot{r: r, tenant: r.tenant, queued: r.queued})
+}
+
+// batchSlot is the dispatcher's record of one admitted request. A request
+// answered early (release) belongs to its caller again from its reply on,
+// and its caller may already be reusing it, so what settling the batch
+// needs of it is kept here: its tenant and enqueue time, copied at
+// admission, and how release answered it.
+type batchSlot struct {
+	r      *request
+	tenant *tenant
+	queued time.Time
+	// traffic is the request's share of its last activation's traffic,
+	// written by rank 0 at the activation's end.
+	traffic rt.Stats
+	// released is set when release answered the request, at answered;
+	// late records that its context was done by then.
+	released, late bool
+	answered       time.Time
 }
 
 // roleTable maps the matrices of the batch being formed to their roles: an
@@ -659,7 +700,7 @@ func (t *roleTable) reset() {
 // ctx.Err() instead of admitted; requests that conflict with an already
 // admitted one (shared result matrix) stay queued for the next batch. The
 // batch is the dispatcher's reused slice, valid until the next call.
-func (s *Server) nextBatch() []*request {
+func (s *Server) nextBatch() []batchSlot {
 	s.mu.Lock()
 	s.clearBatch()
 	n := len(s.names)
@@ -714,7 +755,7 @@ func (s *Server) clearBatch() {
 	clear(s.probs)
 	clear(s.cps)
 	s.roles.reset()
-	s.batch, s.probs, s.cps = s.batch[:0], s.probs[:0], s.cps[:0]
+	s.batch, s.exec, s.probs, s.cps = s.batch[:0], s.exec[:0], s.probs[:0], s.cps[:0]
 }
 
 // loop is the dispatcher: it turns queued requests into executed batches
@@ -765,15 +806,16 @@ func (s *Server) drainClosed() {
 	}
 }
 
-// lookupPlans resolves the batch's compiled plans on the dispatcher
-// thread, once per batch rather than P times inside the collective: on a
-// hit the PEs receive ready-to-run compiled plans and touch no shared
-// cache state at all. cfg.Exclude keys the lookup — a failover replay
-// against a shrunken world resolves different (repair) plans from the
-// same cache.
+// lookupPlans resolves the compiled plans of the requests in s.exec on the
+// dispatcher thread, once per activation rather than P times inside the
+// collective: on a hit the PEs receive ready-to-run compiled plans and
+// touch no shared cache state at all. cfg.Exclude keys the lookup — a
+// failover replay against a shrunken world resolves different (repair)
+// plans from the same cache.
 func (s *Server) lookupPlans(cfg universal.Config) {
 	s.probs, s.cps = s.probs[:0], s.cps[:0]
-	for _, r := range s.batch {
+	for _, i := range s.exec {
+		r := s.batch[i].r
 		cp := cfg.Plans.GetOrCompile(r.prob, cfg)
 		r.stat = cp.Stationary()
 		s.probs = append(s.probs, r.prob)
@@ -781,14 +823,15 @@ func (s *Server) lookupPlans(cfg universal.Config) {
 	}
 }
 
-// executeBatch runs one fused collective activation of the batch: every
-// PE zeroes all results, barriers once, runs every request's plan
-// back-to-back, and barriers once more. The batch invariant from
-// nextBatch — no request touches another's result matrix — makes the
+// executeBatch runs one fused collective activation of the requests in
+// s.exec: every PE zeroes all their results, barriers once, runs every
+// request's plan back-to-back, and barriers once more. The batch invariant
+// from nextBatch — no request touches another's result matrix — makes the
 // unsynchronized interleaving safe: all intervening one-sided updates
 // target disjoint matrices and commute. Re-zeroing on entry makes the
-// activation idempotent, which is what lets failover replay a whole
-// batch after a fatal fault without double-counting partial accumulates.
+// activation idempotent, which is what lets failover replay the batch's
+// unanswered requests after a fatal fault without double-counting partial
+// accumulates.
 func (s *Server) executeBatch(cfg universal.Config) error {
 	s.execCfg, s.execErr = cfg, nil
 	s.world.Run(s.runPE)
@@ -798,7 +841,7 @@ func (s *Server) executeBatch(cfg universal.Config) error {
 
 // executePE is one PE's part of executeBatch.
 func (s *Server) executePE(pe rt.PE) {
-	batch, probs, cfg := s.batch, s.probs, &s.execCfg
+	probs, cfg := s.probs, &s.execCfg
 	rank0 := pe.Rank() == 0
 	var snap rt.Stats
 	if rank0 {
@@ -808,7 +851,7 @@ func (s *Server) executePE(pe rt.PE) {
 		p.C.ZeroLocal(pe)
 	}
 	pe.Barrier() // all results zeroed before any accumulate can land
-	if err := universal.Execute(pe, probs, s.cps, *cfg); err != nil {
+	if err := universal.Execute(pe, probs, s.cps, *cfg, s.releasePE); err != nil {
 		// Any rank's fatal fault fails the whole fused batch: the requests'
 		// accumulates interleave without synchronization, so there is no
 		// telling which results the aborted rank had already contributed to.
@@ -820,23 +863,59 @@ func (s *Server) executePE(pe rt.PE) {
 	}
 	universal.Finish(pe, probs, *cfg) // one barrier for the whole batch
 	if rank0 {
-		per := divStats(statsDelta(s.world.Stats(), snap), len(batch))
-		for _, r := range batch {
-			r.traffic = per
+		per := divStats(statsDelta(s.world.Stats(), snap), len(probs))
+		for _, i := range s.exec {
+			s.batch[i].traffic = per
 		}
 	}
 }
 
+// release is Execute's retired report (releasePE). When the activation's
+// i-th plan has a solo rank, the report comes from that rank, every
+// accumulate into the request's C has landed, and no other rank writes C
+// before the activation ends, so the caller is answered now rather than at
+// the closing barrier. It takes no lock and allocates nothing: it writes
+// the request's slot, which the dispatcher reads once World.Run has
+// returned, then sends the one reply. From the send on, the request is its
+// caller's, and the server never touches it again.
+func (s *Server) release(i int) {
+	if _, ok := s.cps[i].SoloRank(); !ok {
+		return
+	}
+	sl := &s.batch[s.exec[i]]
+	sl.released, sl.late, sl.answered = true, sl.r.ctx.Err() != nil, time.Now()
+	sl.r.done <- struct{}{}
+}
+
+// unanswered narrows s.exec to the batch's requests release has not
+// answered, the ones a failover replay runs again, and reports whether any
+// is left. A released request's C is its caller's again, so the replay
+// must not re-zero it.
+func (s *Server) unanswered() bool {
+	n := 0
+	for _, i := range s.exec {
+		if !s.batch[i].released {
+			s.exec[n] = i
+			n++
+		}
+	}
+	s.exec = s.exec[:n]
+	return n > 0
+}
+
 // runBatch executes one admitted batch, recovering from fatal PE faults
 // when Config.Recover is set: a batch that dies with ErrPEFailed is
-// replayed in full against the surviving world — membership re-synced,
-// plans recompiled with the crashed ranks excluded, every result
-// re-zeroed by executeBatch — until it lands or no repair is possible.
-// Because nextBatch admitted these requests in tenant FIFO order and the
-// replay keeps the batch intact, recovery preserves per-tenant order; a
-// recovered batch is accounted as served (plus Recovered) and never
-// feeds the circuit breakers.
-func (s *Server) runBatch(batch []*request) {
+// replayed against the surviving world — membership re-synced, plans
+// recompiled with the crashed ranks excluded, every result re-zeroed by
+// executeBatch — until it lands or no repair is possible. A replay runs
+// only the requests release has not answered already. Because nextBatch
+// admitted these requests in tenant FIFO order and the replay keeps the
+// rest of the batch intact, recovery preserves per-tenant order; a
+// recovered request is accounted as served (plus Recovered) and never
+// feeds the circuit breakers. The batch's accounting is settled from its
+// slots under one lock at the end, and the requests release did not answer
+// are answered then.
+func (s *Server) runBatch(batch []batchSlot) {
 	start := time.Now()
 	cfg := s.cfg.Exec
 	if s.member != nil {
@@ -845,12 +924,15 @@ func (s *Server) runBatch(batch []*request) {
 		s.member.Sync(s.world)
 		cfg.Exclude = s.member.Excluded()
 	}
+	for i := range batch {
+		s.exec = append(s.exec, i)
+	}
 	var replans int64
 	var replanMs []float64
 	recovered := false
 	s.lookupPlans(cfg)
 	execErr := s.executeBatch(cfg)
-	if execErr != nil && s.member != nil && errors.Is(execErr, rt.ErrPEFailed) {
+	if execErr != nil && s.member != nil && errors.Is(execErr, rt.ErrPEFailed) && s.unanswered() {
 		// Failover: each attempt retires at least one newly crashed rank,
 		// so NumPE attempts bound the loop even under a rolling crash storm.
 		for attempt := 0; attempt < s.world.NumPE(); attempt++ {
@@ -868,7 +950,7 @@ func (s *Server) runBatch(batch []*request) {
 				recovered = true
 				break
 			}
-			if !errors.Is(execErr, rt.ErrPEFailed) {
+			if !errors.Is(execErr, rt.ErrPEFailed) || !s.unanswered() {
 				break
 			}
 		}
@@ -883,10 +965,11 @@ func (s *Server) runBatch(batch []*request) {
 	s.replans += replans
 	s.replanMs = append(s.replanMs, replanMs...)
 	breakerOn := s.cfg.Breaker.Threshold > 0
-	for _, r := range batch {
-		t := r.tenant
-		if execErr != nil {
-			r.err = execErr
+	for i := range batch {
+		sl := &batch[i]
+		t := sl.tenant
+		if !sl.released && execErr != nil {
+			sl.r.err = execErr
 			t.stats.Failed++
 			s.failed++
 			if breakerOn && t.brk.failure(s.cfg.Breaker, now) {
@@ -895,19 +978,23 @@ func (s *Server) runBatch(batch []*request) {
 			}
 			continue
 		}
-		if recovered {
-			t.stats.Recovered++
-			s.recovered++
+		done, late := sl.answered, sl.late
+		if !sl.released {
+			done, late = now, sl.r.ctx.Err() != nil
+			if recovered {
+				t.stats.Recovered++
+				s.recovered++
+			}
 		}
 		t.stats.Served++
-		addStats(&t.stats.Traffic, r.traffic)
-		t.stats.QueueSeconds += now.Sub(r.queued).Seconds()
+		addStats(&t.stats.Traffic, sl.traffic)
+		t.stats.QueueSeconds += done.Sub(sl.queued).Seconds()
 		s.served++
 		if breakerOn {
 			// A missed deadline counts against the breaker like a fatal
 			// fault: the tenant keeps submitting work the server cannot
 			// land in time.
-			if r.ctx.Err() != nil {
+			if late {
 				if t.brk.failure(s.cfg.Breaker, now) {
 					t.stats.Tripped++
 					s.tripped++
@@ -920,8 +1007,10 @@ func (s *Server) runBatch(batch []*request) {
 	s.batches++
 	s.batchedRequests += int64(len(batch))
 	s.mu.Unlock()
-	for _, r := range batch {
-		r.done <- struct{}{}
+	for i := range batch {
+		if !batch[i].released {
+			batch[i].r.done <- struct{}{}
+		}
 	}
 	s.clearBatch()
 }

@@ -26,13 +26,31 @@ type tenantFixture struct {
 }
 
 // makeTenant builds and fills a tenant's matrices and reference before the
-// server takes ownership of the world's Run.
+// server takes ownership of the world's Run. A is row-blocked, B
+// column-blocked and every C 2-D blocked, so each request's plan spans the
+// world's ranks.
 func makeTenant(w rt.World, name string, m, n, k, requests int, seed int64) *tenantFixture {
+	return makeTenantOn(w, name, m, n, k, requests, seed, distmat.RowBlock{}, distmat.ColBlock{}, distmat.Block2D{})
+}
+
+// soloPart keeps a matrix of up to 32×32 in one tile on rank 0 of a 4-PE
+// world. A request whose three matrices use it has a solo plan
+// (universal.CompiledPlan.SoloRank): rank 0 does all of it, so the server
+// answers it as soon as rank 0 retires it, before its batch ends.
+var soloPart = distmat.Custom{TileRows: 32, TileCols: 32, ProcRows: 2, ProcCols: 2}
+
+// makeSoloTenant is makeTenant with every matrix in soloPart.
+func makeSoloTenant(w rt.World, name string, m, n, k, requests int, seed int64) *tenantFixture {
+	return makeTenantOn(w, name, m, n, k, requests, seed, soloPart, soloPart, soloPart)
+}
+
+// makeTenantOn is makeTenant with A, B and each C partitioned by pa, pb, pc.
+func makeTenantOn(w rt.World, name string, m, n, k, requests int, seed int64, pa, pb, pc distmat.Partition) *tenantFixture {
 	f := &tenantFixture{name: name, m: m, n: n, k: k}
-	f.a = distmat.New(w, m, k, distmat.RowBlock{}, 1)
-	f.b = distmat.New(w, k, n, distmat.ColBlock{}, 1)
+	f.a = distmat.New(w, m, k, pa, 1)
+	f.b = distmat.New(w, k, n, pb, 1)
 	for i := 0; i < requests; i++ {
-		f.cs = append(f.cs, distmat.New(w, m, n, distmat.Block2D{}, 1))
+		f.cs = append(f.cs, distmat.New(w, m, n, pc, 1))
 	}
 	w.Run(func(pe rt.PE) {
 		f.a.FillRandom(pe, seed)
@@ -304,10 +322,10 @@ func TestServeFairnessRoundRobin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	order := func(batch []*request) []string {
+	order := func(batch []batchSlot) []string {
 		var names []string
-		for _, r := range batch {
-			names = append(names, r.tenant.name)
+		for _, sl := range batch {
+			names = append(names, sl.tenant.name)
 		}
 		return names
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"slicing/internal/chaos"
 	"slicing/internal/distmat"
 	"slicing/internal/gpubackend"
 	"slicing/internal/gpusim"
@@ -20,15 +21,22 @@ import (
 // hammer drives tenants×perTenant concurrent requests through one server
 // and verifies every result against the serial reference. Run with -race:
 // this is the concurrency contract of the whole serving stack — admission,
-// batching, the shared plan cache, and the pooled executor.
-func hammer(t *testing.T, w rt.World, tenants, perTenant int) {
+// batching, the shared plan cache, and the pooled executor. With solo, every
+// odd tenant's matrices sit in one tile on rank 0 (makeSoloTenant), so its
+// requests are answered before their batches end, while the batch's other
+// requests still run on every rank.
+func hammer(t *testing.T, w rt.World, tenants, perTenant int, solo bool) {
 	t.Helper()
 	var fixtures []*tenantFixture
 	shapes := [][3]int{{24, 20, 16}, {17, 23, 19}, {32, 8, 24}, {11, 13, 29}}
 	for i := 0; i < tenants; i++ {
 		sh := shapes[i%len(shapes)]
+		build := makeTenant
+		if solo && i%2 == 1 {
+			build = makeSoloTenant
+		}
 		fixtures = append(fixtures,
-			makeTenant(w, fmt.Sprintf("tenant-%d", i), sh[0], sh[1], sh[2], perTenant, int64(100*i+1)))
+			build(w, fmt.Sprintf("tenant-%d", i), sh[0], sh[1], sh[2], perTenant, int64(100*i+1)))
 	}
 	pool := gpusim.NewPool()
 	s := NewServer(w, Config{
@@ -48,8 +56,10 @@ func hammer(t *testing.T, w rt.World, tenants, perTenant int) {
 		}
 	}
 	wg.Wait()
-	st := s.Stats()
+	// A request answered mid-batch is counted when its batch settles, which
+	// may be after its reply; Close waits for that.
 	s.Close()
+	st := s.Stats()
 	checkResults(t, w, fixtures)
 	if want := int64(tenants * perTenant); st.Served != want {
 		t.Fatalf("served %d, want %d", st.Served, want)
@@ -78,7 +88,7 @@ func hammerScale() (tenants, perTenant int) {
 
 func TestServeHammerShmem(t *testing.T) {
 	tenants, perTenant := hammerScale()
-	hammer(t, shmem.NewWorld(4), tenants, perTenant)
+	hammer(t, shmem.NewWorld(4), tenants, perTenant, false)
 }
 
 func TestServeHammerTimedBackend(t *testing.T) {
@@ -86,7 +96,72 @@ func TestServeHammerTimedBackend(t *testing.T) {
 	tenants, perTenant := hammerScale()
 	topo := simnet.NewUniform(p, 100e9, 1e12, 1e-6, "stress")
 	w := gpubackend.New(topo, gpusim.PresetPVCDevice()).NewWorld(p)
-	hammer(t, w, tenants, perTenant)
+	hammer(t, w, tenants, perTenant, false)
+}
+
+// The hammer with solo tenants mixed in, on both backends: requests
+// answered mid-batch and requests answered at its end share batches.
+func TestServeHammerEarlyRelease(t *testing.T) {
+	const p = 4
+	tenants, perTenant := hammerScale()
+	topo := simnet.NewUniform(p, 100e9, 1e12, 1e-6, "stress")
+	for name, w := range map[string]rt.World{
+		"shmem": shmem.NewWorld(p),
+		"timed": gpubackend.New(topo, gpusim.PresetPVCDevice()).NewWorld(p),
+	} {
+		t.Run(name, func(t *testing.T) { hammer(t, w, tenants, perTenant, true) })
+	}
+}
+
+// A solo request is answered when rank 0 retires it, not when its batch
+// ends. Rank 1 stalls on its first op of the batch's other request, which
+// spans the world, so the batch cannot end for a while; the solo requests'
+// replies must arrive in that window, before any batch has been settled and
+// before the spanning request's reply.
+func TestServeAnswersSoloRequestsEarly(t *testing.T) {
+	plan := &chaos.Plan{Seed: 5, Rules: []chaos.Rule{
+		{Name: "stall", Kind: chaos.Delay, Ranks: []int{1}, Rate: 1, MaxFires: 1, Delay: 200 * time.Millisecond},
+	}}
+	w, _ := chaosWorld(plan)
+	wide := makeTenant(w, "wide", 24, 20, 16, 1, 7)
+	solo := makeSoloTenant(w, "solo", 16, 16, 16, 4, 8)
+	s := newServer(w, Config{Batch: 8, Queue: 8}) // started once all are queued
+	type reply struct {
+		tenant  string
+		batches int64 // batches settled when the reply arrived
+		err     error
+	}
+	replies := make(chan reply, 1+len(solo.cs))
+	submit := func(f *tenantFixture, c *distmat.Matrix) {
+		_, err := s.Multiply(context.Background(), f.name, c, f.a, f.b)
+		replies <- reply{f.name, s.Stats().Batches, err}
+	}
+	go submit(wide, wide.cs[0])
+	for _, c := range solo.cs {
+		go submit(solo, c)
+	}
+	for queuedLen(s) < 1+len(solo.cs) {
+		time.Sleep(time.Millisecond)
+	}
+	s.Start()
+	for i := 0; i <= len(solo.cs); i++ {
+		r := <-replies
+		if r.err != nil {
+			t.Fatalf("%s: %v", r.tenant, r.err)
+		}
+		if last := i == len(solo.cs); last != (r.tenant == "wide") {
+			t.Fatalf("reply %d is %s's; want the %d solo replies before the spanning one", i, r.tenant, len(solo.cs))
+		}
+		if r.tenant == "solo" && r.batches != 0 {
+			t.Fatalf("a solo request was answered after %d batch(es) settled, want mid-batch", r.batches)
+		}
+	}
+	st := s.Stats()
+	s.Close()
+	if st.Batches != 1 || st.Served != int64(1+len(solo.cs)) {
+		t.Fatalf("want one batch serving all %d requests: %+v", 1+len(solo.cs), st)
+	}
+	checkResults(t, w, []*tenantFixture{wide, solo})
 }
 
 // A storm of deadline-cancelled requests interleaved with healthy ones must

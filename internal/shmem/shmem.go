@@ -89,10 +89,12 @@ type World struct {
 	// pes[rank] is the handle Run gives rank's body: stateless beyond
 	// (world, rank), so one set serves every Run.
 	pes []PE
-	// spare is the run record the last Run finished with, taken by the next
-	// one, so a warm Run allocates nothing; a Run that finds it taken (one
-	// nested in another) builds its own.
-	spare atomic.Pointer[run]
+	// running serializes Run: the ranks of one call share the world's
+	// barrier, so a second call waits for the first to return.
+	running sync.Mutex
+	// spare is the run record every Run reuses, so a warm Run allocates
+	// nothing; guarded by running.
+	spare *run
 }
 
 // rankMem is one rank's copy of one segment: its backing array and the
@@ -191,11 +193,19 @@ func (w *World) SegmentLen(seg SegmentID) int { return w.mem(seg, 0).size }
 // return. Panics inside a PE body are re-raised on the caller after all
 // other PEs have been allowed to finish or deadlock is avoided by the panic
 // propagating first.
+//
+// Calls do not overlap: a Run made while another is in progress, from
+// another goroutine, waits until that one has returned. A server that
+// answers a request before its activation ends (internal/serve) relies on
+// this, so a caller's own Run after its reply never meets the server's.
+// A Run nested in a PE body therefore deadlocks.
 func (w *World) Run(body func(pe rt.PE)) {
-	r := w.spare.Swap(nil)
-	if r == nil {
-		r = newRun(w)
+	w.running.Lock()
+	defer w.running.Unlock()
+	if w.spare == nil {
+		w.spare = newRun(w)
 	}
+	r := w.spare
 	r.body = body
 	r.wg.Add(w.numPE)
 	for _, start := range r.starts[1:] {
@@ -206,7 +216,6 @@ func (w *World) Run(body func(pe rt.PE)) {
 	w.barrier.reset()
 	panics := r.panics
 	r.body, r.panics = nil, nil
-	w.spare.Store(r)
 	for _, p := range panics {
 		if p != nil {
 			panic(p)

@@ -569,6 +569,39 @@ func TestWorldRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// Runs on one world from different goroutines do not overlap: their ranks
+// would share the world's barrier. Each body holds the world for a moment
+// and barriers twice; at no time are more than p rank bodies running.
+func TestRunCallsDoNotOverlap(t *testing.T) {
+	const p, callers = 4, 3
+	w := NewWorld(p)
+	var running, peak atomic.Int32
+	body := func(pe rt.PE) {
+		n := running.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		pe.Barrier()
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		pe.Barrier()
+	}
+	done := make(chan struct{})
+	for range callers {
+		go func() {
+			for range 5 {
+				w.Run(body)
+			}
+			done <- struct{}{}
+		}()
+	}
+	for range callers {
+		<-done
+	}
+	if got := peak.Load(); got != p {
+		t.Fatalf("%d rank bodies ran at once, want %d", got, p)
+	}
+}
+
 // AllocSymmetric on a world whose PEs are running — the serving situation,
 // a tenant calling NewMatrix mid-flight — must not race with ops on
 // earlier segments: ops read the segment table through an atomically

@@ -87,9 +87,10 @@ func TestChainAbortReleases(t *testing.T) {
 				wd := build(&chaos.Plan{Seed: 1, Rules: []chaos.Rule{tc.rule}})
 				cps := []*CompiledPlan{CompilePlans(wd.prob, cfg)}
 				var victimErr error
+				var reports [p]int
 				wd.w.Run(func(pe rt.PE) {
 					wd.c.Zero(pe)
-					err := execute(pe, []Problem{wd.prob}, cps, cfg)
+					err := execute(pe, []Problem{wd.prob}, cps, cfg, func(int) { reports[pe.Rank()]++ })
 					pe.Barrier()
 					if pe.Rank() != victim {
 						if err != nil {
@@ -101,6 +102,17 @@ func TestChainAbortReleases(t *testing.T) {
 				})
 				if victimErr == nil {
 					t.Fatal("the victim's execute returned no error")
+				}
+				// An aborted plan is never reported retired; the healthy
+				// ranks' are, once.
+				for r, n := range reports {
+					want := 1
+					if r == victim {
+						want = 0
+					}
+					if n != want {
+						t.Errorf("rank %d reported its plan retired %d times, want %d", r, n, want)
+					}
 				}
 				if live := cfg.Pool.Stats().Live; live != 0 {
 					t.Errorf("%d pool elements live after the aborted run", live)

@@ -178,10 +178,40 @@ type CompiledPlan struct {
 	// Recomputed deterministically from (Plans, Key.CacheTiles) after
 	// deserialization.
 	scheds []fetchSchedule
+	// solo is 1 + the rank that completes the multiply alone (see
+	// SoloRank), 0 when none does, so a zero CompiledPlan claims no rank.
+	// Derived from Plans and Key.C like scheds, and recomputed on load.
+	solo int
 }
 
 // Stationary returns the resolved data-movement strategy the plan encodes.
 func (cp *CompiledPlan) Stationary() Stationary { return cp.Key.Stationary }
+
+// SoloRank returns the rank that completes the multiply alone: every step
+// of the plan is on that rank, and C has a single replica, so no other
+// rank's accumulate or replica reduction touches C. Once that rank has
+// retired its last chain of the plan without a fault (Execute's retired
+// report), C holds the product, before the collective's closing barrier.
+// ok is false when the work spans ranks or C is replicated.
+func (cp *CompiledPlan) SoloRank() (rank int, ok bool) { return cp.solo - 1, cp.solo > 0 }
+
+// soloOf computes SoloRank's encoded form from the rank plans.
+func (cp *CompiledPlan) soloOf() int {
+	if cp.Key.C.Replication != 1 {
+		return 0
+	}
+	solo := 0
+	for r := range cp.Plans {
+		if len(cp.Plans[r].Steps) == 0 {
+			continue
+		}
+		if solo > 0 {
+			return 0
+		}
+		solo = r + 1
+	}
+	return solo
+}
 
 // Steps returns the total step count across all ranks.
 func (cp *CompiledPlan) Steps() int {
@@ -216,6 +246,7 @@ func CompilePlans(prob Problem, cfg Config) *CompiledPlan {
 	rt.ForEachIndex(key.NumPE, func(rank int) {
 		cp.Plans[rank] = compileRank(rank, prob, key, excluded, &cp.scheds[rank])
 	})
+	cp.solo = cp.soloOf()
 	return cp
 }
 
@@ -316,7 +347,7 @@ func (cp *CompiledPlan) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON deserializes and validates a compiled plan, then rederives
-// the per-rank fetch schedules. The bytes come from outside the program (a
+// the per-rank fetch schedules and the solo rank. The bytes come from outside the program (a
 // plancache/v1 file), and the executor trusts a plan completely, so
 // everything it relies on is checked here: malformed input — wrong rank
 // count, out-of-range tile indices or owner ranks, ops outside the tiles
@@ -339,6 +370,7 @@ func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("universal: rank %d fetch or chain flags disagree with the %d-tile LRU replay", r, out.Key.CacheTiles)
 		}
 	}
+	out.solo = out.soloOf()
 	*cp = out
 	return nil
 }
@@ -444,14 +476,23 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 // commute). Performs no collective synchronization; callers Finish
 // afterwards.
 //
+// retired, when non-nil, is called once with i for each plan i that has
+// steps on this rank, as soon as the last of its chains here has retired,
+// provided no fatal fault has stopped the run by then. It runs on whichever
+// of the rank's goroutines retired that chain, concurrently with the rest of
+// the batch, and Execute allocates nothing to make the call. For a plan with
+// a SoloRank it is the moment C holds the product: every accumulate of a
+// synchronous one-sided op has landed when the op returns (runtime.PE).
+//
 // Fault semantics: the fused plans share one crew and one abort flag, so
 // this rank's first fatal fault (after per-op retries) stops dispatch
 // across the WHOLE batch and is returned once — the serving layer fails
-// every fused request on it, since there is no telling which plans'
-// accumulates had already landed. Pooled buffers balance either way.
-func Execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
+// every fused request it has not yet answered, since there is no telling
+// which plans' accumulates had already landed. Pooled buffers balance
+// either way.
+func Execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config, retired func(i int)) error {
 	if len(probs) != len(cps) {
 		panic("universal: Execute problem/plan count mismatch")
 	}
-	return execute(pe, probs, cps, cfg.withDefaults())
+	return execute(pe, probs, cps, cfg.withDefaults(), retired)
 }

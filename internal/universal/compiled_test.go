@@ -253,7 +253,69 @@ func TestCompiledPlanJSONRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(back.scheds, cp.scheds) {
 				t.Fatalf("trial %d %s: recompiled fetch schedules differ", trial, name)
 			}
+			if back.solo != cp.solo {
+				t.Fatalf("trial %d %s: solo rank %d recomputed as %d", trial, name, cp.solo-1, back.solo-1)
+			}
 		}
+	}
+}
+
+// SoloRank names the one rank that completes a multiply alone, and only
+// when C has a single replica; it survives a plancache/v1 round trip,
+// where it is recomputed.
+func TestSoloRank(t *testing.T) {
+	w := shmem.NewWorld(4)
+	one := distmat.Custom{TileRows: 16, TileCols: 16, ProcRows: 2, ProcCols: 2}
+	fine := distmat.Custom{TileRows: 8, TileCols: 8, ProcRows: 2, ProcCols: 2}
+	pair := distmat.Custom{TileRows: 16, TileCols: 16, ProcRows: 1, ProcCols: 2}
+	mat := func(part distmat.Partition, repl int) *distmat.Matrix { return distmat.New(w, 16, 16, part, repl) }
+	for _, tc := range []struct {
+		name    string
+		prob    Problem
+		stat    Stationary
+		exclude []int
+		rank    int // -1: none
+	}{
+		{"one tile", NewProblem(mat(one, 1), mat(one, 1), mat(one, 1)), StationaryAuto, nil, 0},
+		{"one tile, rank 0 excluded", NewProblem(mat(one, 1), mat(one, 1), mat(one, 1)), StationaryAuto, []int{0}, 1},
+		{"spanning", NewProblem(mat(fine, 1), mat(fine, 1), mat(fine, 1)), StationaryAuto, nil, -1},
+		// A's one tile is on rank 0, which does the whole product into its
+		// own replica of C; replica 1 gets it only from the reduction.
+		{"replicated C", NewProblem(mat(pair, 2), mat(one, 1), mat(one, 1)), StationaryA, nil, -1},
+	} {
+		cfg := DefaultConfig()
+		cfg.Stationary, cfg.Exclude = tc.stat, tc.exclude
+		cp := CompilePlans(tc.prob, cfg)
+		busy := 0
+		for _, pl := range cp.Plans {
+			if len(pl.Steps) > 0 {
+				busy++
+			}
+		}
+		rank, ok := cp.SoloRank()
+		if !ok {
+			rank = -1
+		}
+		if rank != tc.rank {
+			t.Errorf("%s: SoloRank %d (%d ranks with steps), want %d", tc.name, rank, busy, tc.rank)
+		}
+		if tc.name == "replicated C" && busy != 1 {
+			t.Fatalf("%s: %d ranks with steps; the case needs one", tc.name, busy)
+		}
+		blob, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back CompiledPlan
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := back.SoloRank(); (ok && r != tc.rank) || ok != (tc.rank >= 0) {
+			t.Errorf("%s: SoloRank after a round trip %d, %v; want %d", tc.name, r, ok, tc.rank)
+		}
+	}
+	if _, ok := new(CompiledPlan).SoloRank(); ok {
+		t.Error("a zero CompiledPlan claims a solo rank")
 	}
 }
 
@@ -337,7 +399,7 @@ func TestCompiledProgramsExecuteCorrect(t *testing.T) {
 				a.FillRandom(pe, 7)
 				b.FillRandom(pe, 8)
 				c.Zero(pe)
-				err := Execute(pe, []Problem{prob}, []*CompiledPlan{cp}, cfg)
+				err := Execute(pe, []Problem{prob}, []*CompiledPlan{cp}, cfg, nil)
 				Finish(pe, []Problem{prob}, cfg)
 				if err != nil {
 					t.Errorf("rank %d: %v", pe.Rank(), err)

@@ -116,14 +116,14 @@ func testEntryPointsEquivalent(t *testing.T, lay entryLayout) {
 				cps[i] = CompilePlans(probs[i], cfg)
 				c.Zero(pe)
 			}
-			err := Execute(pe, probs, cps, cfg)
+			err := Execute(pe, probs, cps, cfg, nil)
 			Finish(pe, probs, cfg)
 			return err
 		}, false},
 		{"Execute/ordered", 1, func(pe rt.PE, cfg Config) error {
 			cp := CompileOrdered(probs[0], cfg, reversedOrder)
 			cs[0].Zero(pe)
-			err := Execute(pe, probs[:1], []*CompiledPlan{cp}, cfg)
+			err := Execute(pe, probs[:1], []*CompiledPlan{cp}, cfg, nil)
 			Finish(pe, probs[:1], cfg)
 			return err
 		}, true},

@@ -112,7 +112,7 @@ func Multiply(pe rt.PE, c, a, b *distmat.Matrix, cfg Config) (Stationary, error)
 func MultiplyAccumulate(pe rt.PE, prob Problem, cfg Config) (Stationary, error) {
 	cfg = cfg.withPlans(pe)
 	probs, cps := [1]Problem{prob}, [1]*CompiledPlan{cfg.Plans.GetOrCompile(prob, cfg)}
-	err := execute(pe, probs[:], cps[:], cfg)
+	err := execute(pe, probs[:], cps[:], cfg, nil)
 	Finish(pe, probs[:], cfg)
 	return cps[0].Key.Stationary, err
 }
@@ -221,6 +221,9 @@ type crew struct {
 	// chains counts the chains the feeders dispatched, numbering their
 	// host-thread lanes.
 	chains int
+	// retired is Execute's report of a plan whose chains on this rank have
+	// all retired; nil reports nothing.
+	retired func(i int)
 }
 
 var crewPool = sync.Pool{New: func() any {
@@ -265,7 +268,7 @@ func (c *crew) help() {
 // counts. The returned error is the rank's first fatal one-sided fault
 // (after per-op retries), which stops dispatch across all of cps; every
 // pooled buffer is back in the pool either way.
-func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
+func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config, retired func(i int)) error {
 	rank := pe.Rank()
 	total := 0
 	for _, cp := range cps {
@@ -280,7 +283,7 @@ func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
 	defer rt.SetOpDeadline(pe, 0)
 
 	c := crewPool.Get().(*crew)
-	c.pe, c.cfg = pe, cfg
+	c.pe, c.cfg, c.retired = pe, cfg, retired
 	if cap(c.feeders) < len(cps) {
 		c.feeders = make([]feeder, len(cps))
 	}
@@ -290,7 +293,7 @@ func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
 	work, rest := c.feeders[:len(cps)], c.steps[:total]
 	for i, cp := range cps {
 		f := &work[i]
-		f.prob, f.plan, f.sched = probs[i], cp.Plans[rank], &cp.scheds[rank]
+		f.prob, f.plan, f.sched, f.idx = probs[i], cp.Plans[rank], &cp.scheds[rank], i
 		n := len(f.plan.Steps)
 		f.steps, rest = rest[:n:n], rest[n:]
 	}
@@ -317,7 +320,7 @@ func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
 	// pool or world.
 	clear(work)
 	clear(c.steps[:total])
-	c.pe, c.cfg = nil, Config{}
+	c.pe, c.cfg, c.retired = nil, Config{}, nil
 	c.box.p.Store(nil)
 	c.started.Store(0)
 	c.chains = 0
@@ -326,7 +329,7 @@ func execute(pe rt.PE, probs []Problem, cps []*CompiledPlan, cfg Config) error {
 }
 
 // feeder walks one per-rank plan, issuing prefetches and assembling its
-// steps into ready GEMM→accumulate chains. execute fills the first three
+// steps into ready GEMM→accumulate chains. execute fills the first four
 // fields and steps; the rest is the walk's state. It owns the plan's slot
 // array, whose refcounts keep pooled buffers alive until the last in-flight
 // chain using them retires — which is why a feeder outlives its feed call
@@ -336,6 +339,7 @@ type feeder struct {
 	prob  Problem
 	plan  Plan
 	sched *fetchSchedule
+	idx   int // the plan's index in the execute call, for crew.retired
 
 	c     *crew
 	ret   retrier // the feeder goroutine's own: fetch issues and the chains it runs itself
@@ -344,6 +348,10 @@ type feeder struct {
 	// step with two local tiles never aliases them.
 	aLocal, bLocal tile.Matrix
 	evicted        int // cursor into sched.evictions
+	// pending is chainBias plus the chains dispatched (added when the walk
+	// ends) minus the chains retired: it reaches zero exactly once, on the
+	// last retirement after the walk, whichever goroutine makes it.
+	pending atomic.Int64
 }
 
 // feed walks the plan's steps in order: issue the fetches PrefetchDepth
@@ -360,7 +368,8 @@ func (f *feeder) feed(c *crew) {
 	depth := c.cfg.PrefetchDepth
 	f.ret = newRetrier(c.cfg.Retry, uint64(c.pe.Rank())<<16|0xfeed)
 	c.box.set(f.issueFetches(0, 1+depth))
-	first, i := 0, 0 // the chain being assembled is steps [first, i)
+	f.pending.Store(chainBias)
+	first, i, chains := 0, 0, 0 // the chain being assembled is steps [first, i)
 	for ; i < len(f.plan.Steps) && c.box.err() == nil; i++ {
 		if err := f.issueFetches(i+1+depth, i+2+depth); err != nil {
 			c.box.set(err)
@@ -379,10 +388,26 @@ func (f *feeder) feed(c *crew) {
 		if !s.Chained {
 			f.dispatch(chainTask{f: f, first: first, n: i + 1 - first, lane: c.chains % c.cfg.MaxInflight})
 			c.chains++
+			chains++
 			first = i + 1
 		}
 	}
 	f.release(first, i)
+	if chains > 0 && f.pending.Add(int64(chains)-chainBias) == 0 {
+		f.retire()
+	}
+}
+
+// chainBias holds a feeder's pending count above zero while its walk may
+// still dispatch chains; no plan has this many.
+const chainBias = 1 << 40
+
+// retire reports the plan's last chain on this rank retired, unless the
+// run has been aborted: then some chain of the batch may not have run.
+func (f *feeder) retire() {
+	if f.c.retired != nil && f.c.box.err() == nil {
+		f.c.retired(f.idx)
+	}
 }
 
 // dispatch hands a ready chain to an idle helper, or runs it on the feeder's
@@ -406,12 +431,15 @@ func (f *feeder) dispatch(t chainTask) {
 // runChain runs steps [first, first+n) as one chain on the calling
 // goroutine — a helper or the feeder — issuing on host thread lane, unless
 // the run has been aborted, and retires the chain's slot references either
-// way.
+// way. The plan's last retirement reports it (feeder.retire).
 func (f *feeder) runChain(first, n, lane int, ret *retrier) {
 	if box := &f.c.box; box.err() == nil {
 		box.set(f.gemmChain(rt.HostThread(f.c.pe, lane), first, n, ret))
 	}
 	f.release(first, first+n)
+	if f.pending.Add(-1) == 0 {
+		f.retire()
+	}
 }
 
 // release drops the slot references steps [from, to) took at assembly.

@@ -342,16 +342,78 @@ func TestMultiplySteadyStateAllocs(t *testing.T) {
 			cfg.MaxInflight = 1
 			prob := NewProblem(c, a, b)
 			probs, cps := []Problem{prob}, []*CompiledPlan{PlansOf(w).GetOrCompile(prob, cfg)}
+			// It reports its retired plan without allocating either.
+			reports := 0
+			retired := func(int) { reports++ }
 			w.Run(func(pe rt.PE) {
 				c.Zero(pe)
 				if pe.Rank() == 0 {
-					Execute(pe, probs, cps, cfg) // warm this rank's crew record
-					if allocs := testing.AllocsPerRun(5, func() { Execute(pe, probs, cps, cfg) }); allocs > 0 {
+					Execute(pe, probs, cps, cfg, retired) // warm this rank's crew record
+					if allocs := testing.AllocsPerRun(5, func() { Execute(pe, probs, cps, cfg, retired) }); allocs > 0 {
 						t.Errorf("a warm Execute at MaxInflight 1 allocates %v objects, want 0", allocs)
 					}
 				}
 				pe.Barrier()
 			})
+			if reports != 7 { // the warm-up, AllocsPerRun's own warm-up, and 5 runs
+				t.Errorf("rank 0 reported its plan retired %d times over 7 Executes", reports)
+			}
 		})
+	}
+}
+
+// Execute reports each plan that has steps on a rank exactly once on that
+// rank, whichever goroutine retires its last chain, and never a plan with
+// no steps there. The fused batch mixes a solo plan on rank 0, a solo plan
+// on rank 1 whose accumulate lands in rank 0's C (rank 0 excluded), and a
+// plan spanning all four ranks.
+func TestExecuteReportsRetiredPlans(t *testing.T) {
+	const p = 4
+	w := shmem.NewWorld(p)
+	// 16×16 tiles: a 16³ problem is one tile on rank 0, a 96³ one spans
+	// the 2×2 grid.
+	part := distmat.Custom{TileRows: 16, TileCols: 16, ProcRows: 2, ProcCols: 2}
+	newProb := func(n int) Problem {
+		a, b, c := distmat.New(w, n, n, part, 1), distmat.New(w, n, n, part, 1), distmat.New(w, n, n, part, 1)
+		w.Run(func(pe rt.PE) {
+			a.FillRandom(pe, int64(n))
+			b.FillRandom(pe, int64(n+1))
+		})
+		return NewProblem(c, a, b)
+	}
+	probs := []Problem{newProb(16), newProb(16), newProb(96)}
+	for _, inflight := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.MaxInflight, cfg.Pool = inflight, gpusim.NewPool()
+		excluded := cfg
+		excluded.Exclude = []int{0}
+		cps := []*CompiledPlan{CompilePlans(probs[0], cfg), CompilePlans(probs[1], excluded), CompilePlans(probs[2], cfg)}
+		for i, want := range []int{0, 1, -1} {
+			if r, ok := cps[i].SoloRank(); (ok && r != want) || ok != (want >= 0) {
+				t.Fatalf("plan %d: SoloRank %d, %v; want %d", i, r, ok, want)
+			}
+		}
+		var reports [p][3]int
+		w.Run(func(pe rt.PE) {
+			rank := pe.Rank()
+			for _, prob := range probs {
+				prob.C.ZeroLocal(pe)
+			}
+			pe.Barrier()
+			if err := Execute(pe, probs, cps, cfg, func(i int) { reports[rank][i]++ }); err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+			}
+			Finish(pe, probs, cfg)
+		})
+		for r := range reports {
+			for i, cp := range cps {
+				if want := min(1, len(cp.Plans[r].Steps)); reports[r][i] != want {
+					t.Errorf("inflight %d: rank %d reported plan %d %d times, want %d", inflight, r, i, reports[r][i], want)
+				}
+			}
+		}
+		if live := cfg.Pool.Stats().Live; live != 0 {
+			t.Errorf("inflight %d: %d pool elements live", inflight, live)
+		}
 	}
 }
