@@ -40,7 +40,8 @@
 //     separated by barriers, so finer attribution would cost the very
 //     synchronization the fusion removes). Every request of a batch,
 //     answered early or not, is counted when the batch settles, under one
-//     lock at its end, so Stats can trail a reply by the rest of its batch.
+//     lock at its end; Stats waits for the batch in flight, so a snapshot
+//     taken after a reply counts it.
 //
 // The server owns its world for the duration of serving: no other code may
 // call World.Run (or mutate served matrices) while the server is open. A
@@ -230,9 +231,7 @@ func (q *ring) remove(r *request) bool {
 // TenantStats is one tenant's accounting snapshot.
 type TenantStats struct {
 	// Served counts requests executed to completion (including ones whose
-	// deadline expired mid-execution; those also count in Expired). A
-	// request counts once its batch has settled, which for one answered
-	// mid-batch comes after its reply.
+	// deadline expired mid-execution; those also count in Expired).
 	// Rejected counts ErrQueueFull admissions, Cancelled requests removed
 	// from the queue before execution, Expired requests whose deadline
 	// passed before admission or that completed after their context was
@@ -288,6 +287,13 @@ type Stats struct {
 type Server struct {
 	world rt.World
 	cfg   Config
+
+	// settling is held by the dispatcher from a batch's first activation
+	// to its settlement. Stats and TenantStats take it before mu, so they
+	// wait for the batch in flight: a request answered mid-batch is counted
+	// by the time any snapshot taken after its reply returns, and whatever
+	// the dispatcher did inside the batch happens before that snapshot.
+	settling sync.Mutex
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -916,6 +922,8 @@ func (s *Server) unanswered() bool {
 // slots under one lock at the end, and the requests release did not answer
 // are answered then.
 func (s *Server) runBatch(batch []batchSlot) {
+	s.settling.Lock()
+	defer s.settling.Unlock()
 	start := time.Now()
 	cfg := s.cfg.Exec
 	if s.member != nil {
@@ -1059,8 +1067,11 @@ func addStats(dst *rt.Stats, d rt.Stats) {
 }
 
 // Stats returns a server-wide accounting snapshot, including per-tenant
-// traffic and the plan-cache counters.
+// traffic and the plan-cache counters. It waits for the batch in flight, if
+// any, to settle, so every request answered before the call is counted.
 func (s *Server) Stats() Stats {
+	s.settling.Lock()
+	defer s.settling.Unlock()
 	s.mu.Lock()
 	out := Stats{
 		Served:          s.served,
@@ -1089,6 +1100,8 @@ func (s *Server) Stats() Stats {
 // TenantStats returns one tenant's snapshot; ok is false for tenants that
 // have never submitted.
 func (s *Server) TenantStats(name string) (TenantStats, bool) {
+	s.settling.Lock()
+	defer s.settling.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tenants[name]

@@ -56,10 +56,8 @@ func hammer(t *testing.T, w rt.World, tenants, perTenant int, solo bool) {
 		}
 	}
 	wg.Wait()
-	// A request answered mid-batch is counted when its batch settles, which
-	// may be after its reply; Close waits for that.
-	s.Close()
 	st := s.Stats()
+	s.Close()
 	checkResults(t, w, fixtures)
 	if want := int64(tenants * perTenant); st.Served != want {
 		t.Fatalf("served %d, want %d", st.Served, want)
@@ -117,7 +115,8 @@ func TestServeHammerEarlyRelease(t *testing.T) {
 // ends. Rank 1 stalls on its first op of the batch's other request, which
 // spans the world, so the batch cannot end for a while; the solo requests'
 // replies must arrive in that window, before any batch has been settled and
-// before the spanning request's reply.
+// before the spanning request's reply. Stats, which waits for the batch in
+// flight, counts them all even when called right after the first.
 func TestServeAnswersSoloRequestsEarly(t *testing.T) {
 	plan := &chaos.Plan{Seed: 5, Rules: []chaos.Rule{
 		{Name: "stall", Kind: chaos.Delay, Ranks: []int{1}, Rate: 1, MaxFires: 1, Delay: 200 * time.Millisecond},
@@ -134,7 +133,10 @@ func TestServeAnswersSoloRequestsEarly(t *testing.T) {
 	replies := make(chan reply, 1+len(solo.cs))
 	submit := func(f *tenantFixture, c *distmat.Matrix) {
 		_, err := s.Multiply(context.Background(), f.name, c, f.a, f.b)
-		replies <- reply{f.name, s.Stats().Batches, err}
+		s.mu.Lock() // not Stats: it would wait for the batch to settle
+		settled := s.batches
+		s.mu.Unlock()
+		replies <- reply{f.name, settled, err}
 	}
 	go submit(wide, wide.cs[0])
 	for _, c := range solo.cs {
@@ -154,6 +156,12 @@ func TestServeAnswersSoloRequestsEarly(t *testing.T) {
 		}
 		if r.tenant == "solo" && r.batches != 0 {
 			t.Fatalf("a solo request was answered after %d batch(es) settled, want mid-batch", r.batches)
+		}
+		if i == 0 {
+			// Stats waits for the batch in flight, so it counts this reply.
+			if st := s.Stats(); st.Served != int64(1+len(solo.cs)) {
+				t.Fatalf("Stats after a mid-batch reply counts %d served, want the whole batch's %d", st.Served, 1+len(solo.cs))
+			}
 		}
 	}
 	st := s.Stats()

@@ -334,7 +334,7 @@ func adoptedOps(prob Problem, stat Stationary, excluded []int, pos, nsurv int) [
 }
 
 // compiledPlanJSON is the serialized form: the key and the step schedules.
-// Fetch schedules are derived data and are recompiled on load.
+// Fetch schedules and the solo rank are derived data, recomputed on load.
 type compiledPlanJSON struct {
 	Key   PlanKey `json:"key"`
 	Plans []Plan  `json:"plans"`
@@ -347,14 +347,14 @@ func (cp *CompiledPlan) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON deserializes and validates a compiled plan, then rederives
-// the per-rank fetch schedules and the solo rank. The bytes come from outside the program (a
-// plancache/v1 file), and the executor trusts a plan completely, so
-// everything it relies on is checked here: malformed input — wrong rank
-// count, out-of-range tile indices or owner ranks, ops outside the tiles
-// they name, locality, fetch or chain flags the slicing pass would not have
-// produced (a file written before plans had chains, for a plan that has
-// them, is such a file) — returns an error rather than panicking later
-// inside a PE; the package fuzz target hammers this path.
+// the per-rank fetch schedules and the solo rank. The bytes come from
+// outside the program (a plancache/v1 file), and the executor trusts a plan
+// completely, so everything it relies on is checked here: malformed input —
+// wrong rank count, out-of-range tile indices or owner ranks, ops outside
+// the tiles they name, locality, fetch or chain flags the slicing pass would
+// not have produced (a file written before plans had chains, for a plan
+// that has them, is such a file) — returns an error rather than panicking
+// later inside a PE; the package fuzz target hammers this path.
 func (cp *CompiledPlan) UnmarshalJSON(data []byte) error {
 	var raw compiledPlanJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -481,8 +481,8 @@ func (cp *CompiledPlan) Matches(prob Problem, cfg Config) bool {
 // provided no fatal fault has stopped the run by then. It runs on whichever
 // of the rank's goroutines retired that chain, concurrently with the rest of
 // the batch, and Execute allocates nothing to make the call. For a plan with
-// a SoloRank it is the moment C holds the product: every accumulate of a
-// synchronous one-sided op has landed when the op returns (runtime.PE).
+// a SoloRank it is the moment C holds the product, since a synchronous
+// accumulate has landed when it returns (runtime.PE).
 //
 // Fault semantics: the fused plans share one crew and one abort flag, so
 // this rank's first fatal fault (after per-op retries) stops dispatch
