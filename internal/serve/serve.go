@@ -644,9 +644,10 @@ type batchSlot struct {
 	// written by rank 0 at the activation's end.
 	traffic rt.Stats
 	// released is set when release answered the request, at answered;
-	// late records that its context was done by then.
-	released, late bool
-	answered       time.Time
+	// late records that its context was done by then. replayed marks a
+	// request a failover replay ran again.
+	released, late, replayed bool
+	answered                 time.Time
 }
 
 // roleTable maps the matrices of the batch being formed to their roles: an
@@ -894,13 +895,14 @@ func (s *Server) release(i int) {
 }
 
 // unanswered narrows s.exec to the batch's requests release has not
-// answered, the ones a failover replay runs again, and reports whether any
-// is left. A released request's C is its caller's again, so the replay
-// must not re-zero it.
+// answered, the ones a failover replay runs again, marks them replayed, and
+// reports whether any is left. A released request's C is its caller's
+// again, so the replay must not re-zero it.
 func (s *Server) unanswered() bool {
 	n := 0
 	for _, i := range s.exec {
-		if !s.batch[i].released {
+		if sl := &s.batch[i]; !sl.released {
+			sl.replayed = true
 			s.exec[n] = i
 			n++
 		}
@@ -917,7 +919,7 @@ func (s *Server) unanswered() bool {
 // only the requests release has not answered already. Because nextBatch
 // admitted these requests in tenant FIFO order and the replay keeps the
 // rest of the batch intact, recovery preserves per-tenant order; a
-// recovered request is accounted as served (plus Recovered) and never
+// replayed request that is served counts in Recovered too, and never
 // feeds the circuit breakers. The batch's accounting is settled from its
 // slots under one lock at the end, and the requests release did not answer
 // are answered then.
@@ -937,7 +939,6 @@ func (s *Server) runBatch(batch []batchSlot) {
 	}
 	var replans int64
 	var replanMs []float64
-	recovered := false
 	s.lookupPlans(cfg)
 	execErr := s.executeBatch(cfg)
 	if execErr != nil && s.member != nil && errors.Is(execErr, rt.ErrPEFailed) && s.unanswered() {
@@ -955,7 +956,6 @@ func (s *Server) runBatch(batch []batchSlot) {
 			replanMs = append(replanMs, time.Since(t0).Seconds()*1e3)
 			execErr = s.executeBatch(cfg)
 			if execErr == nil {
-				recovered = true
 				break
 			}
 			if !errors.Is(execErr, rt.ErrPEFailed) || !s.unanswered() {
@@ -986,13 +986,13 @@ func (s *Server) runBatch(batch []batchSlot) {
 			}
 			continue
 		}
+		if sl.replayed {
+			t.stats.Recovered++
+			s.recovered++
+		}
 		done, late := sl.answered, sl.late
 		if !sl.released {
 			done, late = now, sl.r.ctx.Err() != nil
-			if recovered {
-				t.stats.Recovered++
-				s.recovered++
-			}
 		}
 		t.stats.Served++
 		addStats(&t.stats.Traffic, sl.traffic)
